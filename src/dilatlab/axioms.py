@@ -29,7 +29,7 @@ from .errors import DomainViolation
 from .geometry import MetricSpaceHandle
 from .gromov import gh_pointed_exact, _sample_density
 from .limits import LimitEstimate, richardson_limit
-from .util import as_point, check_schedule, halving_schedule, parallel_map, scale_of
+from .util import as_point, as_points, check_schedule, halving_schedule, scale_of
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,11 @@ class DilatationStructure:
     """Metric space plus dilatations.
 
     dil(eps, x, y) must accept any eps > 0 (eps > 1 gives the inverse maps),
-    fix x, and be the identity at eps = 1. domain_radius / inner_radius are
-    the declared bounds (A and B) of the axioms' domains; working_radius is
-    the "sufficiently close" radius within which witnesses are drawn.
+    fix x, and be the identity at eps = 1; a dil marked @broadcasting also
+    takes a whole schedule of scales in one call. domain_radius /
+    inner_radius are the declared bounds (A and B) of the axioms' domains;
+    working_radius is the "sufficiently close" radius within which witnesses
+    are drawn.
     """
 
     space: MetricSpaceHandle
@@ -129,6 +131,40 @@ def _in_chart(ds, p) -> bool:
     return ds.space.contains(p)
 
 
+def broadcasting(dil):
+    """Mark dil(eps, x, y) as broadcasting over a schedule of scales.
+
+    A marked dil takes eps of shape (k,) and points x, y of shape (n,) or
+    (k, n), and returns the (k, n) stack whose row r equals
+    dil(eps[r], x_r, y_r) to the last bit; a float eps with (n,) points
+    still gives one (n,) point. The harness then evaluates a schedule in one
+    call. An unmarked dil is called once per scale, with a float and two
+    (n,) points. The mark lives on the function, so a structure copied with
+    dataclasses.replace(ds, dil=other) takes the mark of its new dil.
+    """
+    dil.broadcasts = True
+    return dil
+
+
+def _dil_rows(ds, eps, x, y) -> np.ndarray:
+    """(k, n) stack of dil(eps[r], x_r, y_r) for x, y of shape (n,) or (k, n):
+    one call to a broadcasting dil, a per-scale loop over any other."""
+    eps = np.asarray(eps, dtype=float)
+    if getattr(ds.dil, "broadcasts", False):
+        return as_points(ds.dil(eps, x, y))
+    xs = x if np.ndim(x) == 2 else [x] * eps.size
+    ys = y if np.ndim(y) == 2 else [y] * eps.size
+    return np.array([as_point(ds.dil(float(e), p, q)) for e, p, q in zip(eps, xs, ys)])
+
+
+def _dil_schedule(ds, eps, x, pts) -> np.ndarray:
+    """(P, k, n) images dil(eps[s], x, pts[i]) of every point at every scale."""
+    pts = np.asarray(pts, dtype=float)
+    k = eps.size
+    return _dil_rows(ds, np.tile(eps, len(pts)), x,
+                     np.repeat(pts, k, axis=0)).reshape(len(pts), k, -1)
+
+
 # ---------------------------------------------------------------------------
 # A0 / A1: domains, identity, fixed point, invertibility, contraction
 
@@ -152,18 +188,26 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
         x = as_point(x)
         y = as_point(y)
         sc = scale_of(x, y)
+        dy = np.zeros_like(y)
+        dy[0] = bump
+        # one call for the identity at 1, the images along the schedule and
+        # the continuity probe at eps[0] (whose reference is the first image)
+        imgs = _dil_rows(ds, np.concatenate([[1.0], eps, eps[:1]]), x,
+                         np.vstack([np.tile(y, (eps.size + 1, 1)), y + dy]))
+        y_eps = imgs[1:-1]
+        fixed = _dil_rows(ds, eps, x, x)
+        back = _dil_rows(ds, 1.0 / eps, x, y_eps)
 
-        r_id = float(np.max(np.abs(ds.dil(1.0, x, y) - y)))
+        r_id = float(np.max(np.abs(imgs[0] - y)))
         max_res = max(max_res, r_id)
         if r_id > 1e-12 * sc:
             failures.append({"sample": idx, "kind": "identity-at-1", "residual": r_id})
 
         decay = []
-        for e in eps:
+        for s, e in enumerate(eps):
             e = float(e)
-            r_fix = float(np.max(np.abs(ds.dil(e, x, x) - x)))
-            y_e = as_point(ds.dil(e, x, y))
-            r_inv = float(np.max(np.abs(ds.dil(1.0 / e, x, y_e) - y)))
+            r_fix = float(np.max(np.abs(fixed[s] - x)))
+            r_inv = float(np.max(np.abs(back[s] - y)))
             max_res = max(max_res, r_fix, r_inv)
             if r_fix > tol * sc:
                 failures.append({"sample": idx, "kind": "fixed-point", "eps": e,
@@ -171,12 +215,12 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
             if r_inv > tol * sc:
                 failures.append({"sample": idx, "kind": "invertibility", "eps": e,
                                  "residual": r_inv})
-            decay.append(float(ds.space.distance(x, y_e)))
+            decay.append(float(ds.space.distance(x, y_eps[s])))
             # domain witness: the expanded ball point stays inside B(x, A)
-            back = float(ds.space.distance(x, ds.dil(1.0 / e, x, y_e)))
-            if back > ds.domain_radius * (1.0 + 1e-9):
+            d_back = float(ds.space.distance(x, back[s]))
+            if d_back > ds.domain_radius * (1.0 + 1e-9):
                 failures.append({"sample": idx, "kind": "domain-witness", "eps": e,
-                                 "distance": back})
+                                 "distance": d_back})
 
         # contraction trend: comparable to first order in eps, heading to 0
         d0 = float(ds.space.distance(x, y))
@@ -193,10 +237,7 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
                               "extrapolated": 0.0, "error": ""})
 
         # continuity probe at a fixed small perturbation of y
-        dy = np.zeros_like(y)
-        dy[0] = bump
-        r_cont = float(np.max(np.abs(as_point(ds.dil(float(eps[0]), x, y + dy))
-                                     - as_point(ds.dil(float(eps[0]), x, y)))))
+        r_cont = float(np.max(np.abs(imgs[-1] - y_eps[0])))
         if r_cont > 100.0 * bump * sc:
             failures.append({"sample": idx, "kind": "continuity-probe", "residual": r_cont})
 
@@ -215,15 +256,17 @@ def check_A2(ds: DilatationStructure, samples: Sequence, pairs: Sequence,
     failures = []
     max_res = 0.0
     table = []
+    es = np.array([float(e) for e, _ in pairs])
+    ms = np.array([float(m) for _, m in pairs])
     for idx, (x, u) in enumerate(samples):
         x = as_point(x)
         u = as_point(u)
         sc = scale_of(x, u)
-        for (e, m) in pairs:
+        lhs = _dil_rows(ds, es, x, _dil_rows(ds, ms, x, u))
+        rhs = _dil_rows(ds, es * ms, x, u)
+        for j, (e, m) in enumerate(zip(es, ms)):
             e, m = float(e), float(m)
-            lhs = as_point(ds.dil(e, x, ds.dil(m, x, u)))
-            rhs = as_point(ds.dil(e * m, x, u))
-            r = float(np.max(np.abs(lhs - rhs)))
+            r = float(np.max(np.abs(lhs[j] - rhs[j])))
             max_res = max(max_res, r)
             if r > tol * sc:
                 failures.append({"sample": idx, "kind": "composition", "eps": e,
@@ -240,14 +283,15 @@ def check_A2(ds: DilatationStructure, samples: Sequence, pairs: Sequence,
 # A3 / A4: rescaled-distance limit and tangent operations
 
 
+def _rescaled_distances(ds, a, b, eps) -> np.ndarray:
+    """(1/eps) d(a_s, b_s) along the schedule, for image stacks a, b (k, n)."""
+    return np.array([float(ds.space.distance(a[s], b[s])) / float(e)
+                     for s, e in enumerate(eps)])
+
+
 def _dx_sequence(ds, x, u, v, eps):
-    vals = []
-    for e in eps:
-        e = float(e)
-        a = ds.dil(e, x, u)
-        b = ds.dil(e, x, v)
-        vals.append(float(ds.space.distance(a, b)) / e)
-    return np.array(vals)
+    imgs = _dil_schedule(ds, eps, x, [u, v])
+    return _rescaled_distances(ds, imgs[0], imgs[1], eps)
 
 
 def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
@@ -261,6 +305,8 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     eps = check_schedule(eps_schedule)
     x = as_point(x)
     pts = [as_point(p) for p in sample]
+    if len(pts) < 2:
+        raise ValueError("need at least two sample points")
     cache = {}
 
     def dx(u, v) -> float:
@@ -274,9 +320,9 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
         return float(cache[key].extrapolated)
 
     idx_pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-    ests = parallel_map(
-        lambda ij: richardson_limit(eps, _dx_sequence(ds, x, pts[ij[0]], pts[ij[1]], eps)),
-        idx_pairs)
+    imgs = _dil_schedule(ds, eps, x, pts)
+    ests = [richardson_limit(eps, _rescaled_distances(ds, imgs[i], imgs[j], eps))
+            for i, j in idx_pairs]
     worst = None
     degenerate = False
     converged = True
@@ -289,8 +335,6 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
         d0 = float(ds.space.distance(pts[i], pts[j]))
         if float(est.extrapolated) < 1e-6 and d0 > 1e-2:
             degenerate = True
-    if worst is None:
-        raise ValueError("need at least two sample points")
 
     td = TangentData(center=x, dx=dx, delta_op=None, sigma_op=None, inv_op=None,
                      limit_error=float(worst.error), converged=converged,
@@ -300,30 +344,23 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
 
 def _delta_points(ds, x, u, v, eps):
     """dil(1/eps, dil(eps,x,u), dil(eps,x,v)) along the schedule."""
-    out = []
-    for e in eps:
-        e = float(e)
-        w1 = as_point(ds.dil(e, x, u))
-        w2 = as_point(ds.dil(e, x, v))
-        p = as_point(ds.dil(1.0 / e, w1, w2))
-        if not _in_chart(ds, p) or not _in_chart(ds, w1):
-            raise DomainViolation("difference-operation point left the chart at eps=%g" % e)
-        out.append(p)
-    return np.array(out)
+    w1, w2 = _dil_schedule(ds, eps, x, [u, v])
+    out = _dil_rows(ds, 1.0 / eps, w1, w2)
+    for s, e in enumerate(eps):
+        if not _in_chart(ds, out[s]) or not _in_chart(ds, w1[s]):
+            raise DomainViolation("difference-operation point left the chart at eps=%g"
+                                  % float(e))
+    return out
 
 
 def _sigma_points(ds, x, u, v, eps):
     """dil(1/eps, x, dil(eps, dil(eps,x,u), v)) along the schedule."""
-    out = []
-    for e in eps:
-        e = float(e)
-        w = as_point(ds.dil(e, x, u))
-        q = as_point(ds.dil(e, w, v))
-        p = as_point(ds.dil(1.0 / e, x, q))
-        if not _in_chart(ds, p) or not _in_chart(ds, q):
-            raise DomainViolation("sum-operation point left the chart at eps=%g" % e)
-        out.append(p)
-    return np.array(out)
+    q = _dil_rows(ds, eps, _dil_rows(ds, eps, x, u), v)
+    out = _dil_rows(ds, 1.0 / eps, x, q)
+    for s, e in enumerate(eps):
+        if not _in_chart(ds, out[s]) or not _in_chart(ds, q[s]):
+            raise DomainViolation("sum-operation point left the chart at eps=%g" % float(e))
+    return out
 
 
 def estimate_delta(ds: DilatationStructure, x, u, v, eps_schedule) -> LimitEstimate:
@@ -541,9 +578,10 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
 
     gaps = []
     table = []
-    for mu in mus:
+    snaps = _dil_schedule(ds, mus, x, pts)
+    for s, mu in enumerate(mus):
         mu = float(mu)
-        imgs = [as_point(ds.dil(mu, x, p)) for p in pts]
+        imgs = snaps[:, s]
         m = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):

@@ -19,11 +19,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from .axioms import CheckReport, DilatationStructure
+from .axioms import CheckReport, DilatationStructure, broadcasting
 from .errors import NoFeasiblePath
 from .geometry import MetricSpaceHandle
 from .limits import richardson_limit
-from .util import as_point, check_schedule, parallel_map
+from .util import as_point, as_points, check_schedule, parallel_map
 from .vectorfields import (Frame, VectorField, chart_inverse, compose_P, flow_exp,
                            frame_from_manifest)
 
@@ -277,8 +277,10 @@ def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
 def _seed_controls(frame: Frame, x, y, cfg: CCConfig):
     """Deterministic start family: least-squares straight control, circular
     seeds sized to sweep the non-horizontal displacement, sine bumps, one
-    fixed pseudo-random draw. Also returns (residual, energy) seed statistics
-    used to scale the initial penalty weight."""
+    fixed pseudo-random draw. At most cfg.starts of these distinct starts
+    are returned; a horizontal target, which skips the circular seeds, gets
+    fewer. Also returns (residual, energy) seed statistics used to scale the
+    initial penalty weight."""
     N, m = cfg.segments, frame.m
     w = y - x
     M = frame.eval_matrix(x)[:, :m]
@@ -313,8 +315,6 @@ def _seed_controls(frame: Frame, x, y, cfg: CCConfig):
     rng = np.random.RandomState(0)
     seeds.append(base + 0.3 * scale * rng.standard_normal((N, m)))
 
-    while len(seeds) < cfg.starts:
-        seeds.append(seeds[len(seeds) % max(1, len(seeds) - 1)].copy())
     e_typ = float(u_ls @ u_ls) + amp * amp
     return np.array(seeds[: cfg.starts]), resid, e_typ
 
@@ -533,23 +533,26 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
 
         dil(eps, x, y) = exp(sum eps^deg_i a_i X_i)(x),  a = chart coords of y
 
-    cc is the metric callable (typically cc_distance on the frame, or an
+    dil broadcasts over a schedule of scales (see axioms.broadcasting). cc
+    is the metric callable (typically cc_distance on the frame, or an
     exact formula when one exists).
     """
+    n = frame.n
     if frame.chart_box is not None:
         box = np.asarray(frame.chart_box, dtype=float)
     else:
-        box = np.stack([np.full(3, -chart_halfwidth), np.full(3, chart_halfwidth)], axis=1)
-    n = len(frame.fields)
+        box = np.stack([np.full(n, -chart_halfwidth), np.full(n, chart_halfwidth)], axis=1)
 
+    @broadcasting
     def dil(eps, x, y):
-        x = as_point(x)
-        y = as_point(y)
+        # the chart coordinates of y do not depend on eps: one batched inverse
+        # for the (x, y) rows, then every scale in one flow
+        x = as_points(x)
         a = chart_inverse(frame, x, y, tol=newton_tol, steps=steps,
                           injectivity_radius=injectivity_radius)
-        return flow_exp(frame, frame.scale_coeffs(float(eps), a), x, steps=steps)
+        return flow_exp(frame, frame.scale_coeffs(eps, a), x, steps=steps)
 
-    space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box[:n],
+    space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box,
                               ball_box=ball_box, name=name or frame.name)
     return DilatationStructure(space=space, dil=dil, name=name or frame.name,
                                domain_radius=domain_radius, inner_radius=inner_radius,

@@ -112,7 +112,24 @@ def _parse_point(text: Optional[str], dim: int) -> np.ndarray:
         _die("point: expected comma-separated floats, got %r" % text)
     if vals.size != dim:
         _die("point: expected %d coordinates, got %d" % (dim, vals.size))
+    if not np.all(np.isfinite(vals)):
+        _die("point: coordinates must be finite, got %r" % text)
     return vals
+
+
+def _join_point(argv: List[str]) -> List[str]:
+    """Rewrite '--point V' as '--point=V': argparse reads a separate value
+    such as '-0.1,0.2' as an unknown option."""
+    out = []
+    k = 0
+    while k < len(argv):
+        if argv[k] == "--point" and k + 1 < len(argv):
+            out.append("--point=" + argv[k + 1])
+            k += 2
+        else:
+            out.append(argv[k])
+            k += 1
+    return out
 
 
 def _probe_points(ds, x, count, seed):
@@ -360,7 +377,7 @@ def main(argv=None) -> int:
     p_list.add_argument("--out")
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_point(sys.argv[1:] if argv is None else list(argv)))
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "tangent":

@@ -8,26 +8,31 @@ from typing import Callable
 
 import numpy as np
 
-from .axioms import DilatationStructure
+from .axioms import DilatationStructure, broadcasting
 from .geometry import box_handle, euclidean_handle, snowflake_distance
-from .util import as_point
+from .util import as_point, as_points
+
+
+@broadcasting
+def _affine_dil(eps, x, y):
+    """The affine dilatations of the chart, dil(eps, x, y) = x + eps (y - x)."""
+    x = as_points(x)
+    y = as_points(y)
+    return x + np.asarray(eps, dtype=float)[..., None] * (y - x)
 
 
 def euclidean(n: int, halfwidth: float = 3.0) -> DilatationStructure:
     """R^n with dil(eps, x, y) = x + eps (y - x)."""
-
-    def dil(eps, x, y):
-        x = as_point(x)
-        y = as_point(y)
-        return x + float(eps) * (y - x)
-
-    return DilatationStructure(space=euclidean_handle(n, halfwidth), dil=dil,
+    return DilatationStructure(space=euclidean_handle(n, halfwidth), dil=_affine_dil,
                                name="euclidean%d" % n)
 
 
 @dataclass(frozen=True)
 class DiffeoPair:
-    """A diffeomorphism of the chart with its inverse and Jacobian."""
+    """A diffeomorphism of the chart with its inverse and Jacobian.
+
+    phi and phi_inv map (..., n) stacks of points; dphi takes one point.
+    """
 
     phi: Callable[[np.ndarray], np.ndarray]
     phi_inv: Callable[[np.ndarray], np.ndarray]
@@ -60,8 +65,8 @@ class DiffeoPair:
 def shear_quadratic() -> DiffeoPair:
     """phi(x1, x2) = (x1, x2 + x1^2); triangular, exact inverse."""
     return DiffeoPair(
-        phi=lambda p: np.array([p[0], p[1] + p[0] ** 2]),
-        phi_inv=lambda p: np.array([p[0], p[1] - p[0] ** 2]),
+        phi=lambda p: np.stack([p[..., 0], p[..., 1] + p[..., 0] ** 2], axis=-1),
+        phi_inv=lambda p: np.stack([p[..., 0], p[..., 1] - p[..., 0] ** 2], axis=-1),
         dphi=lambda p: np.array([[1.0, 0.0], [2.0 * p[0], 1.0]]),
         name="shear-quadratic")
 
@@ -69,8 +74,9 @@ def shear_quadratic() -> DiffeoPair:
 def tanh_shear() -> DiffeoPair:
     """phi(x1, x2) = (x1 + 0.3 tanh(x2), x2); bounded shear, exact inverse."""
     return DiffeoPair(
-        phi=lambda p: np.array([p[0] + 0.3 * np.tanh(p[1]), p[1]]),
-        phi_inv=lambda p: np.array([p[0] - 0.3 * np.tanh(p[1]), p[1]]),
+        phi=lambda p: np.stack([p[..., 0] + 0.3 * np.tanh(p[..., 1]), p[..., 1]], axis=-1),
+        phi_inv=lambda p: np.stack([p[..., 0] - 0.3 * np.tanh(p[..., 1]), p[..., 1]],
+                                   axis=-1),
         dphi=lambda p: np.array([[1.0, 0.3 / np.cosh(p[1]) ** 2], [0.0, 1.0]]),
         name="tanh-shear")
 
@@ -95,11 +101,7 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2,
     if variant == 1:
         d = lambda p, q: float(np.linalg.norm(np.asarray(dp.phi(as_point(p)))
                                               - np.asarray(dp.phi(as_point(q)))))
-
-        def dil(eps, x, y):
-            x = as_point(x)
-            y = as_point(y)
-            return x + float(eps) * (y - x)
+        dil = _affine_dil
 
         def hint(c, r):
             J = np.asarray(dp.dphi(as_point(c)), dtype=float)
@@ -111,10 +113,12 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2,
     elif variant == 2:
         d = lambda p, q: float(np.linalg.norm(as_point(p) - as_point(q)))
 
+        @broadcasting
         def dil(eps, x, y):
-            fx = np.asarray(dp.phi(as_point(x)), dtype=float)
-            fy = np.asarray(dp.phi(as_point(y)), dtype=float)
-            return as_point(dp.phi_inv(fx + float(eps) * (fy - fx)))
+            fx = np.asarray(dp.phi(as_points(x)), dtype=float)
+            fy = np.asarray(dp.phi(as_points(y)), dtype=float)
+            eps = np.asarray(eps, dtype=float)[..., None]
+            return as_points(dp.phi_inv(fx + eps * (fy - fx)))
 
         space = box_handle(dim, d, halfwidth, name="riemannian-v2:" + dp.name,
                            ball_box=lambda c, r: np.full(len(c), r))
@@ -129,7 +133,8 @@ def snowflake_structure(base: DilatationStructure, a: float) -> DilatationStruct
     """Snowflake transform: distance d^a with dil_a(eps, .) = dil(eps^(1/a), .).
 
     The composition law survives exactly ((eps mu)^(1/a) = eps^(1/a) mu^(1/a))
-    and the rescaled-limit distance of the transform is (d^x)^a.
+    and the rescaled-limit distance of the transform is (d^x)^a. dil
+    broadcasts exactly when the base dil does.
     """
     if not (0.0 < a <= 1.0):
         raise ValueError("exponent must lie in (0, 1]")
@@ -138,7 +143,14 @@ def snowflake_structure(base: DilatationStructure, a: float) -> DilatationStruct
     base_dil = base.dil
 
     def dil(eps, x, y):
-        return base_dil(float(eps) ** inv_a, x, y)
+        # Python's float power on each scale: numpy's array power can differ
+        # from it in the last bit
+        if np.ndim(eps) == 0:
+            return base_dil(float(eps) ** inv_a, x, y)
+        return base_dil(np.array([float(e) ** inv_a for e in eps]), x, y)
+
+    if getattr(base_dil, "broadcasts", False):
+        dil = broadcasting(dil)
 
     return DilatationStructure(space=space, dil=dil,
                                name="snowflake-%g-of-%s" % (a, base.name),
@@ -157,15 +169,19 @@ def complex_dilatation(theta: float, halfwidth: float = 3.0) -> DilatationStruct
     difference operation carries the rotation and distinguishes theta values.
     """
 
-    def mat(eps: float) -> np.ndarray:
+    def mat(eps) -> np.ndarray:
+        """eps R(theta ln eps), stacked: (...) -> (..., 2, 2)."""
+        eps = np.asarray(eps, dtype=float)
         s = theta * np.log(eps)
         c, sn = np.cos(s), np.sin(s)
-        return eps * np.array([[c, -sn], [sn, c]])
+        rot = np.stack([np.stack([c, -sn], axis=-1), np.stack([sn, c], axis=-1)], axis=-2)
+        return eps[..., None, None] * rot
 
+    @broadcasting
     def dil(eps, x, y):
-        x = as_point(x)
-        y = as_point(y)
-        return x + mat(float(eps)) @ (y - x)
+        x = as_points(x)
+        y = as_points(y)
+        return x + (mat(eps) @ (y - x)[..., None])[..., 0]
 
     return DilatationStructure(space=euclidean_handle(2, halfwidth), dil=dil,
                                name="complex-%g" % theta)

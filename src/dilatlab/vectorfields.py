@@ -102,10 +102,15 @@ class Frame:
         return tuple(sum(1 for d in self.degrees if d <= j)
                      for j in range(1, self.step + 1))
 
-    def scale_coeffs(self, eps: float, a) -> np.ndarray:
-        """Coefficient dilation: a_i -> eps^(deg X_i) a_i."""
+    def scale_coeffs(self, eps, a) -> np.ndarray:
+        """Coefficient dilation: a_i -> eps^(deg X_i) a_i.
+
+        Batched: eps of shape (k,) scales the rows of a (k, n) or one (n,)
+        coefficient vector, giving (k, n); a scalar eps keeps the shape of a.
+        """
         a = np.asarray(a, dtype=float)
-        return a * (float(eps) ** np.asarray(self.degrees, dtype=float))
+        eps = np.asarray(eps, dtype=float)[..., None]
+        return a * (eps ** np.asarray(self.degrees, dtype=float))
 
     def eval_matrix(self, x) -> np.ndarray:
         """Columns X_1(x) ... X_n(x)."""
@@ -232,30 +237,48 @@ def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
 def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
                   max_iter: int, fd_step: float, injectivity_radius: float,
                   steps: int):
-    """Newton core for flow_exp(frame, y, w) = z; returns (y, residual, iters)."""
-    n = w.size
-    y = np.zeros(n)
-    thresh = tol * (1.0 + float(np.max(np.abs(z))))
+    """Newton core for flow_exp(frame, y_r, w_r) = z_r over the rows of z.
+
+    w and z are (k, n) stacks (w may be one (n,) point). Each row keeps its
+    own threshold tol * (1 + max|z_r|) and stops iterating once it meets it,
+    so a row's result does not depend on the other rows. One flow_exp call
+    per iteration integrates the base point and the +/- finite-difference
+    probes of every unconverged row. Returns (y, residual, iterations), one
+    entry per row; a singular Jacobian, an iterate leaving the injectivity
+    ball, or a row still above its threshold after max_iter raises
+    NoConvergence for the whole call.
+    """
+    k, n = z.shape
+    w = np.broadcast_to(w, z.shape)
+    y = np.zeros((k, n))
+    thresh = tol * (1.0 + np.max(np.abs(z), axis=1))
+    res = np.full(k, np.inf)
+    iters = np.zeros(k, dtype=int)
     eye = np.eye(n)
-    res = np.inf
+    active = np.arange(k)
     for it in range(max_iter):
-        # batch: base point first, then +/- perturbations per coefficient
-        probes = np.vstack([y[None, :], y[None, :] + fd_step * eye,
-                            y[None, :] - fd_step * eye])
-        flows = flow_exp(frame, probes, w[None, :], steps=steps)
-        F = flows[0] - z
-        res = float(np.max(np.abs(F)))
-        if res < thresh:
-            return y, res, it
-        J = (flows[1:n + 1] - flows[n + 1:]).T / (2.0 * fd_step)
+        # per row: base point first, then +/- perturbations per coefficient
+        ya = y[active, None, :]
+        probes = np.concatenate([ya, ya + fd_step * eye, ya - fd_step * eye], axis=1)
+        flows = flow_exp(frame, probes, w[active, None, :], steps=steps)
+        F = flows[:, 0] - z[active]
+        res[active] = np.max(np.abs(F), axis=1)
+        todo = res[active] >= thresh[active]
+        iters[active[~todo]] = it
+        active = active[todo]
+        if active.size == 0:
+            return y, res, iters
+        flows, F = flows[todo], F[todo]
+        J = np.swapaxes(flows[:, 1:n + 1] - flows[:, n + 1:], 1, 2) / (2.0 * fd_step)
         try:
-            y = y + np.linalg.solve(J, -F)
+            y[active] = y[active] + np.linalg.solve(J, -F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             raise NoConvergence("singular chart Jacobian at iteration %d" % it)
-        if float(np.linalg.norm(y)) > 1.5 * injectivity_radius:
+        if np.any(np.linalg.norm(y[active], axis=1) > 1.5 * injectivity_radius):
             raise NoConvergence("Newton iterate left the injectivity ball")
+    worst = active[np.argmax(res[active] / thresh[active])]
     raise NoConvergence("chart residual %.3g above %.3g after %d iterations"
-                        % (res, thresh, max_iter))
+                        % (res[worst], thresh[worst], max_iter))
 
 
 def chart_inverse(frame: Frame, w, z, tol: float = 1e-12, max_iter: int = 50,
@@ -263,16 +286,22 @@ def chart_inverse(frame: Frame, w, z, tol: float = 1e-12, max_iter: int = 50,
                   steps: int = 256) -> np.ndarray:
     """Coefficients a with flow_exp(frame, a, w) = z (Newton iteration).
 
-    Converged when the chart residual drops below tol * (1 + |z|); iterates
-    that leave the injectivity ball (coefficient norm cap) or fail to settle
-    raise NoConvergence. The Jacobian uses central differences of the flow,
-    all probes integrated as one batch.
+    Batched: w and z are points (n,) or stacks (k, n), and the result has
+    their broadcast shape; all rows are solved together, each to the same
+    bits as a solve on its own. Converged when the chart residual drops
+    below tol * (1 + |z|); iterates that leave the injectivity ball
+    (coefficient norm cap) or fail to settle raise NoConvergence for the
+    whole call. The Jacobian uses central differences of the flow, all
+    probes integrated as one batch.
     """
-    w = as_point(w)
-    z = as_point(z)
-    y, _, _ = _newton_chart(frame, w, z, tol, max_iter, fd_step,
-                            injectivity_radius, steps)
-    return y
+    w = as_points(w)
+    z = as_points(z)
+    shape = np.broadcast_shapes(w.shape, z.shape)
+    n = shape[-1]
+    y, _, _ = _newton_chart(frame, np.broadcast_to(w, shape).reshape(-1, n),
+                            np.broadcast_to(z, shape).reshape(-1, n), tol, max_iter,
+                            fd_step, injectivity_radius, steps)
+    return y.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -294,9 +323,10 @@ def compose_P(frame: Frame, a, b, x, steps: int = 256, tol: float = 1e-12,
     x = as_point(x)
     target = flow_exp(frame, a, x, steps=steps)
     start = flow_exp(frame, b, x, steps=steps)
-    y, res, it = _newton_chart(frame, start, target, tol, 50, 1e-6,
+    y, res, it = _newton_chart(frame, start, target[None, :], tol, 50, 1e-6,
                                injectivity_radius, steps)
-    return CompositionResult(coeffs=y, residual=res, iterations=it)
+    return CompositionResult(coeffs=y[0], residual=float(res[0]),
+                             iterations=int(it[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,36 @@ def test_report_serialization():
     assert isinstance(doc["passed"], bool)
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "eps,value,diff,extrapolated,error"
+
+
+def test_batched_and_per_scale_paths_agree_on_heisenberg():
+    # the broadcasting dil and a scalar-only wrapper of it (which takes the
+    # per-scale loop) must give identical reports and values
+    import dataclasses
+    from dilatlab.carnot import heisenberg_structure
+
+    ds = heisenberg_structure(steps=32)
+    looped = dataclasses.replace(ds, dil=lambda e, x, y: ds.dil(e, x, y))
+    assert ds.dil.broadcasts and not hasattr(looped.dil, "broadcasts")
+    sched = halving_schedule(0.125, 4)
+    rng = np.random.RandomState(13)
+    x = np.array([0.05, -0.1, 0.02])
+    pts = [x + rng.uniform(-0.08, 0.08, 3) for _ in range(3)]
+    samples = [(x, p) for p in pts]
+    u, v = pts[0], pts[1]
+
+    def run(d):
+        a0 = check_A0_A1(d, samples, sched).to_jsonable()
+        a2 = check_A2(d, samples, [(0.5, 0.5), (0.8, 0.4)]).to_jsonable()
+        td, worst = estimate_dx(d, x, pts, sched)
+        tan = derive_sigma_inv(d, x, sched)
+        return [a0, a2, worst.extrapolated, worst.error, worst.converged,
+                td.dx(pts[0], pts[2]), td.dx(u, x + 0.05), tan.limit_error,
+                tan.converged, tan.sigma_op(u, v), tan.delta_op(u, v),
+                tan.inv_op(u), tan.dx(u, v)]
+
+    for got, want in zip(run(ds), run(looped)):
+        if isinstance(got, dict):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)

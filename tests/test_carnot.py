@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from dilatlab.carnot import (LIGHT_CC, _objective_and_grad, _rollout,
-                             check_normal_frame, cc_distance,
+from dilatlab.carnot import (LIGHT_CC, CCConfig, _objective_and_grad, _rollout,
+                             _seed_controls, check_normal_frame, cc_distance,
                              heisenberg, heisenberg_ball_box, heisenberg_cc,
                              heisenberg_dilate, heisenberg_gauge,
                              heisenberg_group_law, heisenberg_inverse,
                              heisenberg_structure, sr_dilatation,
                              vertical_cc_oracle, warped_heisenberg)
-from dilatlab.vectorfields import Frame, compose_P, flow_exp, frame_from_manifest
+from dilatlab.vectorfields import (Frame, compose_P, flow_exp, frame_from_manifest,
+                                   polynomial_field)
 
 np.random.seed(5)
 
@@ -121,6 +122,24 @@ def test_sr_dilatation_matches_group_dilation():
         assert np.allclose(got, want, atol=1e-11)
 
 
+def test_sr_dilatation_without_chart_box_in_dim_4():
+    # Heisenberg x R (degrees 1, 1, 1, 2) with no chart box: the fallback box
+    # takes the frame's dimension
+    one = [[1.0, [0, 0, 0, 0]]]
+    X1 = polynomial_field([one, [], [], [[-0.5, [0, 1, 0, 0]]]])
+    X2 = polynomial_field([[], one, [], [[0.5, [1, 0, 0, 0]]]])
+    X3 = polynomial_field([[], [], one, []])
+    X4 = polynomial_field([[], [], [], one])
+    frame = Frame(fields=(X1, X2, X3, X4), degrees=(1, 1, 1, 2))
+    ds = sr_dilatation(frame, lambda p, q: float(np.linalg.norm(p - q)), steps=32)
+    assert ds.space.chart_box.shape == (4, 2)
+    x = np.array([0.1, -0.05, 0.02, 0.03])
+    y = np.array([0.2, 0.04, -0.06, 0.08])
+    eps = np.array([0.5, 0.25])
+    back = ds.dil(1.0 / eps, x, ds.dil(eps, x, y))
+    assert np.allclose(back, y, atol=1e-10)
+
+
 # === variational distances ===
 
 def test_cc_distance_straight_line():
@@ -207,6 +226,19 @@ def test_cc_distance_on_manifest_frame():
         d = cc_distance(frame, x, y, config=LIGHT_CC)
         want = heisenberg_cc(x, y)
         assert abs(d - want) <= 1e-2 * want, (w, d, want)
+
+
+def test_seed_controls_are_distinct():
+    # the start family holds no copies; LIGHT_CC's four starts are all
+    # distinct on horizontal, vertical and mixed targets alike
+    frame, _ = heisenberg()
+    x = np.zeros(3)
+    for y in ([0.3, 0.0, 0.0], [0.0, 0.0, 0.04], [0.3, 0.0, 0.025]):
+        for cfg in (CCConfig(), LIGHT_CC):
+            seeds, _, _ = _seed_controls(frame, x, np.array(y), cfg)
+            flat = seeds.reshape(len(seeds), -1)
+            assert len(np.unique(flat, axis=0)) == len(seeds) <= cfg.starts, (y, cfg)
+        assert len(_seed_controls(frame, x, np.array(y), LIGHT_CC)[0]) == LIGHT_CC.starts
 
 
 # === normal-frame verdicts ===

@@ -129,3 +129,18 @@ def test_point_flag_is_used(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["meta"]["point"] == [0.1, -0.2, 0.3]
+
+
+def test_point_rejects_non_finite(capsys):
+    for bad in ("nan,0", "inf,0", "0,-inf"):
+        assert main(["tangent", "--structure", "euclidean2", "--point", bad]) == 64
+        assert "finite" in capsys.readouterr().err
+
+
+def test_point_accepts_leading_minus(capsys):
+    for argv in (["--point", "-0.1,0.2"], ["--point=-0.1,0.2"]):
+        rc = main(["verify", "--structure", "euclidean2", "--checks", "a2",
+                   "--samples", "2", "--eps-count", "5"] + argv)
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["meta"]["point"] == [-0.1, 0.2]

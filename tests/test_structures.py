@@ -8,6 +8,7 @@ from dilatlab.structures import (build_structure, complex_dilatation,
                                  shear_quadratic, snowflake_structure,
                                  structure_names, tanh_shear)
 from dilatlab.axioms import check_A2, estimate_dx
+from dilatlab.carnot import structure_from_manifest, warped_heisenberg_structure
 from dilatlab.util import halving_schedule
 
 np.random.seed(3)
@@ -123,3 +124,41 @@ def test_heisenberg_registry_entry_has_group_dim():
     half = ds.dil(0.5, x, u)
     # at the origin the dilation is the graded one
     assert np.allclose(half, [0.1, 0.05, 0.0125], atol=1e-12)
+
+
+# Heisenberg generators as a frame manifest (the CLI's --manifest format)
+HEIS_MANIFEST = {
+    "schema": 1, "name": "heis-manifest", "dim": 3, "chart_halfwidth": 2.0,
+    "generators": [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
+                   [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]],
+}
+
+
+def _build_for_broadcast(name):
+    if name == "heisenberg-warped":
+        return warped_heisenberg_structure(steps=16)
+    if name == "manifest":
+        return structure_from_manifest(HEIS_MANIFEST, steps=16)
+    return build_structure(name)
+
+
+@pytest.mark.parametrize("name", structure_names() + ["heisenberg-warped", "manifest"])
+def test_broadcast_dil_equals_scalar_calls(name):
+    # one call over a schedule (eps > 1 included) must give, row for row, the
+    # same bits as one scalar call per scale; random scales tell numpy's
+    # array power from Python's float power, which differ on a few percent
+    ds = _build_for_broadcast(name)
+    assert getattr(ds.dil, "broadcasts", False)
+    n = ds.space.dim
+    rng = np.random.RandomState(12)
+    eps = np.concatenate([[1.0], rng.uniform(0.05, 2.0, 15)])
+    k = eps.size
+    X = rng.uniform(-0.15, 0.15, (k, n))
+    Y = X + rng.uniform(-0.08, 0.08, (k, n))
+    for xs, ys in ((X, Y), (X[0], Y), (X[0], Y[0])):
+        got = ds.dil(eps, xs, ys)
+        assert got.shape == (k, n)
+        xr = np.broadcast_to(xs, (k, n))
+        yr = np.broadcast_to(ys, (k, n))
+        want = np.array([ds.dil(float(eps[r]), xr[r], yr[r]) for r in range(k)])
+        assert np.array_equal(got, want)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dilatlab.carnot import heisenberg, warped_heisenberg
-from dilatlab.errors import NonRegular, NotBracketGenerating
+from dilatlab.errors import NoConvergence, NonRegular, NotBracketGenerating
 from dilatlab.vectorfields import (Frame, VectorField, build_adapted_frame,
                                    chart_inverse, compose_P, flow_exp,
                                    frame_from_manifest, lie_bracket,
@@ -148,6 +148,25 @@ def test_chart_inverse_roundtrip():
         y = flow_exp(fr, a, x, steps=64)
         back = chart_inverse(fr, x, y, steps=64)
         assert np.allclose(back, a, atol=1e-10)
+
+
+def test_chart_inverse_batched_matches_single_rows():
+    # a (k, n) stack is solved row for row to the same bits as one solve per
+    # row; one row whose Newton iterate leaves the injectivity ball fails the
+    # whole call
+    rng = np.random.RandomState(14)
+    for frame, steps in ((heisenberg()[0], 32), (warped_heisenberg()[0], 64)):
+        W = rng.uniform(-0.2, 0.2, (5, 3))
+        A = rng.uniform(-0.3, 0.3, (5, 3))
+        Z = flow_exp(frame, A, W, steps=steps)
+        got = chart_inverse(frame, W, Z, steps=steps)
+        want = np.array([chart_inverse(frame, w, z, steps=steps) for w, z in zip(W, Z)])
+        assert np.array_equal(got, want), frame.name
+        assert np.allclose(got, A, atol=1e-9)
+        A[2] = [0.9, -0.6, 0.5]  # well outside the default radius 0.5
+        Z = flow_exp(frame, A, W, steps=steps)
+        with pytest.raises(NoConvergence):
+            chart_inverse(frame, W, Z, steps=steps)
 
 
 def test_compose_commuting_constant_fields():
