@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation
-from .geometry import MetricSpaceHandle
+from .geometry import FinitePointedSpace, MetricSpaceHandle, sample_ball
 from .gromov import gh_pointed_exact, _sample_density
 from .limits import LimitEstimate, richardson_limit
 from .util import as_point, as_points, check_schedule, halving_schedule, scale_of
@@ -125,10 +125,6 @@ def report_to_json(reports: Sequence[CheckReport], meta: Optional[dict] = None) 
     if meta:
         doc.update(meta)
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _in_chart(ds, p) -> bool:
-    return ds.space.contains(p)
 
 
 def broadcasting(dil):
@@ -294,60 +290,12 @@ def _dx_sequence(ds, x, u, v, eps):
     return _rescaled_distances(ds, imgs[0], imgs[1], eps)
 
 
-def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
-    """Rescaled-limit distance d^x on all pairs from sample.
-
-    Returns (TangentData, worst LimitEstimate). The TangentData carries a dx
-    callable that extrapolates fresh pairs on demand (results cached); its
-    degenerate flag is set when some pair collapses (dx below 1e-6 while the
-    original distance exceeds 1e-2).
-    """
-    eps = check_schedule(eps_schedule)
-    x = as_point(x)
-    pts = [as_point(p) for p in sample]
-    if len(pts) < 2:
-        raise ValueError("need at least two sample points")
-    cache = {}
-
-    def dx(u, v) -> float:
-        u = as_point(u)
-        v = as_point(v)
-        key = (u.tobytes(), v.tobytes())
-        if key not in cache:
-            est = richardson_limit(eps, _dx_sequence(ds, x, u, v, eps))
-            cache[key] = est
-            cache[(key[1], key[0])] = est
-        return float(cache[key].extrapolated)
-
-    idx_pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-    imgs = _dil_schedule(ds, eps, x, pts)
-    ests = [richardson_limit(eps, _rescaled_distances(ds, imgs[i], imgs[j], eps))
-            for i, j in idx_pairs]
-    worst = None
-    degenerate = False
-    converged = True
-    for (i, j), est in zip(idx_pairs, ests):
-        cache[(pts[i].tobytes(), pts[j].tobytes())] = est
-        cache[(pts[j].tobytes(), pts[i].tobytes())] = est
-        if worst is None or est.error > worst.error:
-            worst = est
-        converged = converged and est.converged
-        d0 = float(ds.space.distance(pts[i], pts[j]))
-        if float(est.extrapolated) < 1e-6 and d0 > 1e-2:
-            degenerate = True
-
-    td = TangentData(center=x, dx=dx, delta_op=None, sigma_op=None, inv_op=None,
-                     limit_error=float(worst.error), converged=converged,
-                     degenerate=degenerate)
-    return td, worst
-
-
 def _delta_points(ds, x, u, v, eps):
     """dil(1/eps, dil(eps,x,u), dil(eps,x,v)) along the schedule."""
     w1, w2 = _dil_schedule(ds, eps, x, [u, v])
     out = _dil_rows(ds, 1.0 / eps, w1, w2)
     for s, e in enumerate(eps):
-        if not _in_chart(ds, out[s]) or not _in_chart(ds, w1[s]):
+        if not ds.space.contains(out[s]) or not ds.space.contains(w1[s]):
             raise DomainViolation("difference-operation point left the chart at eps=%g"
                                   % float(e))
     return out
@@ -358,16 +306,81 @@ def _sigma_points(ds, x, u, v, eps):
     q = _dil_rows(ds, eps, _dil_rows(ds, eps, x, u), v)
     out = _dil_rows(ds, 1.0 / eps, x, q)
     for s, e in enumerate(eps):
-        if not _in_chart(ds, out[s]) or not _in_chart(ds, q[s]):
+        if not ds.space.contains(out[s]) or not ds.space.contains(q[s]):
             raise DomainViolation("sum-operation point left the chart at eps=%g" % float(e))
     return out
 
 
+_SEQUENCES = {"dx": _dx_sequence, "delta": _delta_points, "sigma": _sigma_points}
+
+
+def _limit(cache, ds, x, eps, tag, u, v) -> LimitEstimate:
+    """Memoised limit at x of d^x (tag "dx"), the difference ("delta") or the
+    sum ("sigma") operation applied to (u, v). cache maps (tag, u bytes,
+    v bytes) to the estimate; keys are ordered pairs."""
+    u, v = as_point(u), as_point(v)
+    key = (tag, u.tobytes(), v.tobytes())
+    if key not in cache:
+        cache[key] = richardson_limit(eps, _SEQUENCES[tag](ds, x, u, v, eps))
+    return cache[key]
+
+
+def _tangent_data(ds, x, eps, cache) -> TangentData:
+    """TangentData whose operations extrapolate on demand through cache."""
+
+    def delta_op(u, v):
+        return np.array(_limit(cache, ds, x, eps, "delta", u, v).extrapolated, dtype=float)
+
+    def sigma_op(u, v):
+        return np.array(_limit(cache, ds, x, eps, "sigma", u, v).extrapolated, dtype=float)
+
+    def dx(u, v):
+        return float(_limit(cache, ds, x, eps, "dx", u, v).extrapolated)
+
+    return TangentData(center=x, dx=dx, delta_op=delta_op, sigma_op=sigma_op,
+                       inv_op=lambda u: delta_op(u, x))
+
+
+def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
+    """Rescaled-limit distance d^x on all pairs from sample.
+
+    Returns (TangentData, worst LimitEstimate). The TangentData's operations
+    extrapolate fresh pairs on demand (results cached); its degenerate flag
+    is set when some pair collapses (dx below 1e-6 while the original
+    distance exceeds 1e-2).
+    """
+    eps = check_schedule(eps_schedule)
+    x = as_point(x)
+    pts = [as_point(p) for p in sample]
+    if len(pts) < 2:
+        raise ValueError("need at least two sample points")
+    cache = {}
+    imgs = _dil_schedule(ds, eps, x, pts)
+    worst = None
+    degenerate = False
+    converged = True
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            est = richardson_limit(eps, _rescaled_distances(ds, imgs[i], imgs[j], eps))
+            cache[("dx", pts[i].tobytes(), pts[j].tobytes())] = est
+            cache[("dx", pts[j].tobytes(), pts[i].tobytes())] = est
+            if worst is None or est.error > worst.error:
+                worst = est
+            converged = converged and est.converged
+            d0 = float(ds.space.distance(pts[i], pts[j]))
+            if float(est.extrapolated) < 1e-6 and d0 > 1e-2:
+                degenerate = True
+
+    td = _tangent_data(ds, x, eps, cache)
+    td.limit_error = float(worst.error)
+    td.converged = converged
+    td.degenerate = degenerate
+    return td, worst
+
+
 def estimate_delta(ds: DilatationStructure, x, u, v, eps_schedule) -> LimitEstimate:
     """Vector limit of the difference operation at x applied to (u, v)."""
-    eps = check_schedule(eps_schedule)
-    x, u, v = as_point(x), as_point(u), as_point(v)
-    return richardson_limit(eps, _delta_points(ds, x, u, v, eps))
+    return _limit({}, ds, as_point(x), check_schedule(eps_schedule), "delta", u, v)
 
 
 def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule,
@@ -381,33 +394,7 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule,
     eps = check_schedule(eps_schedule)
     x = as_point(x)
     cache = {}
-
-    def _memo(tag, u, v, fn):
-        key = (tag, as_point(u).tobytes(), as_point(v).tobytes())
-        if key not in cache:
-            cache[key] = fn()
-        return cache[key]
-
-    def delta_op(u, v):
-        est = _memo("delta", u, v, lambda: richardson_limit(
-            eps, _delta_points(ds, x, as_point(u), as_point(v), eps)))
-        return np.array(est.extrapolated, dtype=float)
-
-    def sigma_op(u, v):
-        est = _memo("sigma", u, v, lambda: richardson_limit(
-            eps, _sigma_points(ds, x, as_point(u), as_point(v), eps)))
-        return np.array(est.extrapolated, dtype=float)
-
-    def inv_op(u):
-        return delta_op(u, x)
-
-    def dx(u, v):
-        est = _memo("dx", u, v, lambda: richardson_limit(
-            eps, _dx_sequence(ds, x, as_point(u), as_point(v), eps)))
-        return float(est.extrapolated)
-
-    td = TangentData(center=x, dx=dx, delta_op=delta_op, sigma_op=sigma_op,
-                     inv_op=inv_op)
+    td = _tangent_data(ds, x, eps, cache)
 
     if probe_pairs is None:
         # generic directions (axis-aligned probes can hide curvature terms
@@ -422,17 +409,14 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule,
     err = 0.0
     ok = True
     for (u, v) in probe_pairs:
-        for tag, fn in (("delta", lambda: richardson_limit(
-                eps, _delta_points(ds, x, as_point(u), as_point(v), eps))),
-                        ("sigma", lambda: richardson_limit(
-                eps, _sigma_points(ds, x, as_point(u), as_point(v), eps)))):
-            est = _memo(tag, u, v, fn)
+        for tag in ("delta", "sigma"):
+            est = _limit(cache, ds, x, eps, tag, u, v)
             err = max(err, float(est.error))
             ok = ok and est.converged
         err = max(err, td.consistency_residual(u, v))
         # neutral element and self-difference identities
-        err = max(err, float(np.max(np.abs(sigma_op(x, v) - as_point(v)))))
-        err = max(err, float(np.max(np.abs(delta_op(u, u) - x))))
+        err = max(err, float(np.max(np.abs(td.sigma_op(x, v) - as_point(v)))))
+        err = max(err, float(np.max(np.abs(td.delta_op(u, u) - x))))
     td.limit_error = err
     td.converged = ok
     return td
@@ -461,6 +445,7 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
     pts = [as_point(p) for p in samples]
     if len(pts) < 3:
         raise ValueError("need at least three sample points")
+    mus = np.asarray(mus, dtype=float)
     tol = max(tol_floor, tol_factor * td.limit_error)
     failures = []
     max_res = 0.0
@@ -478,13 +463,13 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
         if r_left > tol * sc:
             failures.append({"triple": idx, "kind": "left-invariance", "residual": r_left})
 
-        for mu in mus:
+        # u, v and their sum dilated at every mu in one schedule
+        imgs = _dil_schedule(ds, mus, x, [u, v, td.sigma_op(u, v)])
+        for k, mu in enumerate(mus):
             mu = float(mu)
-            s = td.sigma_op(u, v)
-            r_auto = float(np.max(np.abs(as_point(ds.dil(mu, x, s))
-                                         - td.sigma_op(ds.dil(mu, x, u), ds.dil(mu, x, v)))))
-            r_cone = abs(td.dx(u, v)
-                         - ds_dx_scaled(td, ds, x, u, v, mu))
+            du, dv, dsum = imgs[:, k]
+            r_auto = float(np.max(np.abs(dsum - td.sigma_op(du, dv))))
+            r_cone = abs(td.dx(u, v) - td.dx(du, dv) / mu)
             max_res = max(max_res, r_auto, r_cone)
             if r_auto > tol * sc:
                 failures.append({"triple": idx, "kind": "automorphism", "mu": mu,
@@ -501,10 +486,6 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
                        table=table, notes="%d triples" % len(triples))
 
 
-def ds_dx_scaled(td, ds, x, u, v, mu) -> float:
-    return td.dx(ds.dil(mu, x, u), ds.dil(mu, x, v)) / mu
-
-
 # ---------------------------------------------------------------------------
 # Tangent-cone sup-estimate and profile-convergence theorem
 
@@ -516,8 +497,6 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     The values should decrease to 0 when d^x is the tangent-cone distance at
     x. dx defaults to a fresh extrapolating closure (halving schedule).
     """
-    from .geometry import sample_ball
-
     eps = check_schedule(eps_schedule)
     x = as_point(x)
     if dx is None:
@@ -551,8 +530,6 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
     that the pointed GH gap between them decreases in mu and ends below the
     sample density.
     """
-    from .geometry import sample_ball, FinitePointedSpace
-
     eps = check_schedule(eps_schedule)
     mus = check_schedule(mu_schedule)
     x = as_point(x)

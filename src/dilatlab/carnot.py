@@ -23,7 +23,7 @@ from .axioms import CheckReport, DilatationStructure, broadcasting
 from .errors import NoFeasiblePath
 from .geometry import MetricSpaceHandle
 from .limits import richardson_limit
-from .util import as_point, as_points, check_schedule, parallel_map
+from .util import as_point, as_points, check_schedule
 from .vectorfields import (Frame, VectorField, chart_inverse, compose_P, flow_exp,
                            frame_from_manifest)
 
@@ -353,8 +353,7 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     else:
         rho = max(cfg.rho0, min(1e8, 10.0 * max(seed_energy, 1e-12) / seed_resid ** 2))
 
-    def solve_one(args):
-        U0, lam = args
+    def solve_one(U0, lam):
         fun = lambda uflat: _pack(_objective_and_grad(
             frame, x, y, uflat.reshape(N, m), lam, rho))
         res = minimize(fun, U0.ravel(), jac=True, method="L-BFGS-B",
@@ -367,9 +366,8 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
 
     for stage in range(cfg.stages):
         maxiter = cfg.maxiter_first if stage == 0 else cfg.maxiter_later
-        results = parallel_map(solve_one, [(Us[s], lams[s]) for s in active])
-        for k, s in enumerate(active):
-            Us[s] = results[k]
+        for s in active:
+            Us[s] = solve_one(Us[s], lams[s])
             _, _, c = _objective_and_grad(frame, x, y, Us[s], lams[s], rho)
             lams[s] = lams[s] + rho * c
         if stage == 0 and len(active) > cfg.keep_after_first:

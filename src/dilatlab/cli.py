@@ -27,8 +27,9 @@ from .structures import build_structure, structure_names
 from .util import halving_schedule
 
 CHECK_NAMES = ("a0a1", "a2", "a3", "a4", "cone", "tangent-cone", "profile")
+# checks that take a tolerance; each key gets a --tol.<name> flag
 DEFAULT_TOLS = {"a0a1": 1e-9, "a2": 1e-9, "a3": 1e-5, "a4": 1e-5,
-                "cone": 1e-9, "tangent-cone": 1e-3, "profile": 0.0}
+                "cone": 1e-9, "tangent-cone": 1e-3}
 
 
 @dataclass
@@ -45,8 +46,8 @@ class RunConfig:
     out: Optional[str] = None
     format: str = "json"
 
-    def tol(self, name: str) -> float:
-        return float(self.tols.get(name, DEFAULT_TOLS[name]))
+    def tol(self, name: str) -> Optional[float]:
+        return self.tols.get(name, DEFAULT_TOLS.get(name))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +75,7 @@ def _add_common(p, with_checks=False):
     if with_checks:
         p.add_argument("--checks", default="a0a1,a2,a3",
                        help="comma list from: %s" % ",".join(CHECK_NAMES))
-        for name in CHECK_NAMES:
+        for name in DEFAULT_TOLS:
             p.add_argument("--tol.%s" % name, dest="tol_%s" % name.replace("-", "_"),
                            type=float, default=None, metavar="T")
 
@@ -351,7 +352,7 @@ def _config_from(args) -> RunConfig:
         for c in cfg.checks:
             if c not in CHECK_NAMES:
                 _die("unknown check %r (choose from %s)" % (c, ", ".join(CHECK_NAMES)))
-        for name in CHECK_NAMES:
+        for name in DEFAULT_TOLS:
             val = getattr(args, "tol_%s" % name.replace("-", "_"), None)
             if val is not None:
                 cfg.tols[name] = val

@@ -1,8 +1,6 @@
-"""Small shared helpers: point coercion, deterministic parallel map."""
+"""Small shared helpers: point coercion, scale schedules."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,29 +33,6 @@ def scale_of(*points) -> float:
         if a.size:
             m = max(m, float(np.max(np.abs(a))))
     return 1.0 + m
-
-
-def thread_count() -> int:
-    """Worker cap from DILATLAB_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("DILATLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map fn over items, threaded when DILATLAB_THREADS > 1.
-
-    Results come back in input order either way, so callers stay
-    deterministic.
-    """
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def halving_schedule(start: float = 0.5, count: int = 12) -> np.ndarray:

@@ -158,9 +158,12 @@ def test_batched_and_per_scale_paths_agree_on_heisenberg():
         a2 = check_A2(d, samples, [(0.5, 0.5), (0.8, 0.4)]).to_jsonable()
         td, worst = estimate_dx(d, x, pts, sched)
         tan = derive_sigma_inv(d, x, sched)
-        return [a0, a2, worst.extrapolated, worst.error, worst.converged,
-                td.dx(pts[0], pts[2]), td.dx(u, x + 0.05), tan.limit_error,
-                tan.converged, tan.sigma_op(u, v), tan.delta_op(u, v),
+        # the conical check needs converged limits, which take 8 scales here
+        cone_td = derive_sigma_inv(d, x, halving_schedule(0.125, 8))
+        cone = check_conical_group(cone_td, d, pts, mus=(0.5, 0.25)).to_jsonable()
+        return [a0, a2, cone, worst.extrapolated, worst.error, worst.converged,
+                td.dx(pts[0], pts[2]), td.dx(pts[2], pts[0]), td.dx(u, x + 0.05),
+                tan.limit_error, tan.converged, tan.sigma_op(u, v), tan.delta_op(u, v),
                 tan.inv_op(u), tan.dx(u, v)]
 
     for got, want in zip(run(ds), run(looped)):

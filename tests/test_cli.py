@@ -69,6 +69,12 @@ def test_verify_tolerance_flag_can_force_failure(capsys):
     assert rc in (1, 2)
 
 
+def test_profile_takes_no_tolerance_flag(capsys):
+    # the profile check has no tolerance to set, so the flag is unknown
+    assert main(["verify", "--structure", "euclidean2", "--tol.profile", "1"]) == 64
+    assert "--tol.profile" in capsys.readouterr().err
+
+
 def test_verify_manifest(tmp_path, capsys):
     path = tmp_path / "heis.json"
     path.write_text(json.dumps(HEIS_MANIFEST))

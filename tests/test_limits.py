@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dilatlab.limits import richardson_limit
-from dilatlab.util import check_schedule, halving_schedule, parallel_map
+from dilatlab.util import check_schedule, halving_schedule
 
 
 def test_halving_schedule():
@@ -85,9 +85,3 @@ def test_table_rows_shape():
 def test_needs_three_scales():
     with pytest.raises(ValueError):
         richardson_limit([0.5, 0.25], [1.0, 2.0])
-
-
-def test_parallel_map_keeps_order(monkeypatch):
-    monkeypatch.setenv("DILATLAB_THREADS", "4")
-    out = parallel_map(lambda k: k * k, list(range(20)))
-    assert out == [k * k for k in range(20)]
