@@ -25,10 +25,10 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DomainViolation, SamplingExhausted
 from .geometry import FinitePointedSpace, MetricSpaceHandle, sample_ball
-from .gromov import gh_pointed_exact, _sample_density
-from .limits import LimitEstimate, richardson_limit
+from .gromov import SIZE_LIMIT, gh_pointed_exact, _sample_density
+from .limits import LimitEstimate, decays_to_zero, richardson_limit
 from .util import as_point, as_points, check_schedule, halving_schedule, scale_of
 
 
@@ -38,24 +38,20 @@ class DilatationStructure:
 
     dil(eps, x, y) must accept any eps > 0 (eps > 1 gives the inverse maps),
     fix x, and be the identity at eps = 1; a dil marked @broadcasting also
-    takes a whole schedule of scales in one call. domain_radius /
-    inner_radius are the declared bounds (A and B) of the axioms' domains;
-    working_radius is the "sufficiently close" radius within which witnesses
-    are drawn.
+    takes a whole schedule of scales in one call. domain_radius is the
+    declared bound A of the axioms' domains; working_radius is the
+    "sufficiently close" radius within which witnesses are drawn.
     """
 
     space: MetricSpaceHandle
     dil: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
     domain_radius: float = 2.0      # A > 1
-    inner_radius: float = 1.5       # B in (1, A)
     working_radius: float = 1.0
 
     def __post_init__(self):
         if not (self.domain_radius > 1.0):
             raise ValueError("domain radius must exceed 1")
-        if not (1.0 < self.inner_radius < self.domain_radius):
-            raise ValueError("inner radius must lie in (1, domain radius)")
 
     @property
     def probe_radius(self) -> float:
@@ -427,8 +423,7 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule,
 
 
 def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Sequence,
-                        mus: Sequence, tol_floor: float = 1e-9,
-                        tol_factor: float = 10.0) -> CheckReport:
+                        mus: Sequence, tol_floor: float = 1e-9) -> CheckReport:
     """Group-like behaviour of the extrapolated operations:
 
       associativity   add(u, add(v, w)) = add(add(u, v), w)
@@ -437,7 +432,8 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
       cone property   d^x(u, v) = (1/mu) d^x(dil(mu,x,u), dil(mu,x,v))
 
     samples: list of points near x (consecutive triples are used).
-    Tolerance adapts to the tangent data's own limit error.
+    Tolerance adapts to the tangent data's own limit error: ten times it,
+    but at least tol_floor.
     """
     if not td.converged:
         raise ValueError("tangent data has unconverged limits; refusing to certify")
@@ -446,7 +442,7 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
     if len(pts) < 3:
         raise ValueError("need at least three sample points")
     mus = np.asarray(mus, dtype=float)
-    tol = max(tol_floor, tol_factor * td.limit_error)
+    tol = max(tol_floor, 10.0 * td.limit_error)
     failures = []
     max_res = 0.0
     table = []
@@ -491,17 +487,17 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
 
 
 def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
-                       seed: int = 0, dx: Optional[Callable] = None) -> LimitEstimate:
+                       seed: int = 0) -> LimitEstimate:
     """sup over sampled pairs in B(x, eps) of |d(u,v) - d^x(u,v)| / eps.
 
     The values should decrease to 0 when d^x is the tangent-cone distance at
-    x. dx defaults to a fresh extrapolating closure (halving schedule).
+    x; d^x is extrapolated along a 12-scale halving schedule. converged
+    means the values decay (limits.decays_to_zero) to a quarter of the first
+    one.
     """
     eps = check_schedule(eps_schedule)
     x = as_point(x)
-    if dx is None:
-        td = derive_sigma_inv(ds, x, halving_schedule(0.5, 12), probe_pairs=[])
-        dx = td.dx
+    dx = derive_sigma_inv(ds, x, halving_schedule(0.5, 12), probe_pairs=[]).dx
     sup_vals = []
     for e in eps:
         e = float(e)
@@ -514,10 +510,7 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
         sup_vals.append(worst)
     est = richardson_limit(eps, np.array(sup_vals))
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
-    floor = 1e-10
-    dec = all(sup_vals[k + 1] <= max(sup_vals[k] * 1.05, floor)
-              for k in range(len(sup_vals) - 1))
-    est.converged = bool(dec and sup_vals[-1] <= max(0.25 * sup_vals[0], floor))
+    est.converged = decays_to_zero(sup_vals, max(0.25 * sup_vals[0], 1e-10))
     return est
 
 
@@ -527,13 +520,14 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
 
     Builds the d^x matrix on a fixed sample of the unit d^x-ball at x, then
     for each mu the (1/mu) d(dil(mu,x,u_i), dil(mu,x,u_j)) matrix, and checks
-    that the pointed GH gap between them decreases in mu and ends below the
-    sample density.
+    that the pointed GH gap between them decays to zero
+    (limits.decays_to_zero) with the sample density as tolerance. Raises
+    SamplingExhausted when fewer than three sample points lie in the d^x-ball.
     """
     eps = check_schedule(eps_schedule)
     mus = check_schedule(mu_schedule)
     x = as_point(x)
-    count = min(count, 7)
+    count = min(count, SIZE_LIMIT)
 
     td = derive_sigma_inv(ds, x, eps, probe_pairs=[])
     raw = sample_ball(ds.space, x, ds.working_radius, max(24, 4 * count), seed=seed)
@@ -544,7 +538,7 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
         if len(pts) == count:
             break
     if len(pts) < 3:
-        raise ValueError("tangent sample too thin for a snapshot comparison")
+        raise SamplingExhausted("tangent sample too thin for a snapshot comparison")
     n = len(pts)
     dmat0 = np.zeros((n, n))
     for i in range(n):
@@ -569,10 +563,7 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
         table.append({"eps": mu, "value": g, "diff": "", "extrapolated": 0.0,
                       "error": float(density)})
 
-    floor = 1e-10
-    monotone = all(gaps[k + 1] <= max(1.1 * gaps[k], floor + density * 1e-6)
-                   for k in range(len(gaps) - 1))
-    passed = bool(monotone and gaps[-1] <= max(density, floor))
+    passed = decays_to_zero(gaps, max(density, 1e-10))
     return CheckReport(check="profile-theorem", passed=passed,
                        max_residual=float(gaps[-1]), tolerance=float(density),
                        converged=passed, table=table,

@@ -13,7 +13,7 @@ purely vertical targets.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,12 +52,12 @@ def heisenberg_dilate(eps: float, u) -> np.ndarray:
     return u * np.array([eps, eps, eps * eps])
 
 
-def heisenberg(chart_halfwidth: float = 2.0):
+def heisenberg():
     """Left-invariant Heisenberg frame and the group-law oracle.
 
     Returns (Frame, group_law). The frame fields are
     X1 = (1, 0, -x2/2), X2 = (0, 1, x1/2), X3 = (0, 0, 1) with degrees
-    (1, 1, 2); X3 = [X1, X2].
+    (1, 1, 2); X3 = [X1, X2]. The chart box is [-2, 2]^3.
     """
 
     def f1(p):
@@ -90,7 +90,7 @@ def heisenberg(chart_halfwidth: float = 2.0):
     X1 = VectorField(func=f1, jacobian=const(J1), name="X1")
     X2 = VectorField(func=f2, jacobian=const(J2), name="X2")
     X3 = VectorField(func=f3, jacobian=const(J3), name="X3")
-    box = np.stack([np.full(3, -chart_halfwidth), np.full(3, chart_halfwidth)], axis=1)
+    box = np.stack([np.full(3, -2.0), np.full(3, 2.0)], axis=1)
     frame = Frame(fields=(X1, X2, X3), degrees=(1, 1, 2), chart_box=box,
                   name="heisenberg")
     return frame, heisenberg_group_law
@@ -169,13 +169,16 @@ def heisenberg_ball_box(center, radius: float) -> np.ndarray:
 # Variational CC distance
 
 
+# Initial endpoint-penalty weight of cc_distance and its growth per stage.
+RHO0 = 1e2
+RHO_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class CCConfig:
     segments: int = 64
     starts: int = 8
     stages: int = 5
-    rho0: float = 1e2
-    rho_factor: float = 10.0
     maxiter_first: int = 150
     maxiter_later: int = 60
     keep_after_first: int = 3
@@ -197,10 +200,6 @@ class HorizontalPath:
     def length(self) -> float:
         h = 1.0 / self.controls.shape[0]
         return float(h * np.sum(np.linalg.norm(self.controls, axis=1)))
-
-    def points(self, frame: Frame) -> np.ndarray:
-        zs, _ = _rollout(frame, self.start, self.controls)
-        return zs
 
 
 def _h_fields(frame: Frame):
@@ -344,46 +343,38 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     n_starts = seeds.shape[0]
     lams = [np.zeros(x.size) for _ in range(n_starts)]
     Us = [seeds[s].copy() for s in range(n_starts)]
+    # endpoint gap z_N - y of each start's current controls
+    gaps = [_rollout(frame, x, U)[0][-1] - y for U in Us]
     active = list(range(n_starts))
     # the quadratic penalty must dominate the path energy at the seed
     # residual, or the first stage collapses near-feasible loop seeds into
     # the zero-control saddle before any multiplier forms
     if seed_resid <= 1e-9 * (1.0 + float(np.linalg.norm(y - x))):
-        rho = cfg.rho0
+        rho = RHO0
     else:
-        rho = max(cfg.rho0, min(1e8, 10.0 * max(seed_energy, 1e-12) / seed_resid ** 2))
-
-    def solve_one(U0, lam):
-        fun = lambda uflat: _pack(_objective_and_grad(
-            frame, x, y, uflat.reshape(N, m), lam, rho))
-        res = minimize(fun, U0.ravel(), jac=True, method="L-BFGS-B",
-                       options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
-        return res.x.reshape(N, m)
-
-    def _pack(t):
-        Jv, g, _ = t
-        return Jv, g.ravel()
+        rho = max(RHO0, min(1e8, 10.0 * max(seed_energy, 1e-12) / seed_resid ** 2))
 
     for stage in range(cfg.stages):
         maxiter = cfg.maxiter_first if stage == 0 else cfg.maxiter_later
         for s in active:
-            Us[s] = solve_one(Us[s], lams[s])
-            _, _, c = _objective_and_grad(frame, x, y, Us[s], lams[s], rho)
-            lams[s] = lams[s] + rho * c
+            def fun(uflat):
+                J, grad, _ = _objective_and_grad(frame, x, y, uflat.reshape(N, m), lams[s], rho)
+                return J, grad.ravel()
+
+            sol = minimize(fun, Us[s].ravel(), jac=True, method="L-BFGS-B",
+                           options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
+            Us[s] = sol.x.reshape(N, m)
+            gaps[s] = _rollout(frame, x, Us[s])[0][-1] - y
+            lams[s] = lams[s] + rho * gaps[s]
         if stage == 0 and len(active) > cfg.keep_after_first:
-            scored = []
-            for s in active:
-                _, _, c = _objective_and_grad(frame, x, y, Us[s], lams[s], rho)
-                length = h * float(np.sum(np.linalg.norm(Us[s], axis=1)))
-                scored.append((length + 10.0 * float(np.linalg.norm(c)), s))
-            scored.sort()
+            scored = sorted((h * float(np.sum(np.linalg.norm(Us[s], axis=1)))
+                             + 10.0 * float(np.linalg.norm(gaps[s])), s) for s in active)
             active = sorted(s for _, s in scored[: cfg.keep_after_first])
-        rho *= cfg.rho_factor
+        rho *= RHO_FACTOR
 
     best = None
     for s in active:
-        zs, _ = _rollout(frame, x, Us[s])
-        res = float(np.max(np.abs(zs[-1] - y)))
+        res = float(np.max(np.abs(gaps[s])))
         length = h * float(np.sum(np.linalg.norm(Us[s], axis=1)))
         key = (res > cfg.endpoint_tol, length, s)
         if best is None or key < best[0]:
@@ -400,7 +391,8 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
 # Normal-frame checks
 
 
-def _coeff_samples(frame: Frame, coeff_box, how_many: int = 2) -> list:
+def _coeff_samples(frame: Frame, coeff_box) -> list:
+    """Two Halton draws from the coefficient box, away from the origin."""
     from scipy.stats import qmc
 
     n = frame.n
@@ -412,7 +404,7 @@ def _coeff_samples(frame: Frame, coeff_box, how_many: int = 2) -> list:
     eng = qmc.Halton(d=n, scramble=False)
     eng.fast_forward(3)
     out = []
-    while len(out) < how_many:
+    while len(out) < 2:
         u = eng.random(1)[0]
         a = box[:, 0] + u * (box[:, 1] - box[:, 0])
         if np.linalg.norm(a) > 0.05 * float(np.max(box[:, 1] - box[:, 0])):
@@ -524,8 +516,7 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
 
 def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
                   newton_tol: float = 1e-12, injectivity_radius: float = 0.5,
-                  ball_box=None, name: str = "", chart_halfwidth: float = 3.0,
-                  domain_radius: float = 1.2, inner_radius: float = 1.1,
+                  ball_box=None, name: str = "",
                   working_radius: float = 0.3) -> DilatationStructure:
     """Dilatation structure of an adapted frame under a CC-type metric:
 
@@ -533,13 +524,14 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
 
     dil broadcasts over a schedule of scales (see axioms.broadcasting). cc
     is the metric callable (typically cc_distance on the frame, or an
-    exact formula when one exists).
+    exact formula when one exists). The chart is the frame's box, or
+    [-3, 3]^n when it declares none; the domain radius is 1.2.
     """
     n = frame.n
     if frame.chart_box is not None:
         box = np.asarray(frame.chart_box, dtype=float)
     else:
-        box = np.stack([np.full(n, -chart_halfwidth), np.full(n, chart_halfwidth)], axis=1)
+        box = np.stack([np.full(n, -3.0), np.full(n, 3.0)], axis=1)
 
     @broadcasting
     def dil(eps, x, y):
@@ -553,38 +545,29 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box,
                               ball_box=ball_box, name=name or frame.name)
     return DilatationStructure(space=space, dil=dil, name=name or frame.name,
-                               domain_radius=domain_radius, inner_radius=inner_radius,
-                               working_radius=working_radius)
+                               domain_radius=1.2, working_radius=working_radius)
 
 
-def heisenberg_structure(steps: int = 32, exact_metric: bool = True,
-                         cc_config: Optional[CCConfig] = None,
-                         newton_tol: float = 1e-13) -> DilatationStructure:
+def heisenberg_structure(steps: int = 32) -> DilatationStructure:
     """Heisenberg dilatation structure.
 
-    By default the metric is the exact gauge distance (the optimizer is
-    validated against it elsewhere); steps=32 is safe because RK4 integrates
-    these flows exactly at any step count (polynomial flows of degree 2).
+    The metric is the exact gauge distance (the optimizer is validated
+    against it elsewhere); steps=32 is safe because RK4 integrates these
+    flows exactly at any step count (polynomial flows of degree 2).
     """
     frame, _ = heisenberg()
-    if exact_metric:
-        cc = heisenberg_cc
-    else:
-        cfg = cc_config or CCConfig()
-        cc = lambda p, q: cc_distance(frame, p, q, config=cfg)
     # the exponential chart of this group is a global diffeomorphism, so the
     # Newton guard can extend to the chart box
-    return sr_dilatation(frame, cc, steps=steps, newton_tol=newton_tol,
+    return sr_dilatation(frame, heisenberg_cc, steps=steps, newton_tol=1e-13,
                          injectivity_radius=2.0,
-                         ball_box=heisenberg_ball_box, name="heisenberg",
-                         domain_radius=1.2, inner_radius=1.1, working_radius=0.3)
+                         ball_box=heisenberg_ball_box, name="heisenberg")
 
 
 # ---------------------------------------------------------------------------
 # Warped copy (pushforward under a chart diffeomorphism)
 
 
-def _warp_maps(a: float = 0.4, b: float = 2.0, s: float = 0.3, r: float = 0.35):
+def _warp_maps():
     """Triangular warp of R^3 with a trigonometric shear and a closed-form
     inverse.
 
@@ -593,6 +576,7 @@ def _warp_maps(a: float = 0.4, b: float = 2.0, s: float = 0.3, r: float = 0.35):
     elementary differentials all vanish), which would make every
     discretization-order measurement on the warped structure degenerate.
     """
+    a, b, s, r = 0.4, 2.0, 0.3, 0.35
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -624,13 +608,14 @@ def _warp_maps(a: float = 0.4, b: float = 2.0, s: float = 0.3, r: float = 0.35):
     return phi, phi_inv, dphi
 
 
-def warped_heisenberg(chart_halfwidth: float = 2.5):
+def warped_heisenberg():
     """Pushforward of the Heisenberg frame under a polynomial warp.
 
     Returns (frame, cc, phi): the frame fields are Dphi . X_i . phi^{-1}, and
     cc is the pushforward metric, so the warped triple is again a regular
     sub-Riemannian structure; its flows are NOT integrated exactly by RK4,
     which makes it the reference instance for discretization-order checks.
+    The chart box is [-2.5, 2.5]^3.
     """
     base, _ = heisenberg()
     phi, phi_inv, dphi = _warp_maps()
@@ -648,28 +633,24 @@ def warped_heisenberg(chart_halfwidth: float = 2.5):
         return VectorField(func=func, jacobian=None, name="Y%d" % (i + 1))
 
     fields = tuple(push(i) for i in range(3))
-    box = np.stack([np.full(3, -chart_halfwidth), np.full(3, chart_halfwidth)], axis=1)
+    box = np.stack([np.full(3, -2.5), np.full(3, 2.5)], axis=1)
     frame = Frame(fields=fields, degrees=(1, 1, 2), chart_box=box,
                   name="heisenberg-warped")
     cc = lambda p, q: heisenberg_cc(phi_inv(as_point(p)), phi_inv(as_point(q)))
     return frame, cc, phi
 
 
-def warped_heisenberg_structure(steps: int = 256,
-                                newton_tol: float = 1e-12) -> DilatationStructure:
+def warped_heisenberg_structure(steps: int = 256) -> DilatationStructure:
     frame, cc, _ = warped_heisenberg()
     # the warp is a global triangular diffeomorphism, so the chart stays
     # injective across the box
-    return sr_dilatation(frame, cc, steps=steps, newton_tol=newton_tol,
-                         injectivity_radius=2.0,
-                         name="heisenberg-warped", domain_radius=1.2,
-                         inner_radius=1.1, working_radius=0.25)
+    return sr_dilatation(frame, cc, steps=steps, injectivity_radius=2.0,
+                         name="heisenberg-warped", working_radius=0.25)
 
 
-def structure_from_manifest(doc: dict, cc_config: Optional[CCConfig] = None,
-                            steps: int = 256) -> DilatationStructure:
-    """Dilatation structure from a JSON frame manifest (variational metric)."""
+def structure_from_manifest(doc: dict, steps: int = 256) -> DilatationStructure:
+    """Dilatation structure from a JSON frame manifest (variational metric,
+    cc_distance with LIGHT_CC)."""
     frame = frame_from_manifest(doc)
-    cfg = cc_config or LIGHT_CC
-    cc = lambda p, q: cc_distance(frame, p, q, config=cfg)
+    cc = lambda p, q: cc_distance(frame, p, q, config=LIGHT_CC)
     return sr_dilatation(frame, cc, steps=steps, name=frame.name)

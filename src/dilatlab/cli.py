@@ -15,7 +15,6 @@ nothing failed outright, 64 bad invocation or malformed manifest.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -30,24 +29,9 @@ CHECK_NAMES = ("a0a1", "a2", "a3", "a4", "cone", "tangent-cone", "profile")
 # checks that take a tolerance; each key gets a --tol.<name> flag
 DEFAULT_TOLS = {"a0a1": 1e-9, "a2": 1e-9, "a3": 1e-5, "a4": 1e-5,
                 "cone": 1e-9, "tangent-cone": 1e-3}
-
-
-@dataclass
-class RunConfig:
-    structure: Optional[str] = None
-    manifest: Optional[str] = None
-    checks: List[str] = field(default_factory=lambda: ["a0a1", "a2", "a3"])
-    eps_start: float = 0.5
-    eps_count: int = 8
-    samples: int = 4
-    seed: int = 0
-    point: Optional[np.ndarray] = None
-    tols: dict = field(default_factory=dict)
-    out: Optional[str] = None
-    format: str = "json"
-
-    def tol(self, name: str) -> Optional[float]:
-        return self.tols.get(name, DEFAULT_TOLS.get(name))
+# the fewest --samples a check runs with: tangent-cone needs one ball point,
+# profile needs the base point plus two
+MIN_SAMPLES = {"tangent-cone": 1, "profile": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,9 +41,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, "%s: error: %s\n" % (self.prog, message))
 
 
-def _die(msg: str, code: int = 64):
+def _die(msg: str):
     sys.stderr.write("dilatlab: error: %s\n" % msg)
-    raise SystemExit(code)
+    raise SystemExit(64)
 
 
 def _add_common(p, with_checks=False):
@@ -75,21 +59,21 @@ def _add_common(p, with_checks=False):
     if with_checks:
         p.add_argument("--checks", default="a0a1,a2,a3",
                        help="comma list from: %s" % ",".join(CHECK_NAMES))
-        for name in DEFAULT_TOLS:
+        for name, tol in DEFAULT_TOLS.items():
             p.add_argument("--tol.%s" % name, dest="tol_%s" % name.replace("-", "_"),
-                           type=float, default=None, metavar="T")
+                           type=float, default=tol, metavar="T")
 
 
-def _build(cfg: RunConfig):
-    if bool(cfg.structure) == bool(cfg.manifest):
+def _build(args):
+    if bool(args.structure) == bool(args.manifest):
         _die("exactly one of --structure or --manifest is required")
-    if cfg.structure:
+    if args.structure:
         try:
-            return build_structure(cfg.structure), cfg.structure
+            return build_structure(args.structure), args.structure
         except KeyError as e:
             _die(str(e.args[0]))
     try:
-        with open(cfg.manifest) as f:
+        with open(args.manifest) as f:
             doc = json.load(f)
     except OSError as e:
         _die("manifest: %s" % e)
@@ -158,10 +142,33 @@ def _estimate_report(name, est, tol) -> CheckReport:
                        table=est.table_rows(), notes=est.note)
 
 
-def _run_checks(ds, cfg: RunConfig) -> List[CheckReport]:
-    x = cfg.point
-    eps = halving_schedule(cfg.eps_start, cfg.eps_count)
-    pts = _probe_points(ds, x, max(cfg.samples, 3), cfg.seed)
+def _setup(args):
+    """Validate the invocation and build its structure: schedule, checks,
+    structure, point, then the needs of the limits and of the checks, in
+    that order. Returns (structure, label, base point, schedule)."""
+    if args.eps_count < 2 or not (0.0 < args.eps_start <= 1.0):
+        _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
+    if args.command == "verify":
+        args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not args.checks:
+            _die("checks: empty list")
+        for c in args.checks:
+            if c not in CHECK_NAMES:
+                _die("unknown check %r (choose from %s)" % (c, ", ".join(CHECK_NAMES)))
+    ds, label = _build(args)
+    x = _parse_point(args.point, ds.space.dim)
+    # verify and tangent extrapolate limits, which take three scales;
+    # profile compares snapshots and works with two
+    if args.command != "profile" and args.eps_count < 3:
+        _die("eps schedule: %s needs eps-count >= 3" % args.command)
+    for c in getattr(args, "checks", []):
+        if c in MIN_SAMPLES and args.samples < MIN_SAMPLES[c]:
+            _die("samples: check %r needs --samples >= %d" % (c, MIN_SAMPLES[c]))
+    return ds, label, x, halving_schedule(args.eps_start, args.eps_count)
+
+
+def _run_checks(ds, args, x, eps) -> List[CheckReport]:
+    pts = _probe_points(ds, x, max(args.samples, 3), args.seed)
     reports = []
     td = None
 
@@ -171,8 +178,8 @@ def _run_checks(ds, cfg: RunConfig) -> List[CheckReport]:
             td = axioms.derive_sigma_inv(ds, x, eps)
         return td
 
-    for name in cfg.checks:
-        tol = cfg.tol(name)
+    for name in args.checks:
+        tol = getattr(args, "tol_%s" % name.replace("-", "_"), None)  # None for profile
         if name == "a0a1":
             rep = axioms.check_A0_A1(ds, [(x, p) for p in pts], eps, tol=tol)
         elif name == "a2":
@@ -197,16 +204,14 @@ def _run_checks(ds, cfg: RunConfig) -> List[CheckReport]:
                 rep = axioms.check_conical_group(t, ds, pts, mus=(0.5, 0.25),
                                                  tol_floor=tol)
         elif name == "tangent-cone":
-            est = axioms.check_tangent_cone(ds, x, eps, count=min(cfg.samples, 5),
-                                            seed=cfg.seed)
+            est = axioms.check_tangent_cone(ds, x, eps, count=min(args.samples, 5),
+                                            seed=args.seed)
             rep = _estimate_report("tangent-cone", est, max(tol, float(est.error)))
             rep.passed = bool(est.converged)
-        elif name == "profile":
+        else:  # "profile"; _setup rejected every other name
             rep = axioms.check_profile_theorem(ds, x, eps, eps,
-                                               count=min(cfg.samples + 1, 6),
-                                               seed=cfg.seed)
-        else:
-            _die("unknown check %r (choose from %s)" % (name, ", ".join(CHECK_NAMES)))
+                                               count=min(args.samples + 1, 6),
+                                               seed=args.seed)
         reports.append(rep)
     return reports
 
@@ -239,17 +244,15 @@ def _reports_csv(reports) -> str:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config_from(args)
-    ds, label = _build(cfg)
-    cfg.point = _parse_point(args.point, ds.space.dim)
-    reports = _run_checks(ds, cfg)
-    meta = {"structure": label, "point": [float(v) for v in cfg.point],
-            "eps_start": cfg.eps_start, "eps_count": cfg.eps_count,
-            "samples": cfg.samples, "seed": cfg.seed}
-    if cfg.format == "json":
-        _emit(report_to_json(reports, {"meta": meta}), cfg.out)
+    ds, label, x, eps = _setup(args)
+    reports = _run_checks(ds, args, x, eps)
+    meta = {"structure": label, "point": [float(v) for v in x],
+            "eps_start": args.eps_start, "eps_count": args.eps_count,
+            "samples": args.samples, "seed": args.seed}
+    if args.format == "json":
+        _emit(report_to_json(reports, {"meta": meta}), args.out)
     else:
-        _emit(_reports_csv(reports), cfg.out)
+        _emit(_reports_csv(reports), args.out)
     for r in reports:
         sys.stderr.write("%-16s %s\n" % (r.check, "pass" if r.passed else
                                          ("FAIL" if r.converged is not False else "inconclusive")))
@@ -257,12 +260,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tangent(args) -> int:
-    cfg = _config_from(args)
-    ds, label = _build(cfg)
-    x = _parse_point(args.point, ds.space.dim)
-    cfg.point = x
-    eps = halving_schedule(cfg.eps_start, cfg.eps_count)
-    pts = _probe_points(ds, x, max(cfg.samples, 2), cfg.seed)
+    ds, label, x, eps = _setup(args)
+    pts = _probe_points(ds, x, max(args.samples, 2), args.seed)
     u, v = pts[0], pts[1]
 
     td = axioms.derive_sigma_inv(ds, x, eps)
@@ -294,29 +293,26 @@ def _cmd_tangent(args) -> int:
             "difference_gap": float(np.max(np.abs(d - d_o))),
             "inverse_gap": float(np.max(np.abs(iu - i_o))),
         }
-    if cfg.format == "json":
-        _emit(json.dumps(doc, sort_keys=True, indent=2), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
     else:
         rep = CheckReport(check="tangent", passed=td.converged,
                           max_residual=float(td.limit_error), tolerance=0.0,
                           table=worst.table_rows())
-        _emit(rep.to_csv(), cfg.out)
+        _emit(rep.to_csv(), args.out)
     return 0 if td.converged else 2
 
 
 def _cmd_profile(args) -> int:
-    cfg = _config_from(args)
-    ds, label = _build(cfg)
-    x = _parse_point(args.point, ds.space.dim)
-    eps = halving_schedule(cfg.eps_start, cfg.eps_count)
-    curve = gromov.metric_profile(ds.space, x, eps, count=max(cfg.samples, 3),
-                                  seed=cfg.seed)
+    ds, label, x, eps = _setup(args)
+    curve = gromov.metric_profile(ds.space, x, eps, count=max(args.samples, 3),
+                                  seed=args.seed)
     verdict = gromov.profile_continuity_at_zero(curve, tol=3.0 * curve.density)
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = ["eps,gh_gap"]
         for k, g in enumerate(verdict.gaps):
             lines.append("%.12g,%.12g" % (float(eps[k]), float(g)))
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         doc = {"schema": 1, "structure": label,
                "point": [float(t) for t in x],
@@ -324,7 +320,7 @@ def _cmd_profile(args) -> int:
                "gaps": [float(g) for g in verdict.gaps],
                "residual": float(verdict.residual),
                "converged": bool(verdict.converged)}
-        _emit(json.dumps(doc, sort_keys=True, indent=2), cfg.out)
+        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
     return 0 if verdict.converged else 2
 
 
@@ -336,27 +332,6 @@ def _cmd_list(args) -> int:
     else:
         _emit("\n".join(names), args.out)
     return 0
-
-
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig(structure=args.structure, manifest=args.manifest,
-                    eps_start=args.eps_start, eps_count=args.eps_count,
-                    samples=args.samples, seed=args.seed, out=args.out,
-                    format=args.format)
-    if cfg.eps_count < 2 or not (0.0 < cfg.eps_start <= 1.0):
-        _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
-    if getattr(args, "checks", None) is not None:
-        cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        if not cfg.checks:
-            _die("checks: empty list")
-        for c in cfg.checks:
-            if c not in CHECK_NAMES:
-                _die("unknown check %r (choose from %s)" % (c, ", ".join(CHECK_NAMES)))
-        for name in DEFAULT_TOLS:
-            val = getattr(args, "tol_%s" % name.replace("-", "_"), None)
-            if val is not None:
-                cfg.tols[name] = val
-    return cfg
 
 
 def main(argv=None) -> int:

@@ -56,9 +56,9 @@ def box_handle(dim: int, distance, halfwidth: float = 3.0, name: str = "",
                              ball_box=ball_box, name=name)
 
 
-def euclidean_handle(dim: int, halfwidth: float = 3.0) -> MetricSpaceHandle:
+def euclidean_handle(dim: int) -> MetricSpaceHandle:
     d = lambda p, q: float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
-    return box_handle(dim, d, halfwidth, name="euclidean%d" % dim,
+    return box_handle(dim, d, name="euclidean%d" % dim,
                       ball_box=lambda c, r: np.full(dim, r))
 
 

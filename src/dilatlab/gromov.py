@@ -5,7 +5,7 @@ The exact distance is half the minimal distortion over correspondences that
 contain the base pair. Any correspondence contains a sub-correspondence of
 the form graph(f) + partners for the B-points f misses, with no larger
 distortion, so the exact minimum is found by branching over those maps with
-an incremental distortion prune. Sizes are capped (default 7): the search is
+an incremental distortion prune. Sizes are capped at SIZE_LIMIT: the search is
 exponential and meant for tangent-cone-sized snapshots, not point clouds.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import SizeLimitExceeded
 from .geometry import FinitePointedSpace, MetricSpaceHandle, restrict, rescale, sample_ball
+from .limits import decays_to_zero
 from .util import as_point, check_schedule
 
 SIZE_LIMIT = 7
@@ -52,16 +53,16 @@ def _greedy_upper_bound(A, B) -> float:
     return distortion(corr, A, B)
 
 
-def gh_pointed_exact(A: FinitePointedSpace, B: FinitePointedSpace,
-                     limit: int = SIZE_LIMIT) -> float:
+def gh_pointed_exact(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
     """Exact pointed Gromov-Hausdorff distance between finite spaces.
 
-    Raises SizeLimitExceeded above the size cap. The base pair is forced into
+    Raises SizeLimitExceeded above SIZE_LIMIT points. The base pair is forced into
     every correspondence considered.
     """
     nA, nB = A.size, B.size
-    if nA > limit or nB > limit:
-        raise SizeLimitExceeded("sizes (%d, %d) above exact-search limit %d" % (nA, nB, limit))
+    if nA > SIZE_LIMIT or nB > SIZE_LIMIT:
+        raise SizeLimitExceeded("sizes (%d, %d) above exact-search limit %d"
+                                % (nA, nB, SIZE_LIMIT))
     dA, dB = A.dmat, B.dmat
     bA, bB = A.base, B.base
 
@@ -212,14 +213,14 @@ def metric_profile(space: MetricSpaceHandle, x, eps_schedule, count: int,
 
 
 def profile_continuity_at_zero(curve: ProfileCurve, tol: float) -> LimitVerdict:
-    """Converged iff successive GH gaps are non-increasing (10% slack) and the
-    final gap is below tol. A constant curve converges trivially; a curve
-    alternating between non-isometric snapshots does not (final gap stays up).
+    """Converged iff the successive GH gaps decay to zero in the sense of
+    limits.decays_to_zero (10% slack, final gap at most tol). A constant
+    curve converges trivially; a curve alternating between non-isometric
+    snapshots does not (final gap stays up).
     """
     pts = curve.points
     if len(pts) < 2:
         raise ValueError("need at least two profile points")
     gaps = [gh_pointed_exact(pts[k].space, pts[k + 1].space) for k in range(len(pts) - 1)]
-    monotone = all(gaps[k + 1] <= max(1.1 * gaps[k], tol) for k in range(len(gaps) - 1))
-    converged = bool(gaps[-1] < tol and monotone)
-    return LimitVerdict(converged=converged, residual=float(gaps[-1]), gaps=tuple(gaps))
+    return LimitVerdict(converged=decays_to_zero(gaps, tol), residual=float(gaps[-1]),
+                        gaps=tuple(gaps))

@@ -8,7 +8,6 @@ Richardson extrapolation when the data supports it, and an honest fallback
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,13 +62,13 @@ class LimitEstimate:
         return rows
 
 
-def richardson_limit(eps_schedule, values, tol: Optional[float] = None) -> LimitEstimate:
+def richardson_limit(eps_schedule, values) -> LimitEstimate:
     """Estimate the eps -> 0 limit of values sampled along eps_schedule.
 
     The verdict is based on successive max-norm differences: converged when
     they keep decreasing by at least DECAY_FACTOR over the trailing steps and
-    the final difference is below tol (default 1e-6 relative to the value
-    scale), or when all differences sit at the float noise floor.
+    the final difference is below tol = 1e-6 relative to the value scale, or
+    when all differences sit at the float noise floor.
 
     Extrapolation: if the trailing difference ratios match the first-order
     prediction (eps[k+2]-eps[k+1]) / (eps[k+1]-eps[k]) within RATIO_BAND, the
@@ -91,8 +90,7 @@ def richardson_limit(eps_schedule, values, tol: Optional[float] = None) -> Limit
 
     flat = vals.reshape(eps.size, -1)
     scale = max(1.0, float(np.max(np.abs(flat))))
-    if tol is None:
-        tol = 1e-6 * scale
+    tol = 1e-6 * scale
     floor = NOISE_FLOOR * scale
 
     diffs = np.max(np.abs(np.diff(flat, axis=0)), axis=1)
@@ -146,3 +144,12 @@ def richardson_limit(eps_schedule, values, tol: Optional[float] = None) -> Limit
     return LimitEstimate(eps=eps, values=vals,
                          extrapolated=extrap.reshape(vals.shape[1:]),
                          error=err, converged=converged, note=note)
+
+
+def decays_to_zero(values, tol: float) -> bool:
+    """Verdict on a sequence of nonnegative gaps that should shrink to zero:
+    each value is at most max(1.1 x previous, tol) and the last is at most
+    tol. The 10% slack absorbs sampling jitter between scales; values below
+    tol may move freely."""
+    v = [float(t) for t in values]
+    return all(b <= max(1.1 * a, tol) for a, b in zip(v, v[1:])) and v[-1] <= tol

@@ -21,9 +21,9 @@ def _affine_dil(eps, x, y):
     return x + np.asarray(eps, dtype=float)[..., None] * (y - x)
 
 
-def euclidean(n: int, halfwidth: float = 3.0) -> DilatationStructure:
+def euclidean(n: int) -> DilatationStructure:
     """R^n with dil(eps, x, y) = x + eps (y - x)."""
-    return DilatationStructure(space=euclidean_handle(n, halfwidth), dil=_affine_dil,
+    return DilatationStructure(space=euclidean_handle(n), dil=_affine_dil,
                                name="euclidean%d" % n)
 
 
@@ -39,13 +39,14 @@ class DiffeoPair:
     dphi: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
-    def validate(self, probes, rtol: float = 1e-10, jac_tol: float = 1e-6) -> float:
-        """Round-trip and finite-difference Jacobian check; returns worst gap."""
+    def validate(self, probes) -> float:
+        """Round-trip (relative 1e-10) and finite-difference Jacobian (1e-6)
+        check; returns worst gap."""
         worst = 0.0
         for p in probes:
             p = as_point(p)
             rt = float(np.max(np.abs(self.phi_inv(self.phi(p)) - p)))
-            if rt > rtol * (1.0 + np.max(np.abs(p))):
+            if rt > 1e-10 * (1.0 + np.max(np.abs(p))):
                 raise ValueError("phi_inv(phi(p)) misses p by %g at %r" % (rt, p))
             J = np.asarray(self.dphi(p), dtype=float)
             h = 1e-6
@@ -56,7 +57,7 @@ class DiffeoPair:
                 dp[k] = h
                 J_fd[:, k] = (np.asarray(self.phi(p + dp)) - np.asarray(self.phi(p - dp))) / (2 * h)
             gap = float(np.max(np.abs(J - J_fd)))
-            if gap > jac_tol:
+            if gap > 1e-6:
                 raise ValueError("Jacobian disagrees with finite differences by %g" % gap)
             worst = max(worst, rt, gap)
         return worst
@@ -88,8 +89,7 @@ def identity_diffeo(n: int) -> DiffeoPair:
                       dphi=lambda p: eye, name="identity%d" % n)
 
 
-def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2,
-                      halfwidth: float = 3.0) -> DilatationStructure:
+def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2) -> DilatationStructure:
     """Deformed structures built from a diffeomorphism phi of the chart.
 
     variant 1: distance d(x,y) = |phi(x) - phi(y)| with the affine
@@ -108,7 +108,7 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2,
             smin = float(np.linalg.svd(J, compute_uv=False)[-1])
             return np.full(len(c), 1.5 * r / smin)
 
-        space = box_handle(dim, d, halfwidth, name="riemannian-v1:" + dp.name,
+        space = box_handle(dim, d, name="riemannian-v1:" + dp.name,
                            ball_box=hint)
     elif variant == 2:
         d = lambda p, q: float(np.linalg.norm(as_point(p) - as_point(q)))
@@ -120,7 +120,7 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2,
             eps = np.asarray(eps, dtype=float)[..., None]
             return as_points(dp.phi_inv(fx + eps * (fy - fx)))
 
-        space = box_handle(dim, d, halfwidth, name="riemannian-v2:" + dp.name,
+        space = box_handle(dim, d, name="riemannian-v2:" + dp.name,
                            ball_box=lambda c, r: np.full(len(c), r))
     else:
         raise ValueError("variant must be 1 or 2")
@@ -155,11 +155,10 @@ def snowflake_structure(base: DilatationStructure, a: float) -> DilatationStruct
     return DilatationStructure(space=space, dil=dil,
                                name="snowflake-%g-of-%s" % (a, base.name),
                                domain_radius=base.domain_radius,
-                               inner_radius=base.inner_radius,
                                working_radius=min(1.0, base.working_radius ** a))
 
 
-def complex_dilatation(theta: float, halfwidth: float = 3.0) -> DilatationStructure:
+def complex_dilatation(theta: float) -> DilatationStructure:
     """Plane structure whose dilatations spin while they shrink:
 
         dil(eps, x, y) = x + eps R(theta ln eps) (y - x)
@@ -183,7 +182,7 @@ def complex_dilatation(theta: float, halfwidth: float = 3.0) -> DilatationStruct
         y = as_points(y)
         return x + (mat(eps) @ (y - x)[..., None])[..., 0]
 
-    return DilatationStructure(space=euclidean_handle(2, halfwidth), dil=dil,
+    return DilatationStructure(space=euclidean_handle(2), dil=dil,
                                name="complex-%g" % theta)
 
 

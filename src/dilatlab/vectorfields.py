@@ -16,6 +16,11 @@ from .errors import ChartEscape, NoConvergence, NonRegular, NotBracketGenerating
 from .util import as_point, as_points
 
 RANK_TOL = 1e-7
+# Longest bracket word build_adapted_frame tries before giving up.
+MAX_WORD_LEN = 6
+# Newton iteration cap and central-difference step of the chart inverse.
+NEWTON_MAX_ITER = 50
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,7 @@ def _nested_bracket(generators, word):
 
 
 def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequence,
-                        max_word_len: int = 6, chart_box=None,
-                        name: str = "") -> Frame:
+                        chart_box=None, name: str = "") -> Frame:
     """Greedy adapted frame from bracket-generating fields.
 
     Iterated brackets are enumerated by word length, lexicographically within
@@ -143,7 +147,7 @@ def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequenc
     fields at every probe point simultaneously. A candidate that enlarges the
     span at some probes but not others makes the layer dimensions
     point-dependent: NonRegular. If the span never reaches full dimension by
-    max_word_len, the generators are NotBracketGenerating (within the cap).
+    MAX_WORD_LEN, the generators are NotBracketGenerating (within the cap).
     """
     from itertools import product
 
@@ -182,7 +186,7 @@ def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequenc
     if len(kept) < len(generators):
         raise ValueError("generators are linearly dependent at the probes")
 
-    for q in range(2, max_word_len + 1):
+    for q in range(2, MAX_WORD_LEN + 1):
         if len(kept) == n:
             break
         for word in product(range(m), repeat=q):
@@ -196,7 +200,7 @@ def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequenc
     if len(kept) < n:
         raise NotBracketGenerating(
             "span has dimension %d < %d after words of length %d"
-            % (len(kept), n, max_word_len))
+            % (len(kept), n, MAX_WORD_LEN))
     return Frame(fields=tuple(kept), degrees=tuple(degrees), chart_box=chart_box,
                  name=name)
 
@@ -235,8 +239,7 @@ def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
 
 
 def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
-                  max_iter: int, fd_step: float, injectivity_radius: float,
-                  steps: int):
+                  injectivity_radius: float, steps: int):
     """Newton core for flow_exp(frame, y_r, w_r) = z_r over the rows of z.
 
     w and z are (k, n) stacks (w may be one (n,) point). Each row keeps its
@@ -245,7 +248,7 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
     per iteration integrates the base point and the +/- finite-difference
     probes of every unconverged row. Returns (y, residual, iterations), one
     entry per row; a singular Jacobian, an iterate leaving the injectivity
-    ball, or a row still above its threshold after max_iter raises
+    ball, or a row still above its threshold after NEWTON_MAX_ITER raises
     NoConvergence for the whole call.
     """
     k, n = z.shape
@@ -256,10 +259,10 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
     iters = np.zeros(k, dtype=int)
     eye = np.eye(n)
     active = np.arange(k)
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         # per row: base point first, then +/- perturbations per coefficient
         ya = y[active, None, :]
-        probes = np.concatenate([ya, ya + fd_step * eye, ya - fd_step * eye], axis=1)
+        probes = np.concatenate([ya, ya + FD_STEP * eye, ya - FD_STEP * eye], axis=1)
         flows = flow_exp(frame, probes, w[active, None, :], steps=steps)
         F = flows[:, 0] - z[active]
         res[active] = np.max(np.abs(F), axis=1)
@@ -269,7 +272,7 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
         if active.size == 0:
             return y, res, iters
         flows, F = flows[todo], F[todo]
-        J = np.swapaxes(flows[:, 1:n + 1] - flows[:, n + 1:], 1, 2) / (2.0 * fd_step)
+        J = np.swapaxes(flows[:, 1:n + 1] - flows[:, n + 1:], 1, 2) / (2.0 * FD_STEP)
         try:
             y[active] = y[active] + np.linalg.solve(J, -F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -278,12 +281,11 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
             raise NoConvergence("Newton iterate left the injectivity ball")
     worst = active[np.argmax(res[active] / thresh[active])]
     raise NoConvergence("chart residual %.3g above %.3g after %d iterations"
-                        % (res[worst], thresh[worst], max_iter))
+                        % (res[worst], thresh[worst], NEWTON_MAX_ITER))
 
 
-def chart_inverse(frame: Frame, w, z, tol: float = 1e-12, max_iter: int = 50,
-                  fd_step: float = 1e-6, injectivity_radius: float = 0.5,
-                  steps: int = 256) -> np.ndarray:
+def chart_inverse(frame: Frame, w, z, tol: float = 1e-12,
+                  injectivity_radius: float = 0.5, steps: int = 256) -> np.ndarray:
     """Coefficients a with flow_exp(frame, a, w) = z (Newton iteration).
 
     Batched: w and z are points (n,) or stacks (k, n), and the result has
@@ -299,8 +301,8 @@ def chart_inverse(frame: Frame, w, z, tol: float = 1e-12, max_iter: int = 50,
     shape = np.broadcast_shapes(w.shape, z.shape)
     n = shape[-1]
     y, _, _ = _newton_chart(frame, np.broadcast_to(w, shape).reshape(-1, n),
-                            np.broadcast_to(z, shape).reshape(-1, n), tol, max_iter,
-                            fd_step, injectivity_radius, steps)
+                            np.broadcast_to(z, shape).reshape(-1, n), tol,
+                            injectivity_radius, steps)
     return y.reshape(shape)
 
 
@@ -311,20 +313,18 @@ class CompositionResult:
     iterations: int
 
 
-def compose_P(frame: Frame, a, b, x, steps: int = 256, tol: float = 1e-12,
-              injectivity_radius: float = 0.5) -> CompositionResult:
+def compose_P(frame: Frame, a, b, x, steps: int = 256) -> CompositionResult:
     """Solve exp(sum P_i X_i)(exp(sum b_i X_i)(x)) = exp(sum a_i X_i)(x).
 
     Returns the coefficients P with the final chart residual and Newton
-    iteration count.
+    iteration count (chart_inverse's default tolerance and injectivity ball).
     """
     a = as_point(a)
     b = as_point(b)
     x = as_point(x)
     target = flow_exp(frame, a, x, steps=steps)
     start = flow_exp(frame, b, x, steps=steps)
-    y, res, it = _newton_chart(frame, start, target[None, :], tol, 50, 1e-6,
-                               injectivity_radius, steps)
+    y, res, it = _newton_chart(frame, start, target[None, :], 1e-12, 0.5, steps)
     return CompositionResult(coeffs=y[0], residual=float(res[0]),
                              iterations=int(it[0]))
 

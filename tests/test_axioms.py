@@ -6,7 +6,9 @@ import pytest
 from dilatlab.axioms import (check_A0_A1, check_A2, check_conical_group,
                              check_profile_theorem, check_tangent_cone,
                              derive_sigma_inv, estimate_delta, estimate_dx)
-from dilatlab.structures import euclidean, riemannian_diffeo, shear_quadratic
+from dilatlab.errors import SamplingExhausted
+from dilatlab.structures import (build_structure, euclidean, riemannian_diffeo,
+                                 shear_quadratic)
 from dilatlab.util import halving_schedule
 
 np.random.seed(2)
@@ -116,6 +118,21 @@ def test_tangent_cone_euclidean_zero():
     est = check_tangent_cone(ds, np.zeros(2), halving_schedule(0.5, 6), count=4, seed=0)
     assert est.converged
     assert np.max(np.abs(est.values)) < 1e-9
+
+
+def test_tangent_cone_snowflake_does_not_converge():
+    # the sup gap grows with the scale index (8.8e-5 up to 1.1): a rising
+    # sequence must not read as decaying to zero
+    est = check_tangent_cone(build_structure("snowflake-0.3"), (0.3, -0.2),
+                             halving_schedule(0.5, 8), count=4, seed=0)
+    assert not est.converged
+    assert est.values[0] < 1e-4 and est.values[-1] > 1.0
+
+
+def test_profile_theorem_too_few_points_is_typed():
+    sched = halving_schedule(0.5, 4)
+    with pytest.raises(SamplingExhausted):
+        check_profile_theorem(euclidean(2), np.zeros(2), sched, sched, count=2)
 
 
 def test_profile_theorem_euclidean():

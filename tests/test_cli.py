@@ -118,6 +118,14 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify", "--manifest", "/does/not/exist.json"]) == 64
     assert main(["profile", "--structure", "euclidean2",
                  "--eps-start", "2.0"]) == 64  # schedule must start below 1
+    # limits need three scales; tangent-cone needs one ball sample, profile two
+    assert main(["verify", "--structure", "euclidean2", "--checks", "a3",
+                 "--eps-count", "2"]) == 64
+    assert main(["tangent", "--structure", "euclidean2", "--eps-count", "2"]) == 64
+    assert main(["verify", "--structure", "euclidean2", "--samples", "0",
+                 "--checks", "tangent-cone"]) == 64
+    assert main(["verify", "--structure", "euclidean2", "--samples", "1",
+                 "--checks", "profile"]) == 64
 
 
 def test_bad_manifest_exits_64(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dilatlab.limits import richardson_limit
+from dilatlab.limits import decays_to_zero, richardson_limit
 from dilatlab.util import check_schedule, halving_schedule
 
 
@@ -85,3 +85,13 @@ def test_table_rows_shape():
 def test_needs_three_scales():
     with pytest.raises(ValueError):
         richardson_limit([0.5, 0.25], [1.0, 2.0])
+
+
+def test_decays_to_zero_on_both_sides_of_tol():
+    assert decays_to_zero([0.4, 0.2, 0.1], tol=0.1)        # last exactly at tol
+    assert not decays_to_zero([0.4, 0.2, 0.1], tol=0.099)  # last just above tol
+    # a 10% rise is allowed, more is not, unless the value sits below tol
+    assert decays_to_zero([0.4, 0.44, 0.05], tol=0.1)
+    assert not decays_to_zero([0.4, 0.45, 0.05], tol=0.1)
+    assert decays_to_zero([0.0, 0.09, 0.05], tol=0.1)
+    assert not decays_to_zero([8.8e-5, 1.3e-3, 1.1], tol=0.25 * 8.8e-5)
