@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation, SamplingExhausted
-from .geometry import FinitePointedSpace, MetricSpaceHandle, sample_ball
+from .geometry import FinitePointedSpace, MetricSpaceHandle, distances, pairwise, sample_ball
 from .gromov import SIZE_LIMIT, gh_pointed_exact, _sample_density
 from .limits import LimitEstimate, decays_to_zero, richardson_limit
 from .util import as_point, as_points, check_schedule, halving_schedule, scale_of
@@ -189,13 +189,15 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
         y_eps = imgs[1:-1]
         fixed = _dil_rows(ds, eps, x, x)
         back = _dil_rows(ds, 1.0 / eps, x, y_eps)
+        decay = distances(ds.space, x, y_eps).tolist()
+        # domain witness: the expanded ball points stay inside B(x, A)
+        d_back = distances(ds.space, x, back)
 
         r_id = float(np.max(np.abs(imgs[0] - y)))
         max_res = max(max_res, r_id)
         if r_id > 1e-12 * sc:
             failures.append({"sample": idx, "kind": "identity-at-1", "residual": r_id})
 
-        decay = []
         for s, e in enumerate(eps):
             e = float(e)
             r_fix = float(np.max(np.abs(fixed[s] - x)))
@@ -207,12 +209,9 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
             if r_inv > tol * sc:
                 failures.append({"sample": idx, "kind": "invertibility", "eps": e,
                                  "residual": r_inv})
-            decay.append(float(ds.space.distance(x, y_eps[s])))
-            # domain witness: the expanded ball point stays inside B(x, A)
-            d_back = float(ds.space.distance(x, back[s]))
-            if d_back > ds.domain_radius * (1.0 + 1e-9):
+            if d_back[s] > ds.domain_radius * (1.0 + 1e-9):
                 failures.append({"sample": idx, "kind": "domain-witness", "eps": e,
-                                 "distance": d_back})
+                                 "distance": float(d_back[s])})
 
         # contraction trend: comparable to first order in eps, heading to 0
         d0 = float(ds.space.distance(x, y))
@@ -275,15 +274,10 @@ def check_A2(ds: DilatationStructure, samples: Sequence, pairs: Sequence,
 # A3 / A4: rescaled-distance limit and tangent operations
 
 
-def _rescaled_distances(ds, a, b, eps) -> np.ndarray:
-    """(1/eps) d(a_s, b_s) along the schedule, for image stacks a, b (k, n)."""
-    return np.array([float(ds.space.distance(a[s], b[s])) / float(e)
-                     for s, e in enumerate(eps)])
-
-
 def _dx_sequence(ds, x, u, v, eps):
+    """(1/eps) d(dil(eps,x,u), dil(eps,x,v)) along the schedule."""
     imgs = _dil_schedule(ds, eps, x, [u, v])
-    return _rescaled_distances(ds, imgs[0], imgs[1], eps)
+    return distances(ds.space, imgs[0], imgs[1]) / eps
 
 
 def _delta_points(ds, x, u, v, eps):
@@ -337,6 +331,24 @@ def _tangent_data(ds, x, eps, cache) -> TangentData:
                        inv_op=lambda u: delta_op(u, x))
 
 
+def _dx_pairs(ds, x, pts, eps, cache):
+    """d^x limits on every unordered pair of pts: one _dil_schedule call for
+    all points, then one richardson_limit per pair, each estimate cached under
+    both key orders. Returns the (n, n) matrix of extrapolated values and the
+    estimates in pair order."""
+    imgs = _dil_schedule(ds, eps, x, pts)
+    ests = []
+
+    def limit(i, j):
+        est = richardson_limit(eps, distances(ds.space, imgs[i], imgs[j]) / eps)
+        cache[("dx", pts[i].tobytes(), pts[j].tobytes())] = est
+        cache[("dx", pts[j].tobytes(), pts[i].tobytes())] = est
+        ests.append(est)
+        return est.extrapolated
+
+    return pairwise(limit, range(len(pts))), ests
+
+
 def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     """Rescaled-limit distance d^x on all pairs from sample.
 
@@ -351,26 +363,12 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     if len(pts) < 2:
         raise ValueError("need at least two sample points")
     cache = {}
-    imgs = _dil_schedule(ds, eps, x, pts)
-    worst = None
-    degenerate = False
-    converged = True
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            est = richardson_limit(eps, _rescaled_distances(ds, imgs[i], imgs[j], eps))
-            cache[("dx", pts[i].tobytes(), pts[j].tobytes())] = est
-            cache[("dx", pts[j].tobytes(), pts[i].tobytes())] = est
-            if worst is None or est.error > worst.error:
-                worst = est
-            converged = converged and est.converged
-            d0 = float(ds.space.distance(pts[i], pts[j]))
-            if float(est.extrapolated) < 1e-6 and d0 > 1e-2:
-                degenerate = True
-
+    dxm, ests = _dx_pairs(ds, x, pts, eps, cache)
+    worst = max(ests, key=lambda est: est.error)
     td = _tangent_data(ds, x, eps, cache)
     td.limit_error = float(worst.error)
-    td.converged = converged
-    td.degenerate = degenerate
+    td.converged = all(est.converged for est in ests)
+    td.degenerate = bool(np.any((dxm < 1e-6) & (pairwise(ds.space.distance, pts) > 1e-2)))
     return td, worst
 
 
@@ -497,17 +495,13 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     """
     eps = check_schedule(eps_schedule)
     x = as_point(x)
-    dx = derive_sigma_inv(ds, x, halving_schedule(0.5, 12), probe_pairs=[]).dx
+    dx_eps = halving_schedule(0.5, 12)
     sup_vals = []
     for e in eps:
         e = float(e)
         pts = sample_ball(ds.space, x, e, count, seed=seed)
-        worst = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                gap = abs(float(ds.space.distance(pts[i], pts[j])) - dx(pts[i], pts[j]))
-                worst = max(worst, gap / e)
-        sup_vals.append(worst)
+        dxm, _ = _dx_pairs(ds, x, pts, dx_eps, {})
+        sup_vals.append(float(np.max(np.abs(pairwise(ds.space.distance, pts) - dxm))) / e)
     est = richardson_limit(eps, np.array(sup_vals))
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
     est.converged = decays_to_zero(sup_vals, max(0.25 * sup_vals[0], 1e-10))
@@ -540,10 +534,7 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
     if len(pts) < 3:
         raise SamplingExhausted("tangent sample too thin for a snapshot comparison")
     n = len(pts)
-    dmat0 = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dmat0[i, j] = dmat0[j, i] = td.dx(pts[i], pts[j])
+    dmat0 = pairwise(td.dx, pts)
     base_fs = FinitePointedSpace(dmat=dmat0, base=0, slack=1e-5)
     density = _sample_density(dmat0)
 
@@ -552,11 +543,7 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
     snaps = _dil_schedule(ds, mus, x, pts)
     for s, mu in enumerate(mus):
         mu = float(mu)
-        imgs = snaps[:, s]
-        m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i, j] = m[j, i] = float(ds.space.distance(imgs[i], imgs[j])) / mu
+        m = pairwise(ds.space.distance, snaps[:, s]) / mu
         fs = FinitePointedSpace(dmat=m, base=0, slack=1e-9)
         g = gh_pointed_exact(fs, base_fs)
         gaps.append(g)

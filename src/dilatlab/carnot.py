@@ -419,9 +419,7 @@ def _plateau(vals: np.ndarray, band: float) -> bool:
 
 def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
                        cc: Optional[Callable] = None,
-                       cc_config: Optional[CCConfig] = None,
-                       flow_steps: int = 256,
-                       value_noise: Optional[float] = None) -> CheckReport:
+                       flow_steps: int = 256) -> CheckReport:
     """Two-part degree test of an adapted frame.
 
     (a) (1/eps) cc(exp(sum eps^deg a_i X_i)(y), y) settles to a finite
@@ -429,18 +427,16 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     (b) eps^(-deg_i) P_i(eps-scaled a, eps-scaled b, y) settles per
         coordinate, where P solves the two-exponential composition.
 
-    cc defaults to the variational solver on the frame; value_noise is the
-    absolute noise floor of one cc evaluation (defaults: 1e-4 for the solver,
-    1e-9 for a supplied exact metric) used in the plateau verdict.
+    cc defaults to the variational solver (LIGHT_CC) on the frame. The
+    plateau verdict takes the absolute noise floor of one cc evaluation as
+    1e-4 for the solver and 1e-9 for a supplied exact metric.
     """
     eps = check_schedule(eps_schedule)
     probes = [as_point(p) for p in probes]
     degrees = np.asarray(frame.degrees, dtype=float)
-    if value_noise is None:
-        value_noise = 1e-4 if cc is None else 1e-9
+    value_noise = 1e-4 if cc is None else 1e-9
     if cc is None:
-        solver_cfg = cc_config or LIGHT_CC
-        cc = lambda p, q: cc_distance(frame, p, q, config=solver_cfg)
+        cc = lambda p, q: cc_distance(frame, p, q, config=LIGHT_CC)
 
     coeffs = _coeff_samples(frame, coeff_box)
     failures = []

@@ -144,8 +144,8 @@ def _estimate_report(name, est, tol) -> CheckReport:
 
 def _setup(args):
     """Validate the invocation and build its structure: schedule, checks,
-    structure, point, then the needs of the limits and of the checks, in
-    that order. Returns (structure, label, base point, schedule)."""
+    structure, point, then the needs of the limits and of the checks, then
+    the seed, in that order. Returns (structure, label, base point, schedule)."""
     if args.eps_count < 2 or not (0.0 < args.eps_start <= 1.0):
         _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
     if args.command == "verify":
@@ -164,6 +164,8 @@ def _setup(args):
     for c in getattr(args, "checks", []):
         if c in MIN_SAMPLES and args.samples < MIN_SAMPLES[c]:
             _die("samples: check %r needs --samples >= %d" % (c, MIN_SAMPLES[c]))
+    if args.seed < 0:
+        _die("seed: need --seed >= 0, got %d" % args.seed)
     return ds, label, x, halving_schedule(args.eps_start, args.eps_count)
 
 

@@ -174,6 +174,25 @@ def sample_ball(space: MetricSpaceHandle, center, radius: float, count: int,
     return np.array(accepted)
 
 
+def distances(space: MetricSpaceHandle, P, Q) -> np.ndarray:
+    """(k,) distances d(P[r], Q[r]) of two (k, n) stacks, one metric call per
+    row; either side may be a single (n,) point."""
+    P, Q = np.broadcast_arrays(np.atleast_2d(P), np.atleast_2d(Q))
+    return np.array([float(space.distance(p, q)) for p, q in zip(P, Q)])
+
+
+def pairwise(dist, pts) -> np.ndarray:
+    """(n, n) matrix of dist(pts[i], pts[j]) for any callable dist: one call
+    per unordered pair, mirrored, so it is exactly symmetric with a zero
+    diagonal."""
+    n = len(pts)
+    m = np.zeros((n, n), dtype=float)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = float(dist(pts[i], pts[j]))
+    return m
+
+
 def restrict(space: MetricSpaceHandle, pts: Sequence, base) -> FinitePointedSpace:
     """Finite pointed snapshot of the handle's metric on given points.
 
@@ -189,14 +208,7 @@ def restrict(space: MetricSpaceHandle, pts: Sequence, base) -> FinitePointedSpac
             break
     if base_idx is None:
         raise ValueError("base point is not among the given points")
-    n = len(arr)
-    m = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(space.distance(arr[i], arr[j]))
-            m[i, j] = d
-            m[j, i] = d
-    return FinitePointedSpace(dmat=m, base=base_idx)
+    return FinitePointedSpace(dmat=pairwise(space.distance, arr), base=base_idx)
 
 
 def rescale(fs: FinitePointedSpace, factor: float) -> FinitePointedSpace:

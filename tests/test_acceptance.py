@@ -14,7 +14,7 @@ import pytest
 from dilatlab.axioms import (check_A0_A1, check_A2, check_conical_group,
                              check_tangent_cone, derive_sigma_inv,
                              estimate_delta, estimate_dx)
-from dilatlab.carnot import (CCConfig, LIGHT_CC, cc_distance,
+from dilatlab.carnot import (CCConfig, cc_distance,
                              check_normal_frame, heisenberg, heisenberg_cc,
                              heisenberg_group_law, heisenberg_inverse,
                              heisenberg_structure, vertical_cc_oracle,
@@ -260,8 +260,7 @@ def test_criterion_07_composition_and_normal_frame():
         worst = max(worst, gap)
 
     rep = check_normal_frame(frame, [np.zeros(3), np.array([0.1, -0.05, 0.02])],
-                             halving_schedule(0.5, 3), coeff_box=0.4,
-                             cc_config=LIGHT_CC, flow_steps=32)
+                             halving_schedule(0.5, 3), coeff_box=0.4, flow_steps=32)
     assert rep.passed, rep.failures
     dt = time.perf_counter() - t0
     assert dt < 60.0

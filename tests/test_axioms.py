@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from dilatlab.axioms import (check_A0_A1, check_A2, check_conical_group,
-                             check_profile_theorem, check_tangent_cone,
-                             derive_sigma_inv, estimate_delta, estimate_dx)
+from dilatlab.axioms import (DilatationStructure, check_A0_A1, check_A2,
+                             check_conical_group, check_profile_theorem,
+                             check_tangent_cone, derive_sigma_inv, estimate_delta,
+                             estimate_dx)
 from dilatlab.errors import SamplingExhausted
+from dilatlab.geometry import box_handle, sample_ball
+from dilatlab.limits import decays_to_zero, richardson_limit
 from dilatlab.structures import (build_structure, euclidean, riemannian_diffeo,
                                  shear_quadratic)
 from dilatlab.util import halving_schedule
@@ -65,6 +68,17 @@ def test_estimate_dx_euclidean_is_distance():
             assert td.dx(pts[i], pts[j]) == pytest.approx(want, abs=1e-10)
 
 
+def test_estimate_dx_flags_a_collapsing_metric():
+    # with d = |p - q|^2 and affine dilatations the rescaled distance is
+    # eps |u - v|^2, so d^x -> 0 on pairs whose distance stays above 1e-2
+    space = box_handle(2, lambda p, q: float(np.sum((p - q) ** 2)))
+    ds = DilatationStructure(space=space, dil=lambda e, x, y: x + e * (y - x))
+    pts = [np.array([0.4, 0.1]), np.array([-0.3, 0.2]), np.array([0.1, -0.5])]
+    td, worst = estimate_dx(ds, np.zeros(2), pts, SCHED)
+    assert td.degenerate is True
+    assert abs(td.dx(pts[0], pts[1])) < 1e-6
+
+
 def test_delta_sigma_inv_euclidean():
     ds = euclidean(3)
     x = np.array([0.1, -0.2, 0.3])
@@ -118,6 +132,42 @@ def test_tangent_cone_euclidean_zero():
     est = check_tangent_cone(ds, np.zeros(2), halving_schedule(0.5, 6), count=4, seed=0)
     assert est.converged
     assert np.max(np.abs(est.values)) < 1e-9
+
+
+def _tangent_cone_per_pair(ds, x, eps, count, seed):
+    """The sup-gap sequence with d^x taken one pair at a time, each pair
+    running its own 12-scale limit through derive_sigma_inv."""
+    dx = derive_sigma_inv(ds, x, halving_schedule(0.5, 12), probe_pairs=[]).dx
+    sup_vals = []
+    for e in eps:
+        pts = sample_ball(ds.space, x, e, count, seed=seed)
+        worst = 0.0
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                gap = abs(float(ds.space.distance(pts[i], pts[j])) - dx(pts[i], pts[j]))
+                worst = max(worst, gap / e)
+        sup_vals.append(worst)
+    est = richardson_limit(eps, np.array(sup_vals))
+    return est, decays_to_zero(sup_vals, max(0.25 * sup_vals[0], 1e-10))
+
+
+@pytest.mark.parametrize("case", ["euclidean", "heisenberg", "one-point"])
+def test_tangent_cone_matches_per_pair_limits(case):
+    from dilatlab.carnot import heisenberg_structure
+
+    x, count = np.array([0.3, -0.2]), 4
+    if case == "heisenberg":
+        ds, x, count = heisenberg_structure(steps=32), np.array([0.05, -0.1, 0.02]), 3
+    else:
+        ds = euclidean(2)
+        count = 1 if case == "one-point" else count
+    eps = halving_schedule(0.25, 4)
+    got = check_tangent_cone(ds, x, eps, count=count, seed=1)
+    want, converged = _tangent_cone_per_pair(ds, x, eps, count, seed=1)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.extrapolated, want.extrapolated)
+    assert got.error == want.error
+    assert got.converged == converged
 
 
 def test_tangent_cone_snowflake_does_not_converge():

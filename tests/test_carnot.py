@@ -247,7 +247,7 @@ def test_normal_frame_passes_with_exact_metric():
     frame, _ = heisenberg()
     rep = check_normal_frame(frame, [np.zeros(3), np.array([0.1, -0.05, 0.02])],
                              [0.5, 0.25, 0.125], coeff_box=0.4,
-                             cc=heisenberg_cc, value_noise=1e-9)
+                             cc=heisenberg_cc)
     assert rep.passed
 
 
@@ -257,7 +257,7 @@ def test_normal_frame_rejects_wrong_degrees():
                   chart_box=frame.chart_box)
     rep = check_normal_frame(wrong, [np.zeros(3)],
                              [0.5, 0.25, 0.125], coeff_box=0.4,
-                             cc=heisenberg_cc, value_noise=1e-9)
+                             cc=heisenberg_cc)
     assert not rep.passed
 
 

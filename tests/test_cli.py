@@ -126,6 +126,9 @@ def test_usage_errors_exit_64(capsys):
                  "--checks", "tangent-cone"]) == 64
     assert main(["verify", "--structure", "euclidean2", "--samples", "1",
                  "--checks", "profile"]) == 64
+    # a negative seed cannot fast-forward the Halton stream
+    for cmd in ("verify", "tangent", "profile"):
+        assert main([cmd, "--structure", "euclidean2", "--seed", "-5"]) == 64
 
 
 def test_bad_manifest_exits_64(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dilatlab.errors import SamplingExhausted
-from dilatlab.geometry import (FinitePointedSpace, box_handle, euclidean_handle,
-                               rescale, restrict, sample_ball, snowflake_distance)
+from dilatlab.geometry import (FinitePointedSpace, box_handle, distances,
+                               euclidean_handle, pairwise, rescale, restrict,
+                               sample_ball, snowflake_distance)
 
 np.random.seed(0)
 
@@ -73,6 +74,30 @@ def test_restrict_and_rescale():
     doubled = rescale(fs, 2.0)
     assert doubled.dmat[0, 2] == pytest.approx(4.0)
     assert doubled.base == 0
+
+
+def test_pairwise_calls_each_unordered_pair_once():
+    calls = []
+
+    def dist(p, q):
+        # not symmetric, so a mirrored entry shows which order was called
+        calls.append((p, q))
+        return 1.0 + p - 0.5 * q
+
+    m = pairwise(dist, [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert len(calls) == 5 * 4 // 2
+    assert np.array_equal(m, m.T)
+    assert np.all(np.diag(m) == 0.0)
+    assert m[1, 3] == dist(1.0, 3.0)
+
+
+def test_distances_broadcasts_one_point():
+    h = euclidean_handle(2)
+    stack = np.array([[3.0, 4.0], [0.0, 1.0], [1.0, 1.0]])
+    want = np.array([5.0, 1.0, np.sqrt(2.0)])
+    assert np.array_equal(distances(h, np.zeros(2), stack), want)
+    assert np.array_equal(distances(h, stack, np.zeros(2)), want)
+    assert np.array_equal(distances(h, stack, stack), np.zeros(3))
 
 
 def test_snowflake_distance_values():
