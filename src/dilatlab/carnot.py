@@ -24,7 +24,7 @@ from .errors import NoFeasiblePath
 from .geometry import MetricSpaceHandle
 from .limits import richardson_limit
 from .util import as_point, as_points, check_schedule
-from .vectorfields import (Frame, VectorField, chart_inverse, compose_P, flow_exp,
+from .vectorfields import (Frame, VectorField, chart_inverse, compose_rows, flow_exp,
                            frame_from_manifest)
 
 
@@ -87,12 +87,28 @@ def heisenberg():
     def const(J):
         return lambda p: np.broadcast_to(J, np.shape(p)[:-1] + J.shape)
 
+    half = np.array([-0.5, 0.5])
+
+    def combined(a, z):
+        # X1, X2, then X3: the order the stacked fields sum in, to the same bits
+        k = a.shape[-1]
+        if k == 1:
+            a = np.concatenate([a, np.zeros_like(a)], axis=-1)
+        v = a[..., :2] * (z[..., 1::-1] * half)  # a0 (-z1 / 2), a1 (z0 / 2)
+        c2 = v[..., 0] + v[..., 1]
+        if k > 2:
+            c2 = c2 + a[..., 2]
+        out = np.empty(c2.shape + (3,))
+        out[..., :2] = a[..., :2]
+        out[..., 2] = c2
+        return out
+
     X1 = VectorField(func=f1, jacobian=const(J1), name="X1")
     X2 = VectorField(func=f2, jacobian=const(J2), name="X2")
     X3 = VectorField(func=f3, jacobian=const(J3), name="X3")
     box = np.stack([np.full(3, -2.0), np.full(3, 2.0)], axis=1)
     frame = Frame(fields=(X1, X2, X3), degrees=(1, 1, 2), chart_box=box,
-                  name="heisenberg")
+                  name="heisenberg", closed_form=combined)
     return frame, heisenberg_group_law
 
 
@@ -202,15 +218,6 @@ class HorizontalPath:
         return float(h * np.sum(np.linalg.norm(self.controls, axis=1)))
 
 
-def _h_fields(frame: Frame):
-    return frame.fields[: frame.m]
-
-
-def _ctrl_field(fields, z, u):
-    """sum_i u_i X_i(z) over the horizontal fields at one point."""
-    return sum(ui * f(z) for ui, f in zip(u, fields))
-
-
 def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
     """RK4 trajectory (one step per segment); returns (states, stage inputs)."""
     N = U.shape[0]
@@ -218,17 +225,17 @@ def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
     zs = np.empty((N + 1, x.size))
     zs[0] = x
     stages = np.empty((N, 4, x.size))
-    fields = _h_fields(frame)
+    combined = frame.combined  # U[j] holds the m horizontal coefficients
     for j in range(N):
         u = U[j]
         z = zs[j]
-        k1 = _ctrl_field(fields, z, u)
+        k1 = combined(u, z)
         s2 = z + 0.5 * h * k1
-        k2 = _ctrl_field(fields, s2, u)
+        k2 = combined(u, s2)
         s3 = z + 0.5 * h * k2
-        k3 = _ctrl_field(fields, s3, u)
+        k3 = combined(u, s3)
         s4 = z + h * k3
-        k4 = _ctrl_field(fields, s4, u)
+        k4 = combined(u, s4)
         zs[j + 1] = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         stages[j, 0] = z
         stages[j, 1] = s2
@@ -248,7 +255,7 @@ def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
 
     # linearize every RK4 stage of every segment at once: A = sum_i u_i DX_i
     # and B = [X_1 ... X_m] at the stage points, (N, 4, n, n) and (N, 4, n, m)
-    fields = _h_fields(frame)
+    fields = frame.fields[:frame.m]
     A = sum(U[:, i, None, None, None] * f.jac(stages) for i, f in enumerate(fields))
     B = np.stack([f(stages) for f in fields], axis=-1)
     eyeN = np.eye(n)
@@ -447,12 +454,8 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     for ci, a in enumerate(coeffs):
         limits = []
         for pi, y in enumerate(probes):
-            vals = []
-            for e in eps:
-                e = float(e)
-                p = flow_exp(frame, frame.scale_coeffs(e, a), y, steps=flow_steps)
-                vals.append(float(cc(p, y)) / e)
-            vals = np.array(vals)
+            pts = flow_exp(frame, frame.scale_coeffs(eps, a), y, steps=flow_steps)
+            vals = np.array([float(cc(p, y)) / float(e) for e, p in zip(eps, pts)])
             est = richardson_limit(eps, vals)
             band = max(0.02 * float(np.median(np.abs(vals))),
                        10.0 * value_noise / float(eps[-1]))
@@ -480,13 +483,9 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     pair_list = [(coeffs[0], coeffs[1]), (coeffs[1], coeffs[0])]
     for pi, x in enumerate(probes):
         for qi, (a, b) in enumerate(pair_list):
-            vecs = []
-            for e in eps:
-                e = float(e)
-                r = compose_P(frame, frame.scale_coeffs(e, a),
-                              frame.scale_coeffs(e, b), x, steps=flow_steps)
-                vecs.append(r.coeffs / e ** degrees)
-            vecs = np.array(vecs)
+            P, _, _ = compose_rows(frame, frame.scale_coeffs(eps, a),
+                                   frame.scale_coeffs(eps, b), x, steps=flow_steps)
+            vecs = P / eps[:, None] ** degrees
             est = richardson_limit(eps, vecs)
             noise_b = 1e-12 / float(eps[-1]) ** frame.step
             band = max(1e-5 * (1.0 + float(np.max(np.abs(vecs)))), 10.0 * noise_b)
@@ -628,10 +627,15 @@ def warped_heisenberg():
 
         return VectorField(func=func, jacobian=None, name="Y%d" % (i + 1))
 
+    def combined(a, z):
+        # one phi_inv and one dphi for all fields: Dphi (sum a_i X_i) . phi^{-1}
+        x = phi_inv(z)
+        return np.einsum("...ij,...j->...i", dphi(x), base.combined(a, x))
+
     fields = tuple(push(i) for i in range(3))
     box = np.stack([np.full(3, -2.5), np.full(3, 2.5)], axis=1)
     frame = Frame(fields=fields, degrees=(1, 1, 2), chart_box=box,
-                  name="heisenberg-warped")
+                  name="heisenberg-warped", closed_form=combined)
     cc = lambda p, q: heisenberg_cc(phi_inv(as_point(p)), phi_inv(as_point(q)))
     return frame, cc, phi
 

@@ -7,7 +7,8 @@ combined field sum_i a_i X_i started at w; chart_inverse solves the reverse
 problem by Newton iteration with finite-difference Jacobians.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,12 +30,16 @@ class VectorField:
 
     jacobian, when given, is batched the same way: it maps (..., n) to the
     (..., n, n) stack of matrices d(func)_i / d(x_j). Otherwise jac uses
-    central differences of func, with the step taken per point.
+    central differences of func, with the step taken per point. table is
+    set on polynomial fields: their monomial table (E, C), see
+    polynomial_field.
     """
 
     func: Callable
     jacobian: Optional[Callable] = None
     name: str = ""
+    table: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False,
+                                                           compare=False)
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -57,24 +62,37 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y](p) = DY(p) X(p) - DX(p) Y(p)."""
+    """[X, Y](p) = DY(p) X(p) - DX(p) Y(p).
+
+    The bracket of two polynomial fields is again a polynomial field, its
+    terms built by the product rule; any other pair is evaluated through
+    the two Jacobians.
+    """
+    name = "[%s,%s]" % (X.name or "X", Y.name or "Y")
+    if X.table is not None and Y.table is not None:
+        return _table_field(_bracket_table(X.table, Y.table), name)
 
     def func(p):
         p = np.asarray(p, dtype=float)
         return _matvec(Y.jac(p), X(p)) - _matvec(X.jac(p), Y(p))
 
-    name = "[%s,%s]" % (X.name or "X", Y.name or "Y")
     return VectorField(func=func, jacobian=None, name=name)
 
 
 @dataclass(frozen=True)
 class Frame:
-    """Adapted frame: fields with nondecreasing degrees, degree-1 block first."""
+    """Adapted frame: fields with nondecreasing degrees, degree-1 block first.
+
+    closed_form, when given, is the combined field (a, z) -> sum_i a_i X_i(z)
+    over the first a.shape[-1] fields, as its builder knows it; combined
+    uses it in place of evaluating the fields one by one.
+    """
 
     fields: Tuple[VectorField, ...]
     degrees: Tuple[int, ...]
     chart_box: Optional[np.ndarray] = None
     name: str = ""
+    closed_form: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.fields) != len(self.degrees):
@@ -116,6 +134,20 @@ class Frame:
         a = np.asarray(a, dtype=float)
         eps = np.asarray(eps, dtype=float)[..., None]
         return a * (eps ** np.asarray(self.degrees, dtype=float))
+
+    def combined(self, a, z) -> np.ndarray:
+        """sum_i a_i X_i(z) over the first k fields, batched.
+
+        a is (..., k) with k <= n coefficients (the degree-1 block comes
+        first, so k = m gives the horizontal fields) and z is (..., n); their
+        leading axes broadcast.
+        """
+        a = np.asarray(a, dtype=float)
+        z = np.asarray(z, dtype=float)
+        if self.closed_form is not None:
+            return self.closed_form(a, z)
+        vals = np.stack([f(z) for f in self.fields[:a.shape[-1]]], axis=0)  # (k, ..., n)
+        return np.einsum("...f,f...n->...n", a, vals)
 
     def eval_matrix(self, x) -> np.ndarray:
         """Columns X_1(x) ... X_n(x)."""
@@ -209,12 +241,6 @@ def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequenc
 # Exponential chart
 
 
-def _combined(frame: Frame, a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_i a_i X_i(z), batched: a (..., n) against z (..., n)."""
-    vals = np.stack([f(z) for f in frame.fields], axis=0)  # (n_fields, ..., n)
-    return np.einsum("...f,f...n->...n", a, vals)
-
-
 def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
     """Time-1 flow of the combined field sum a_i X_i from x (RK4, fixed grid).
 
@@ -226,14 +252,17 @@ def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
     a, z = np.broadcast_arrays(a, z)
     z = z.astype(float).copy()
     h = 1.0 / int(steps)
+    combined = frame.combined
     box = frame.chart_box
+    if box is not None:
+        lo, hi = box[:, 0], box[:, 1]
     for _ in range(int(steps)):
-        k1 = _combined(frame, a, z)
-        k2 = _combined(frame, a, z + 0.5 * h * k1)
-        k3 = _combined(frame, a, z + 0.5 * h * k2)
-        k4 = _combined(frame, a, z + h * k3)
+        k1 = combined(a, z)
+        k2 = combined(a, z + 0.5 * h * k1)
+        k3 = combined(a, z + 0.5 * h * k2)
+        k4 = combined(a, z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if box is not None and (np.any(z < box[:, 0]) or np.any(z > box[:, 1])):
+        if box is not None and (np.any(z < lo) or np.any(z > hi)):
             raise ChartEscape("flow left the chart box")
     return z
 
@@ -313,18 +342,26 @@ class CompositionResult:
     iterations: int
 
 
+def compose_rows(frame: Frame, A, B, x, steps: int = 256):
+    """compose_P over the rows of (k, n) coefficient stacks A and B at one x.
+
+    Two batched flows and one Newton solve for all rows; returns the
+    (coefficients, residual, iterations) arrays, each row to the same bits
+    as compose_P on that row alone.
+    """
+    target = flow_exp(frame, A, x, steps=steps)
+    start = flow_exp(frame, B, x, steps=steps)
+    return _newton_chart(frame, start, target, 1e-12, 0.5, steps)
+
+
 def compose_P(frame: Frame, a, b, x, steps: int = 256) -> CompositionResult:
     """Solve exp(sum P_i X_i)(exp(sum b_i X_i)(x)) = exp(sum a_i X_i)(x).
 
     Returns the coefficients P with the final chart residual and Newton
     iteration count (chart_inverse's default tolerance and injectivity ball).
     """
-    a = as_point(a)
-    b = as_point(b)
-    x = as_point(x)
-    target = flow_exp(frame, a, x, steps=steps)
-    start = flow_exp(frame, b, x, steps=steps)
-    y, res, it = _newton_chart(frame, start, target[None, :], 1e-12, 0.5, steps)
+    y, res, it = compose_rows(frame, as_point(a)[None], as_point(b)[None], as_point(x),
+                              steps=steps)
     return CompositionResult(coeffs=y[0], residual=float(res[0]),
                              iterations=int(it[0]))
 
@@ -333,47 +370,122 @@ def compose_P(frame: Frame, a, b, x, steps: int = 256) -> CompositionResult:
 # Polynomial fields and JSON manifests
 
 
+def _table(terms, n: int, shape: tuple):
+    """Monomial table (E, C) of a polynomial map from R^n to arrays of shape.
+
+    terms are (exponents, index into shape, coefficient) triples. E (M, n)
+    holds each distinct exponent tuple once, in order of first appearance,
+    and C (M, *shape) its coefficients; monomials whose coefficients all
+    cancel are dropped.
+    """
+    rows = {}
+    for exps, idx, c in terms:
+        rows.setdefault(tuple(int(e) for e in exps), np.zeros(shape))[idx] += c
+    keep = [(e, c) for e, c in rows.items() if np.any(c != 0.0)]
+    E = np.array([e for e, _ in keep], dtype=int).reshape((len(keep), n))
+    C = np.array([c for _, c in keep], dtype=float).reshape((len(keep),) + shape)
+    return E, C
+
+
+def _monomials(x, E) -> np.ndarray:
+    """x^E_r for every exponent row r of E (M, n): (..., n) -> (..., M)."""
+    return np.multiply.reduce(x[..., None, :] ** E, axis=-1)
+
+
+def _poly_values(x, E, C) -> np.ndarray:
+    """sum_r C[r] x^E_r at (..., n) points, shape (...) + C.shape[1:].
+
+    One power table, then a product over coordinates and a sum over
+    monomials; both reductions run in index order for any batch shape, so a
+    point gets the same bits alone as inside a batch.
+    """
+    mono = _monomials(x, E)
+    mono = mono.reshape(mono.shape + (1,) * (C.ndim - 1))
+    return np.add.reduce(mono * C, axis=-C.ndim)
+
+
+def _jacobian_table(table):
+    """Table of the Jacobian, coefficients (M, n, n): d/dx_j of c x^e is
+    (c e_j) x^(e - unit_j)."""
+    E, C = table
+    n = E.shape[1]
+    unit = np.eye(n, dtype=int)
+    return _table([(E[r] - unit[j], (i, j), C[r, i] * E[r, j])
+                   for r in range(len(E)) for i in range(n) for j in range(n)
+                   if E[r, j] > 0], n, (n, n))
+
+
+def _bracket_table(tx, ty):
+    """Table of [X, Y] = DY X - DX Y, term by term by the product rule."""
+    n = tx[0].shape[1]
+    terms = []
+    for (Ev, Cv), (Ed, Cd), sign in ((tx, _jacobian_table(ty), 1.0),
+                                     (ty, _jacobian_table(tx), -1.0)):
+        for r in range(len(Ev)):
+            for s in range(len(Ed)):
+                coef = sign * (Cd[s] @ Cv[r])
+                terms += [(Ev[r] + Ed[s], i, coef[i]) for i in range(n)]
+    return _table(terms, n, (n,))
+
+
+def _table_field(table, name: str) -> VectorField:
+    E, C = table
+    Ej, Cj = _jacobian_table(table)
+    E, Ej = E.astype(float), Ej.astype(float)
+    return VectorField(func=lambda x: _poly_values(x, E, C),
+                       jacobian=lambda x: _poly_values(x, Ej, Cj), name=name, table=table)
+
+
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def polynomial_field(components: Sequence, name: str = "") -> VectorField:
     """Field from per-component monomial term lists.
 
     components[i] is a list of [coeff, [e_1, ..., e_n]] terms; component i of
-    the field value is sum coeff * prod_k x_k^e_k. The Jacobian is assembled
-    analytically from the monomials; both are batched over leading axes.
+    the field value is sum coeff * prod_k x_k^e_k, and each e_k must be a
+    nonnegative integer. The terms become one monomial table (exponents and
+    coefficients), through which the value and the analytic Jacobian are
+    evaluated, both batched over leading axes.
     """
-    comps = []
     n = len(components)
-    for i, terms in enumerate(components):
-        parsed = []
-        for t in terms:
-            c = float(t[0])
-            exps = np.asarray(t[1], dtype=int)
-            if exps.size != n or np.any(exps < 0):
-                raise ValueError("component %d has a bad exponent tuple %r" % (i, t[1]))
-            parsed.append((c, exps))
-        comps.append(parsed)
-    # d/dx_j of c * x^e is (c * e_j) * x^(e - unit_j): one entry per (i, j)
-    dterms = [(i, j, c * exps[j], exps - np.eye(n, dtype=int)[j])
-              for i, terms in enumerate(comps) for c, exps in terms
-              for j in range(n) if exps[j] != 0]
+    terms = []
+    for i, comp in enumerate(components):
+        for t in comp:
+            exps = list(t[1])
+            if not (_is_number(t[0]) and len(exps) == n and all(map(_is_number, exps))
+                    and all(e >= 0 and float(e).is_integer() for e in exps)):
+                raise ValueError("component %d term %r: want a number and %d nonnegative "
+                                 "integer exponents" % (i, t, n))
+            terms.append((exps, i, float(t[0])))
+    return _table_field(_table(terms, n, (n,)), name)
 
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for i, terms in enumerate(comps):
-            acc = 0.0
-            for c, exps in terms:
-                acc = acc + c * np.prod(x ** exps, axis=-1)
-            out[..., i] = acc
-        return out
 
-    def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        J = np.zeros(x.shape[:-1] + (n, n))
-        for i, j, c, exps in dterms:
-            J[..., i, j] += c * np.prod(x ** exps, axis=-1)
-        return J
+def _polynomial_combined(fields: Sequence[VectorField]) -> Callable:
+    """Closed form of sum_i a_i X_i(z) for polynomial fields: one power table
+    over the union of their monomials and one coefficient contraction."""
+    n = fields[0].table[0].shape[1]
+    E, C = _table([(row, (f, i), c)
+                   for f, fld in enumerate(fields) for Ef, Cf in [fld.table]
+                   for row, coeffs in zip(Ef, Cf) for i, c in enumerate(coeffs)],
+                  n, (len(fields), n))  # C[r, f, i]: monomial r in component i of field f
+    M = len(E)
+    E = E.astype(float)
+    # per coefficient count k: the first k fields' coefficients, field-major
+    blocks = [C[:, :k].transpose(1, 0, 2).reshape(k * M, n) for k in range(len(fields) + 1)]
 
-    return VectorField(func=func, jacobian=jacobian, name=name)
+    def combined(a, z):
+        k = a.shape[-1]
+        w = a[..., :, None] * _monomials(z, E)[..., None, :]  # (..., k, M): a_f x^E_r
+        return np.add.reduce(w.reshape(w.shape[:-2] + (k * M, 1)) * blocks[k], axis=-2)
+
+    return combined
 
 
 MANIFEST_SCHEMA = 1
@@ -396,11 +508,10 @@ def frame_from_manifest(doc: dict) -> Frame:
     """
     if not isinstance(doc, dict):
         raise ValueError("manifest: top level must be an object")
-    if doc.get("schema") != MANIFEST_SCHEMA:
+    if not _is_int(doc.get("schema")) or doc["schema"] != MANIFEST_SCHEMA:
         raise ValueError("manifest: field 'schema' must equal %d" % MANIFEST_SCHEMA)
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
+    dim = doc.get("dim")
+    if not _is_int(dim):
         raise ValueError("manifest: field 'dim' missing or not an integer")
     if dim < 1:
         raise ValueError("manifest: field 'dim' must be positive")
@@ -430,11 +541,11 @@ def frame_from_manifest(doc: dict) -> Frame:
             raise ValueError("manifest: field 'degrees' required alongside 'fields'")
         degrees = doc["degrees"]
         if (not isinstance(degrees, list) or len(degrees) != len(fields)
-                or any(not isinstance(d, int) or d < 1 for d in degrees)):
+                or any(not _is_int(d) or d < 1 for d in degrees)):
             raise ValueError("manifest: field 'degrees' must list one positive "
                              "integer per field")
         return Frame(fields=tuple(fields), degrees=tuple(degrees), chart_box=box,
-                     name=name)
+                     name=name, closed_form=_polynomial_combined(fields))
 
     if "generators" not in doc:
         raise ValueError("manifest: need either 'generators' or 'fields'")
@@ -447,4 +558,6 @@ def frame_from_manifest(doc: dict) -> Frame:
         if not isinstance(probes, list) or not probes:
             raise ValueError("manifest: field 'probes' must be a nonempty list")
         probes = [as_point(p) for p in probes]
-    return build_adapted_frame(gens, probes, chart_box=box, name=name)
+    frame = build_adapted_frame(gens, probes, chart_box=box, name=name)
+    # brackets of polynomial fields are polynomial: the whole frame shares one table
+    return replace(frame, closed_form=_polynomial_combined(frame.fields))

@@ -10,8 +10,8 @@ from dilatlab.carnot import (LIGHT_CC, CCConfig, _objective_and_grad, _rollout,
                              heisenberg_group_law, heisenberg_inverse,
                              heisenberg_structure, sr_dilatation,
                              vertical_cc_oracle, warped_heisenberg)
-from dilatlab.vectorfields import (Frame, compose_P, flow_exp, frame_from_manifest,
-                                   polynomial_field)
+from dilatlab.vectorfields import (Frame, compose_P, compose_rows, flow_exp,
+                                   frame_from_manifest, polynomial_field)
 
 np.random.seed(5)
 
@@ -249,6 +249,23 @@ def test_normal_frame_passes_with_exact_metric():
                              [0.5, 0.25, 0.125], coeff_box=0.4,
                              cc=heisenberg_cc)
     assert rep.passed
+
+
+def test_normal_frame_scale_batches_equal_per_scale_calls():
+    # check_normal_frame runs each schedule as one batch: every row must
+    # carry the bits of the per-scale flow_exp and compose_P calls
+    eps = np.array([0.5, 0.3, 0.125, 0.0625])
+    a = np.array([0.31, -0.22, 0.17])
+    b = np.array([-0.12, 0.27, -0.2])
+    for frame, steps in ((heisenberg()[0], 32), (warped_heisenberg()[0], 64)):
+        x = np.array([0.1, -0.05, 0.02])
+        A, B = frame.scale_coeffs(eps, a), frame.scale_coeffs(eps, b)
+        pts = flow_exp(frame, A, x, steps=steps)
+        P, _, _ = compose_rows(frame, A, B, x, steps=steps)
+        for r, e in enumerate(eps):
+            Ae, Be = frame.scale_coeffs(float(e), a), frame.scale_coeffs(float(e), b)
+            assert np.array_equal(pts[r], flow_exp(frame, Ae, x, steps=steps)), frame.name
+            assert np.array_equal(P[r], compose_P(frame, Ae, Be, x, steps=steps).coeffs)
 
 
 def test_normal_frame_rejects_wrong_degrees():

@@ -137,6 +137,16 @@ def test_bad_manifest_exits_64(tmp_path, capsys):
     assert main(["verify", "--manifest", str(path)]) == 64
     err = capsys.readouterr().err
     assert "manifest" in err
+    # a fractional exponent would truncate and a JSON boolean pass as an int
+    gens = HEIS_MANIFEST["generators"]
+    for doc in (dict(HEIS_MANIFEST, generators=[[[[1.0, [0.5, 0, 0]]], [], []], gens[1]]),
+                dict(HEIS_MANIFEST, generators=[[[[1.0, [True, 0, 0]]], [], []], gens[1]]),
+                dict(HEIS_MANIFEST, schema=True), dict(HEIS_MANIFEST, dim=True),
+                {"schema": 1, "dim": 3, "fields": gens + [[[], [], [[1.0, [0, 0, 0]]]]],
+                 "degrees": [True, True, 2]}):
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--manifest", str(path), "--checks", "a2"]) == 64
+        assert "manifest" in capsys.readouterr().err
 
 
 def test_point_flag_is_used(capsys):

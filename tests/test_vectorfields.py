@@ -236,3 +236,106 @@ def test_manifest_rejects_unknown_schema():
     with pytest.raises(ValueError):
         frame_from_manifest({"schema": 99, "name": "x", "dim": 2,
                              "chart_halfwidth": 1.0, "generators": []})
+
+
+def test_manifest_rejects_fractional_exponents_and_booleans():
+    gens = [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
+            [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]]
+    base = {"schema": 1, "name": "heis", "dim": 3, "generators": gens}
+    bad_terms = ([1.0, [0.5, 0, 0]], [1.0, [True, 0, 0]], [True, [1, 0, 0]],
+                 [1.0, [-1, 0, 0]])
+    for term in bad_terms:
+        with pytest.raises(ValueError, match="term"):
+            polynomial_field([[term], [], []])
+        doc = dict(base, generators=[[[term], [], []], gens[1]])
+        with pytest.raises(ValueError, match="generators"):
+            frame_from_manifest(doc)
+    assert polynomial_field([[[1.0, [2.0, 0, 0]]], [], []])(np.array([3.0, 0, 0]))[0] == 9.0
+    fields = [[[[1.0, [0, 0]]], []], [[], [[1.0, [0, 0]]]]]
+    for doc in (dict(base, schema=True), dict(base, dim=True), dict(base, dim=3.0),
+                {"schema": 1, "dim": 2, "fields": fields, "degrees": [True, True]}):
+        with pytest.raises(ValueError, match="schema|dim|degrees"):
+            frame_from_manifest(doc)
+
+
+# === Frame.combined ===
+
+def _stacked(frame, a, z):
+    """sum_i a_i X_i(z), one field at a time: the reference for combined."""
+    a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
+    vals = np.stack([f(z) for f in frame.fields[:a.shape[-1]]], axis=0)
+    return np.einsum("...f,f...n->...n", a, vals)
+
+
+def _frames_under_test():
+    """heisenberg, warped, a fields manifest, a generators manifest, and an
+    adapted frame of non-polynomial fields (the stacked default path)."""
+    rich = [[[0.3, [2, 1, 0]], [1.0, [0, 0, 0]], [-0.7, [0, 0, 1]]],
+            [[1.0, [0, 0, 0]], [0.25, [1, 0, 2]]],
+            [[-0.5, [0, 1, 0]], [1.5, [1, 1, 1]], [0.1, [3, 0, 0]]]]
+    fields_doc = {"schema": 1, "name": "fields", "dim": 3, "degrees": [1, 1, 2],
+                  "fields": [rich,
+                             [[[0.2, [0, 1, 0]]], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]],
+                             [[], [[0.4, [0, 0, 1]]], [[1.0, [0, 0, 0]], [0.3, [2, 0, 0]]]]]}
+    gens_doc = {"schema": 1, "name": "gens", "dim": 3,
+                "generators": [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]], [0.3, [2, 0, 0]]]],
+                               [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]]}
+    S1 = VectorField(func=lambda p: np.stack(
+        [np.ones_like(p[..., 0]), 0.0 * p[..., 0], -0.5 * p[..., 1] + 0.1 * np.sin(p[..., 0])],
+        axis=-1), name="S1")
+    S2 = VectorField(func=lambda p: np.stack(
+        [0.0 * p[..., 0], np.ones_like(p[..., 0]), 0.5 * p[..., 0]], axis=-1), name="S2")
+    adapted = build_adapted_frame([S1, S2], [np.zeros(3), np.array([0.3, -0.2, 0.1])])
+    assert adapted.closed_form is None
+    return [heisenberg()[0], warped_heisenberg()[0], frame_from_manifest(fields_doc),
+            frame_from_manifest(gens_doc), adapted]
+
+
+def test_frame_combined_matches_stacked_fields():
+    rng = np.random.RandomState(21)
+    for frame in _frames_under_test():
+        for shape in ((3,), (5, 3), (5, 4, 3)):
+            for k in (1, 2, 3):
+                a = rng.uniform(-1.0, 1.0, shape[:-1] + (k,))
+                z = rng.uniform(-0.6, 0.6, shape)
+                got = frame.combined(a, z)
+                want = _stacked(frame, a, z)
+                assert got.shape == shape
+                if frame.name == "heisenberg":
+                    assert np.array_equal(got, want)
+                scale = np.max(np.abs(want), axis=-1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-14 * scale), (frame.name, shape, k)
+        # one coefficient row broadcast against a stack of points
+        a = rng.uniform(-1.0, 1.0, 2)
+        z = rng.uniform(-0.6, 0.6, (4, 3))
+        assert np.allclose(frame.combined(a, z), _stacked(frame, np.tile(a, (4, 1)), z),
+                           rtol=1e-14, atol=1e-15)
+
+
+def test_frame_combined_rows_are_batch_independent():
+    # dil's row-for-row contract rests on this: a point gets the same bits
+    # alone as inside any batch
+    rng = np.random.RandomState(22)
+    for frame in _frames_under_test():
+        A = rng.uniform(-1.0, 1.0, (6, 3))
+        Z = rng.uniform(-0.6, 0.6, (6, 3))
+        got = frame.combined(A, Z)
+        for r in range(6):
+            assert np.array_equal(got[r], frame.combined(A[r], Z[r])), frame.name
+
+
+def test_polynomial_bracket_matches_generic_formula():
+    X = polynomial_field([[[1.0, [0, 0, 0]], [0.3, [1, 2, 0]]], [[0.7, [0, 0, 1]]],
+                          [[-0.5, [0, 1, 0]], [0.2, [2, 0, 1]]]], name="X")
+    Y = polynomial_field([[[0.4, [0, 1, 1]]], [[1.0, [0, 0, 0]], [-0.6, [3, 0, 0]]],
+                          [[0.5, [1, 0, 0]]]], name="Y")
+    B = lie_bracket(X, Y)
+    BB = lie_bracket(X, B)  # bracket of a bracket stays polynomial
+    assert B.table is not None and BB.table is not None
+    P = np.random.RandomState(23).uniform(-0.8, 0.8, (7, 3))
+    for br, U, V in ((B, X, Y), (BB, X, B)):
+        want = (np.einsum("...ij,...j->...i", V.jac(P), U(P))
+                - np.einsum("...ij,...j->...i", U.jac(P), V(P)))
+        got = br(P)
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), br.name
