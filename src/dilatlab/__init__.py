@@ -34,8 +34,8 @@ from .vectorfields import (CompositionResult, Frame, VectorField,
 from .carnot import (CCConfig, HorizontalPath, cc_distance, check_normal_frame,
                      heisenberg, heisenberg_cc, heisenberg_dilate,
                      heisenberg_gauge, heisenberg_group_law, heisenberg_inverse,
-                     heisenberg_structure, sr_dilatation, structure_from_manifest,
-                     vertical_cc_oracle, warped_heisenberg,
+                     heisenberg_structure, heisenberg_warp, sr_dilatation,
+                     structure_from_manifest, vertical_cc_oracle, warped_heisenberg,
                      warped_heisenberg_structure)
 from .util import halving_schedule
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainViolation, SamplingExhausted
 from .geometry import FinitePointedSpace, MetricSpaceHandle, distances, pairwise, sample_ball
 from .gromov import SIZE_LIMIT, gh_pointed_exact, _sample_density
-from .limits import LimitEstimate, decays_to_zero, richardson_limit
+from .limits import LimitEstimate, _table_row, decays_to_zero, richardson_limit
 from .util import as_point, as_points, check_schedule, halving_schedule, scale_of
 
 
@@ -223,9 +223,8 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
                              "decay": [float(t) for t in decay]})
         if idx == 0:
             for k, e in enumerate(eps):
-                table.append({"eps": float(e), "value": decay[k],
-                              "diff": "" if k == 0 else decay[k] - decay[k - 1],
-                              "extrapolated": 0.0, "error": ""})
+                table.append(_table_row(float(e), decay[k],
+                                        diff="" if k == 0 else decay[k] - decay[k - 1]))
 
         # continuity probe at a fixed small perturbation of y
         r_cont = float(np.max(np.abs(imgs[-1] - y_eps[0])))
@@ -263,8 +262,7 @@ def check_A2(ds: DilatationStructure, samples: Sequence, pairs: Sequence,
                 failures.append({"sample": idx, "kind": "composition", "eps": e,
                                  "mu": m, "residual": r})
             if idx == 0:
-                table.append({"eps": e * m, "value": r, "diff": "",
-                              "extrapolated": 0.0, "error": ""})
+                table.append(_table_row(e * m, r))
     return CheckReport(check="a2", passed=not failures, max_residual=max_res,
                        tolerance=tol, failures=failures[:20], table=table,
                        notes="%d samples x %d scale pairs" % (len(samples), len(pairs)))
@@ -472,8 +470,8 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
                 failures.append({"triple": idx, "kind": "cone-property", "mu": mu,
                                  "residual": r_cone})
             if idx == 0:
-                table.append({"eps": mu, "value": max(r_auto, r_cone), "diff": "",
-                              "extrapolated": 0.0, "error": float(td.limit_error)})
+                table.append(_table_row(mu, max(r_auto, r_cone),
+                                        error=float(td.limit_error)))
 
     return CheckReport(check="conical-group", passed=not failures, max_residual=max_res,
                        tolerance=tol, converged=td.converged, failures=failures[:20],
@@ -547,8 +545,7 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
         fs = FinitePointedSpace(dmat=m, base=0, slack=1e-9)
         g = gh_pointed_exact(fs, base_fs)
         gaps.append(g)
-        table.append({"eps": mu, "value": g, "diff": "", "extrapolated": 0.0,
-                      "error": float(density)})
+        table.append(_table_row(mu, g, error=float(density)))
 
     passed = decays_to_zero(gaps, max(density, 1e-10))
     return CheckReport(check="profile-theorem", passed=passed,

@@ -23,9 +23,10 @@ from .axioms import CheckReport, DilatationStructure, broadcasting
 from .errors import NoFeasiblePath
 from .geometry import MetricSpaceHandle
 from .limits import richardson_limit
-from .util import as_point, as_points, check_schedule
+from .structures import DiffeoPair
+from .util import as_point, as_points, check_schedule, halton, symmetric_box
 from .vectorfields import (Frame, VectorField, chart_inverse, compose_rows, flow_exp,
-                           frame_from_manifest)
+                           frame_from_manifest, polynomial_field)
 
 
 # ---------------------------------------------------------------------------
@@ -55,38 +56,10 @@ def heisenberg_dilate(eps: float, u) -> np.ndarray:
 def heisenberg():
     """Left-invariant Heisenberg frame and the group-law oracle.
 
-    Returns (Frame, group_law). The frame fields are
+    Returns (Frame, group_law). The frame fields are the polynomial fields
     X1 = (1, 0, -x2/2), X2 = (0, 1, x1/2), X3 = (0, 0, 1) with degrees
     (1, 1, 2); X3 = [X1, X2]. The chart box is [-2, 2]^3.
     """
-
-    def f1(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros_like(p)
-        out[..., 0] = 1.0
-        out[..., 2] = -0.5 * p[..., 1]
-        return out
-
-    def f2(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros_like(p)
-        out[..., 1] = 1.0
-        out[..., 2] = 0.5 * p[..., 0]
-        return out
-
-    def f3(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros_like(p)
-        out[..., 2] = 1.0
-        return out
-
-    J1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.5, 0.0]])
-    J2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    J3 = np.zeros((3, 3))
-
-    def const(J):
-        return lambda p: np.broadcast_to(J, np.shape(p)[:-1] + J.shape)
-
     half = np.array([-0.5, 0.5])
 
     def combined(a, z):
@@ -103,11 +76,11 @@ def heisenberg():
         out[..., 2] = c2
         return out
 
-    X1 = VectorField(func=f1, jacobian=const(J1), name="X1")
-    X2 = VectorField(func=f2, jacobian=const(J2), name="X2")
-    X3 = VectorField(func=f3, jacobian=const(J3), name="X3")
-    box = np.stack([np.full(3, -2.0), np.full(3, 2.0)], axis=1)
-    frame = Frame(fields=(X1, X2, X3), degrees=(1, 1, 2), chart_box=box,
+    one = [[1.0, [0, 0, 0]]]
+    X1 = polynomial_field([one, [], [[-0.5, [0, 1, 0]]]], name="X1")
+    X2 = polynomial_field([[], one, [[0.5, [1, 0, 0]]]], name="X2")
+    X3 = polynomial_field([[], [], one], name="X3")
+    frame = Frame(fields=(X1, X2, X3), degrees=(1, 1, 2), chart_box=symmetric_box(3, 2.0),
                   name="heisenberg", closed_form=combined)
     return frame, heisenberg_group_law
 
@@ -211,11 +184,6 @@ class HorizontalPath:
 
     controls: np.ndarray  # (N, m)
     start: np.ndarray
-
-    @property
-    def length(self) -> float:
-        h = 1.0 / self.controls.shape[0]
-        return float(h * np.sum(np.linalg.norm(self.controls, axis=1)))
 
 
 def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
@@ -339,6 +307,8 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     m = frame.m
     if m < 1:
         raise ValueError("frame has no degree-1 fields")
+    if cfg.stages < 1:
+        raise ValueError("config needs stages >= 1")
     N = cfg.segments
     h = 1.0 / N
 
@@ -350,8 +320,9 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     n_starts = seeds.shape[0]
     lams = [np.zeros(x.size) for _ in range(n_starts)]
     Us = [seeds[s].copy() for s in range(n_starts)]
-    # endpoint gap z_N - y of each start's current controls
-    gaps = [_rollout(frame, x, U)[0][-1] - y for U in Us]
+    # endpoint gap z_N - y of each start's current controls; stage 0 sets
+    # every start's gap before anything reads it
+    gaps = [None] * n_starts
     active = list(range(n_starts))
     # the quadratic penalty must dominate the path energy at the seed
     # residual, or the first stage collapses near-feasible loop seeds into
@@ -399,24 +370,22 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
 
 
 def _coeff_samples(frame: Frame, coeff_box) -> list:
-    """Two Halton draws from the coefficient box, away from the origin."""
-    from scipy.stats import qmc
-
+    """The first two Halton draws from the coefficient box, from index 3 on,
+    that lie away from the origin."""
     n = frame.n
     box = np.asarray(coeff_box, dtype=float)
     if box.ndim == 0:
-        box = np.stack([np.full(n, -float(box)), np.full(n, float(box))], axis=1)
+        box = symmetric_box(n, box)
     if box.shape != (n, 2):
         raise ValueError("coeff_box must be a scalar halfwidth or an (n, 2) array")
-    eng = qmc.Halton(d=n, scramble=False)
-    eng.fast_forward(3)
+    floor = 0.05 * float(np.max(box[:, 1] - box[:, 0]))
     out = []
+    start = 3
     while len(out) < 2:
-        u = eng.random(1)[0]
-        a = box[:, 0] + u * (box[:, 1] - box[:, 0])
-        if np.linalg.norm(a) > 0.05 * float(np.max(box[:, 1] - box[:, 0])):
-            out.append(a)
-    return out
+        A = box[:, 0] + halton(n, start, 8) * (box[:, 1] - box[:, 0])
+        out += [a for a in A if np.linalg.norm(a) > floor]
+        start += 8
+    return out[:2]
 
 
 def _plateau(vals: np.ndarray, band: float) -> bool:
@@ -526,7 +495,7 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     if frame.chart_box is not None:
         box = np.asarray(frame.chart_box, dtype=float)
     else:
-        box = np.stack([np.full(n, -3.0), np.full(n, 3.0)], axis=1)
+        box = symmetric_box(n, 3.0)
 
     @broadcasting
     def dil(eps, x, y):
@@ -562,7 +531,7 @@ def heisenberg_structure(steps: int = 32) -> DilatationStructure:
 # Warped copy (pushforward under a chart diffeomorphism)
 
 
-def _warp_maps():
+def heisenberg_warp() -> DiffeoPair:
     """Triangular warp of R^3 with a trigonometric shear and a closed-form
     inverse.
 
@@ -590,8 +559,7 @@ def _warp_maps():
 
     def dphi(x):
         x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1]
-        J = np.zeros(shape + (3, 3))
+        J = np.zeros(x.shape[:-1] + (3, 3))
         J[..., 0, 0] = 1.0
         J[..., 1, 1] = 1.0
         J[..., 2, 2] = 1.0
@@ -600,11 +568,11 @@ def _warp_maps():
         J[..., 2, 1] = s * x[..., 0] + 2.0 * r * x[..., 1]
         return J
 
-    return phi, phi_inv, dphi
+    return DiffeoPair(phi=phi, phi_inv=phi_inv, dphi=dphi, name="heisenberg-warp")
 
 
 def warped_heisenberg():
-    """Pushforward of the Heisenberg frame under a polynomial warp.
+    """Pushforward of the Heisenberg frame under heisenberg_warp.
 
     Returns (frame, cc, phi): the frame fields are Dphi . X_i . phi^{-1}, and
     cc is the pushforward metric, so the warped triple is again a regular
@@ -613,17 +581,15 @@ def warped_heisenberg():
     The chart box is [-2.5, 2.5]^3.
     """
     base, _ = heisenberg()
-    phi, phi_inv, dphi = _warp_maps()
+    warp = heisenberg_warp()
+    phi_inv, dphi = warp.phi_inv, warp.dphi
 
     def push(i):
         Xi = base.fields[i]
 
         def func(yy):
-            yy = np.asarray(yy, dtype=float)
             x = phi_inv(yy)
-            J = dphi(x)
-            v = Xi(x)
-            return np.einsum("...ij,...j->...i", J, v)
+            return np.einsum("...ij,...j->...i", dphi(x), Xi(x))
 
         return VectorField(func=func, jacobian=None, name="Y%d" % (i + 1))
 
@@ -633,11 +599,10 @@ def warped_heisenberg():
         return np.einsum("...ij,...j->...i", dphi(x), base.combined(a, x))
 
     fields = tuple(push(i) for i in range(3))
-    box = np.stack([np.full(3, -2.5), np.full(3, 2.5)], axis=1)
-    frame = Frame(fields=fields, degrees=(1, 1, 2), chart_box=box,
+    frame = Frame(fields=fields, degrees=(1, 1, 2), chart_box=symmetric_box(3, 2.5),
                   name="heisenberg-warped", closed_form=combined)
     cc = lambda p, q: heisenberg_cc(phi_inv(as_point(p)), phi_inv(as_point(q)))
-    return frame, cc, phi
+    return frame, cc, warp.phi
 
 
 def warped_heisenberg_structure(steps: int = 256) -> DilatationStructure:

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import SamplingExhausted
-from .util import as_point
+from .util import as_point, halton, symmetric_box
 
 # Rejection sampling gives up after this many candidates per requested point.
 CANDIDATE_BUDGET = 200
@@ -51,8 +50,8 @@ class MetricSpaceHandle:
 def box_handle(dim: int, distance, halfwidth: float = 3.0, name: str = "",
                ball_box=None) -> MetricSpaceHandle:
     """Handle on the symmetric box [-halfwidth, halfwidth]^dim."""
-    box = np.stack([np.full(dim, -halfwidth), np.full(dim, halfwidth)], axis=1)
-    return MetricSpaceHandle(dim=dim, distance=distance, chart_box=box,
+    return MetricSpaceHandle(dim=dim, distance=distance,
+                             chart_box=symmetric_box(dim, halfwidth),
                              ball_box=ball_box, name=name)
 
 
@@ -152,15 +151,12 @@ def sample_ball(space: MetricSpaceHandle, center, radius: float, count: int,
         raise SamplingExhausted("ball box does not intersect the chart interior")
 
     budget = CANDIDATE_BUDGET * count
-    engine = qmc.Halton(d=space.dim, scramble=False)
-    engine.fast_forward(1 + int(seed))
-
     slack = radius * (1.0 + 1e-12)
     accepted = []
     drawn = 0
     while drawn < budget and len(accepted) < count:
         chunk = min(256, budget - drawn)
-        u = engine.random(chunk)
+        u = halton(space.dim, 1 + int(seed) + drawn, chunk)
         drawn += chunk
         pts = lo + u * (hi - lo)
         for p in pts:

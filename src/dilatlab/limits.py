@@ -40,26 +40,22 @@ class LimitEstimate:
     converged: bool
     note: str = ""
 
-    @property
-    def diffs(self) -> np.ndarray:
-        v = np.atleast_2d(self.values.reshape(len(self.eps), -1))
-        return np.max(np.abs(np.diff(v, axis=0)), axis=1)
-
     def table_rows(self) -> list:
-        """Rows for the fixed report table (eps, value, diff, extrapolated, error)."""
+        """Rows for the fixed report table, one per scale (see _table_row)."""
         v = self.values.reshape(len(self.eps), -1)
         ex = np.ravel(self.extrapolated)
-        rows = []
-        for k, e in enumerate(self.eps):
-            diff = float(np.max(np.abs(v[k] - v[k - 1]))) if k else ""
-            rows.append({
-                "eps": float(e),
-                "value": float(v[k][0]) if v.shape[1] == 1 else [float(t) for t in v[k]],
-                "diff": diff,
-                "extrapolated": float(ex[0]) if ex.size == 1 else [float(t) for t in ex],
-                "error": float(self.error),
-            })
-        return rows
+        cell = lambda t: float(t[0]) if t.size == 1 else [float(c) for c in t]
+        return [_table_row(float(e), cell(v[k]),
+                           diff=float(np.max(np.abs(v[k] - v[k - 1]))) if k else "",
+                           extrapolated=cell(ex), error=float(self.error))
+                for k, e in enumerate(self.eps)]
+
+
+def _table_row(eps, value, diff="", extrapolated=0.0, error="") -> dict:
+    """One row of the report table (eps, value, diff, extrapolated, error); a
+    check with no successive difference or error bar leaves those cells empty."""
+    return {"eps": eps, "value": value, "diff": diff, "extrapolated": extrapolated,
+            "error": error}
 
 
 def richardson_limit(eps_schedule, values) -> LimitEstimate:

@@ -1,4 +1,5 @@
-"""Small shared helpers: point coercion, scale schedules."""
+"""Small shared helpers: point coercion, scale schedules, chart boxes and the
+Halton stream."""
 
 from typing import Iterable
 
@@ -33,6 +34,24 @@ def scale_of(*points) -> float:
         if a.size:
             m = max(m, float(np.max(np.abs(a))))
     return 1.0 + m
+
+
+def symmetric_box(n: int, half: float) -> np.ndarray:
+    """(n, 2) chart box [-half, half]^n, one [lo, hi] row per axis."""
+    half = float(half)
+    return np.stack([np.full(n, -half), np.full(n, half)], axis=1)
+
+
+def halton(dim: int, start: int, count: int) -> np.ndarray:
+    """(count, dim) points of the unscrambled Halton sequence from index start.
+
+    scipy.stats loads on the first draw, not with the package.
+    """
+    from scipy.stats import qmc
+
+    engine = qmc.Halton(d=dim, scramble=False)
+    engine.fast_forward(start)
+    return engine.random(count)
 
 
 def halving_schedule(start: float = 0.5, count: int = 12) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ChartEscape, NoConvergence, NonRegular, NotBracketGenerating
-from .util import as_point, as_points
+from .util import as_point, as_points, symmetric_box
 
 RANK_TOL = 1e-7
 # Longest bracket word build_adapted_frame tries before giving up.
@@ -517,8 +517,7 @@ def frame_from_manifest(doc: dict) -> Frame:
         raise ValueError("manifest: field 'dim' must be positive")
     name = str(doc.get("name", "manifest"))
 
-    half = float(doc.get("chart_halfwidth", 3.0))
-    box = np.stack([np.full(dim, -half), np.full(dim, half)], axis=1)
+    box = symmetric_box(dim, doc.get("chart_halfwidth", 3.0))
 
     def parse_fields(key):
         raw = doc[key]

@@ -11,7 +11,7 @@ from dilatlab.carnot import (LIGHT_CC, CCConfig, _objective_and_grad, _rollout,
                              heisenberg_structure, sr_dilatation,
                              vertical_cc_oracle, warped_heisenberg)
 from dilatlab.vectorfields import (Frame, compose_P, compose_rows, flow_exp,
-                                   frame_from_manifest, polynomial_field)
+                                   frame_from_manifest, lie_bracket, polynomial_field)
 
 np.random.seed(5)
 
@@ -141,6 +141,21 @@ def test_sr_dilatation_without_chart_box_in_dim_4():
 
 
 # === variational distances ===
+
+def test_heisenberg_fields_are_polynomial_with_bracket_x3():
+    X1, X2, X3 = heisenberg()[0].fields
+    Z = np.random.RandomState(2).uniform(-2.0, 2.0, (6, 3))
+    assert np.array_equal(X1(Z), np.stack([np.ones(6), np.zeros(6), -0.5 * Z[:, 1]], axis=1))
+    assert np.array_equal(X2.jac(Z)[:, 2, 0], np.full(6, 0.5))
+    assert np.array_equal(lie_bracket(X1, X2)(Z), X3(Z))
+
+
+def test_cc_distance_needs_a_stage():
+    frame, _ = heisenberg()
+    with pytest.raises(ValueError, match="stages"):
+        cc_distance(frame, np.zeros(3), np.array([0.3, 0.0, 0.0]),
+                    config=CCConfig(stages=0))
+
 
 def test_cc_distance_straight_line():
     frame, _ = heisenberg()

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output formats, manifest handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,9 +130,14 @@ def test_usage_errors_exit_64(capsys):
                  "--checks", "tangent-cone"]) == 64
     assert main(["verify", "--structure", "euclidean2", "--samples", "1",
                  "--checks", "profile"]) == 64
-    # a negative seed cannot fast-forward the Halton stream
+    # a negative seed cannot fast-forward the Halton stream, and a huge one
+    # would allocate the whole skipped stretch of it
     for cmd in ("verify", "tangent", "profile"):
         assert main([cmd, "--structure", "euclidean2", "--seed", "-5"]) == 64
+        assert main([cmd, "--structure", "euclidean2", "--seed", "2147483648"]) == 64
+    # the tangent-cone verdict is the limit's own convergence: no tolerance flag
+    assert main(["verify", "--structure", "euclidean2", "--checks", "tangent-cone",
+                 "--tol.tangent-cone", "1e9"]) == 64
 
 
 def test_bad_manifest_exits_64(tmp_path, capsys):
@@ -171,3 +180,54 @@ def test_point_accepts_leading_minus(capsys):
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["meta"]["point"] == [-0.1, 0.2]
+
+
+def test_verify_runs_every_check_in_order(capsys):
+    rc = main(["verify", "--structure", "euclidean2",
+               "--checks", "a0a1,a2,a3,a4,cone,tangent-cone,profile"])
+    assert rc == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["check"] for c in checks] == ["a0a1", "a2", "a3", "a4", "conical-group",
+                                            "tangent-cone", "profile-theorem"]
+    assert all(c["passed"] for c in checks)
+    assert checks[5]["tolerance"] == 1e-3
+
+
+def test_unconverged_limit_exits_2(capsys):
+    # the rotation twist keeps the difference operation from settling on a
+    # three-scale schedule
+    rc = main(["verify", "--structure", "complex-1.0", "--checks", "a4",
+               "--eps-count", "3"])
+    assert rc == 2
+    assert "inconclusive" in capsys.readouterr().err
+
+
+def test_library_error_exits_2_with_its_type(capsys):
+    # probes around a point at the chart edge leave the dilatation domain
+    rc = main(["tangent", "--structure", "euclidean2", "--point=2.95,2.95"])
+    assert rc == 2
+    assert "dilatlab: DomainViolation:" in capsys.readouterr().err
+
+
+def test_profile_json(capsys):
+    rc = main(["profile", "--structure", "euclidean2", "--eps-count", "5"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"schema", "structure", "point", "profile", "gaps", "residual",
+                        "converged"}
+    assert len(doc["gaps"]) == 4 and doc["converged"]  # successive snapshots
+
+
+def test_tangent_csv(capsys):
+    rc = main(["tangent", "--structure", "euclidean2", "--format", "csv"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "eps,value,diff,extrapolated,error"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, dilatlab, dilatlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

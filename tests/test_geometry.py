@@ -7,6 +7,7 @@ from dilatlab.errors import SamplingExhausted
 from dilatlab.geometry import (FinitePointedSpace, box_handle, distances,
                                euclidean_handle, pairwise, rescale, restrict,
                                sample_ball, snowflake_distance)
+from dilatlab.util import halton
 
 np.random.seed(0)
 
@@ -115,3 +116,15 @@ def test_handle_contains():
     h = box_handle(2, lambda a, b: float(np.linalg.norm(a - b)), halfwidth=1.0)
     assert h.contains(np.array([0.5, -0.5]))
     assert not h.contains(np.array([1.5, 0.0]))
+
+
+def test_halton_from_an_index_continues_the_stream():
+    from scipy.stats import qmc
+
+    for dim in (2, 3, 4):
+        for start in (1, 8, 301):
+            eng = qmc.Halton(d=dim, scramble=False)
+            eng.fast_forward(start)
+            stream = eng.random(3 * 256)
+            chunks = [halton(dim, start + 256 * c, 256) for c in range(3)]
+            assert np.array_equal(np.concatenate(chunks), stream)

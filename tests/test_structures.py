@@ -8,7 +8,8 @@ from dilatlab.structures import (build_structure, complex_dilatation,
                                  shear_quadratic, snowflake_structure,
                                  structure_names, tanh_shear)
 from dilatlab.axioms import check_A2, estimate_dx
-from dilatlab.carnot import structure_from_manifest, warped_heisenberg_structure
+from dilatlab.carnot import (heisenberg_warp, structure_from_manifest,
+                             warped_heisenberg_structure)
 from dilatlab.util import halving_schedule
 
 np.random.seed(3)
@@ -36,12 +37,33 @@ def test_diffeo_pairs_validate():
         assert worst < 1e-5
 
 
+def test_diffeo_dphi_is_batched():
+    rng = np.random.RandomState(4)
+    P = rng.uniform(-1.0, 1.0, (5, 3, 2))
+    for dp in (shear_quadratic(), tanh_shear(), identity_diffeo(2)):
+        J = dp.dphi(P)
+        assert J.shape == (5, 3, 2, 2)
+        assert np.array_equal(J[2, 1], dp.dphi(P[2, 1]))
+
+
+def test_heisenberg_warp_validates():
+    probes = np.random.RandomState(11).uniform(-2.0, 2.0, (50, 3))
+    assert heisenberg_warp().validate(probes) < 1e-8
+
+
 def test_diffeo_validate_catches_wrong_inverse():
     dp = shear_quadratic()
     import dataclasses
     bad = dataclasses.replace(dp, phi_inv=lambda p: np.asarray(p))
     with pytest.raises(ValueError):
         bad.validate([np.array([0.3, 0.2])])
+
+
+def test_diffeo_validate_catches_wrong_jacobian():
+    import dataclasses
+    bad = dataclasses.replace(tanh_shear(), dphi=shear_quadratic().dphi)
+    with pytest.raises(ValueError, match="Jacobian"):
+        bad.validate([np.zeros(2), np.array([0.3, 0.2])])
 
 
 def test_snowflake_metric_value():
