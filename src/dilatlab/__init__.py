@@ -31,11 +31,12 @@ from .vectorfields import (CompositionResult, Frame, VectorField,
                            build_adapted_frame, chart_inverse, compose_P,
                            flow_exp, frame_from_manifest, lie_bracket,
                            polynomial_field)
+from .heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_dilate,
+                               heisenberg_gauge, heisenberg_group_law,
+                               heisenberg_inverse, heisenberg_warp,
+                               vertical_cc_oracle, warped_heisenberg)
 from .carnot import (CCConfig, HorizontalPath, cc_distance, check_normal_frame,
-                     heisenberg, heisenberg_cc, heisenberg_dilate,
-                     heisenberg_gauge, heisenberg_group_law, heisenberg_inverse,
-                     heisenberg_structure, heisenberg_warp, sr_dilatation,
-                     structure_from_manifest, vertical_cc_oracle, warped_heisenberg,
+                     heisenberg_structure, sr_dilatation, structure_from_manifest,
                      warped_heisenberg_structure)
 from .util import halving_schedule
 

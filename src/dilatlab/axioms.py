@@ -61,13 +61,18 @@ class DilatationStructure:
 
 @dataclass
 class TangentData:
-    """Extrapolated tangent-space operations at a base point."""
+    """Extrapolated tangent-space operations at a base point.
+
+    limit(tag, u, v) is the memoised LimitEstimate behind dx ("dx"),
+    delta_op ("delta") and sigma_op ("sigma") at (u, v).
+    """
 
     center: np.ndarray
     dx: Callable
     delta_op: Callable
     sigma_op: Callable
     inv_op: Callable
+    limit: Callable
     limit_error: float = 0.0
     converged: bool = True
     degenerate: bool = False
@@ -316,17 +321,20 @@ def _limit(cache, ds, x, eps, tag, u, v) -> LimitEstimate:
 def _tangent_data(ds, x, eps, cache) -> TangentData:
     """TangentData whose operations extrapolate on demand through cache."""
 
+    def limit(tag, u, v):
+        return _limit(cache, ds, x, eps, tag, u, v)
+
     def delta_op(u, v):
-        return np.array(_limit(cache, ds, x, eps, "delta", u, v).extrapolated, dtype=float)
+        return np.array(limit("delta", u, v).extrapolated, dtype=float)
 
     def sigma_op(u, v):
-        return np.array(_limit(cache, ds, x, eps, "sigma", u, v).extrapolated, dtype=float)
+        return np.array(limit("sigma", u, v).extrapolated, dtype=float)
 
     def dx(u, v):
-        return float(_limit(cache, ds, x, eps, "dx", u, v).extrapolated)
+        return float(limit("dx", u, v).extrapolated)
 
     return TangentData(center=x, dx=dx, delta_op=delta_op, sigma_op=sigma_op,
-                       inv_op=lambda u: delta_op(u, x))
+                       inv_op=lambda u: delta_op(u, x), limit=limit)
 
 
 def _dx_pairs(ds, x, pts, eps, cache):

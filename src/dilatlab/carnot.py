@@ -1,15 +1,15 @@
 """Carnot-Caratheodory distances and the dilatation structures they induce.
 
 cc_distance is a variational solver: horizontal paths are piecewise-constant
-controls on the degree-1 frame fields, integrated by RK4, optimized by L-BFGS
-on the path energy with an augmented quadratic endpoint penalty (multiplier
-update plus x10 continuation), several deterministic starts, and analytic
-adjoint gradients through the discretization.
+controls on the degree-1 frame fields, integrated by vectorfields.rk4_step,
+optimized by L-BFGS on the path energy with an augmented quadratic endpoint
+penalty (multiplier update plus x10 continuation), several deterministic
+starts, and analytic adjoint gradients through the discretization.
 
-The Heisenberg group ships as the worked example with three oracles that do
-not go through the optimizer: the group law, the exact gauge distance (root
-solve for the connecting circular arc), and a 1-D arc-radius minimization for
-purely vertical targets.
+check_normal_frame tests the degrees of an adapted frame, and sr_dilatation
+turns a frame and a CC-type metric into a dilatation structure; the
+Heisenberg and warped-Heisenberg structures take their frames and exact
+metrics from heisenberg_group.
 """
 
 import math
@@ -17,141 +17,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .axioms import CheckReport, DilatationStructure, broadcasting
 from .errors import NoFeasiblePath
 from .geometry import MetricSpaceHandle
+from .heisenberg_group import heisenberg, heisenberg_ball_box, heisenberg_cc, warped_heisenberg
 from .limits import richardson_limit
-from .structures import DiffeoPair
 from .util import as_point, as_points, check_schedule, halton, symmetric_box
-from .vectorfields import (Frame, VectorField, chart_inverse, compose_rows, flow_exp,
-                           frame_from_manifest, polynomial_field)
-
-
-# ---------------------------------------------------------------------------
-# Heisenberg group: frame and oracles
-
-
-def heisenberg_group_law(u, v) -> np.ndarray:
-    """(u * v) with the area cocycle in the third slot."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = u + v
-    w3 = u[..., 2] + v[..., 2] + 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-    out = np.array(w)
-    out[..., 2] = w3
-    return out
-
-
-def heisenberg_inverse(u) -> np.ndarray:
-    return -np.asarray(u, dtype=float)
-
-
-def heisenberg_dilate(eps: float, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return u * np.array([eps, eps, eps * eps])
-
-
-def heisenberg():
-    """Left-invariant Heisenberg frame and the group-law oracle.
-
-    Returns (Frame, group_law). The frame fields are the polynomial fields
-    X1 = (1, 0, -x2/2), X2 = (0, 1, x1/2), X3 = (0, 0, 1) with degrees
-    (1, 1, 2); X3 = [X1, X2]. The chart box is [-2, 2]^3.
-    """
-    half = np.array([-0.5, 0.5])
-
-    def combined(a, z):
-        # X1, X2, then X3: the order the stacked fields sum in, to the same bits
-        k = a.shape[-1]
-        if k == 1:
-            a = np.concatenate([a, np.zeros_like(a)], axis=-1)
-        v = a[..., :2] * (z[..., 1::-1] * half)  # a0 (-z1 / 2), a1 (z0 / 2)
-        c2 = v[..., 0] + v[..., 1]
-        if k > 2:
-            c2 = c2 + a[..., 2]
-        out = np.empty(c2.shape + (3,))
-        out[..., :2] = a[..., :2]
-        out[..., 2] = c2
-        return out
-
-    one = [[1.0, [0, 0, 0]]]
-    X1 = polynomial_field([one, [], [[-0.5, [0, 1, 0]]]], name="X1")
-    X2 = polynomial_field([[], one, [[0.5, [1, 0, 0]]]], name="X2")
-    X3 = polynomial_field([[], [], one], name="X3")
-    frame = Frame(fields=(X1, X2, X3), degrees=(1, 1, 2), chart_box=symmetric_box(3, 2.0),
-                  name="heisenberg", closed_form=combined)
-    return frame, heisenberg_group_law
-
-
-def _arc_ratio(theta: float) -> float:
-    """(theta - sin theta) / (8 sin^2(theta/2)): vertical gain over chord^2."""
-    s = math.sin(0.5 * theta)
-    return (theta - math.sin(theta)) / (8.0 * s * s)
-
-
-def heisenberg_gauge(w) -> float:
-    """Exact CC distance from the origin (unit horizontal frame).
-
-    The minimizing path projects to a circular arc; the central angle theta
-    solves (theta - sin theta) / (8 sin^2(theta/2)) = |t| / rho^2 where rho is
-    the horizontal chord and t the vertical coordinate, and the length is
-    rho * theta / (2 sin(theta/2)). Degenerate regimes: theta -> 0 gives the
-    straight segment (length rho), rho -> 0 the full circle (length
-    2 sqrt(pi |t|)).
-    """
-    w = as_point(w)
-    rho = math.hypot(w[0], w[1])
-    t = abs(float(w[2]))
-    if t < 1e-300:
-        return rho
-    if rho < 1e-300:
-        return 2.0 * math.sqrt(math.pi * t)
-    ratio = t / (rho * rho)
-    if ratio < 1e-8:
-        return rho  # correction is O(ratio^2), below machine precision
-    hi = 2.0 * math.pi - 1e-9
-    if ratio >= _arc_ratio(hi):
-        return 2.0 * math.sqrt(math.pi * t)
-    theta = brentq(lambda th: _arc_ratio(th) - ratio, 1e-9, hi, xtol=1e-14, rtol=8.9e-16)
-    return rho * theta / (2.0 * math.sin(0.5 * theta))
-
-
-def heisenberg_cc(p, q) -> float:
-    """Exact CC distance: gauge of the group difference."""
-    return heisenberg_gauge(heisenberg_group_law(heisenberg_inverse(as_point(p)),
-                                                 as_point(q)))
-
-
-def vertical_cc_oracle(t: float) -> float:
-    """Length of the closed horizontal loop reaching (0, 0, t).
-
-    Among circles through the origin, the loop of radius r encloses area
-    pi r^2 and has length 2 pi r; the feasible radius is found by 1-D
-    minimization of the squared area mismatch.
-    """
-    t = abs(float(t))
-    if t == 0.0:
-        return 0.0
-    r_guess = math.sqrt(t / math.pi)
-    res = minimize_scalar(lambda r: (math.pi * r * r - t) ** 2,
-                          bounds=(0.0, 3.0 * r_guess + 1.0), method="bounded",
-                          options={"xatol": 1e-13})
-    return 2.0 * math.pi * float(res.x)
-
-
-def heisenberg_ball_box(center, radius: float) -> np.ndarray:
-    """Chart bounding halfwidths of the CC ball around center.
-
-    The ball is the left translate of the gauge ball. Horizontal reach is the
-    radius itself; vertical reach is r^2 / (2 pi), attained by half-circle
-    paths, plus the translation cross term from the group law.
-    """
-    c = as_point(center)
-    r = float(radius)
-    h3 = r * r / (2.0 * math.pi) + 0.5 * r * (abs(c[0]) + abs(c[1]))
-    return 1.05 * np.array([r, r, h3 + 1e-300])
+from .vectorfields import (Frame, chart_inverse, compose_rows, flow_exp, frame_from_manifest,
+                           rk4_linearization, rk4_step)
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +70,10 @@ def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
     stages = np.empty((N, 4, x.size))
     combined = frame.combined  # U[j] holds the m horizontal coefficients
     for j in range(N):
-        u = U[j]
-        z = zs[j]
-        k1 = combined(u, z)
-        s2 = z + 0.5 * h * k1
-        k2 = combined(u, s2)
-        s3 = z + 0.5 * h * k2
-        k3 = combined(u, s3)
-        s4 = z + h * k3
-        k4 = combined(u, s4)
-        zs[j + 1] = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stages[j, 0] = z
-        stages[j, 1] = s2
-        stages[j, 2] = s3
-        stages[j, 3] = s4
+        # one row per stage: assigning the tuple to stages[j] would convert it
+        # to an array on every step
+        zs[j + 1], (stages[j, 0], stages[j, 1], stages[j, 2], stages[j, 3]) = \
+            rk4_step(combined, U[j], zs[j], h)
     return zs, stages
 
 
@@ -226,17 +91,7 @@ def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
     fields = frame.fields[:frame.m]
     A = sum(U[:, i, None, None, None] * f.jac(stages) for i, f in enumerate(fields))
     B = np.stack([f(stages) for f in fields], axis=-1)
-    eyeN = np.eye(n)
-    A1 = A[:, 0]
-    A2 = A[:, 1] @ (eyeN + 0.5 * h * A1)
-    A3 = A[:, 2] @ (eyeN + 0.5 * h * A2)
-    A4 = A[:, 3] @ (eyeN + h * A3)
-    B1 = B[:, 0]
-    B2 = A[:, 1] @ (0.5 * h * B1) + B[:, 1]
-    B3 = A[:, 2] @ (0.5 * h * B2) + B[:, 2]
-    B4 = A[:, 3] @ (h * B3) + B[:, 3]
-    M = eyeN + (h / 6.0) * (A1 + 2.0 * A2 + 2.0 * A3 + A4)  # d z_{j+1} / d z_j
-    G = (h / 6.0) * (B1 + 2.0 * B2 + 2.0 * B3 + B4)  # d z_{j+1} / d u_j
+    M, G = rk4_linearization(A, B, h)  # d z_{j+1} / d z_j and d z_{j+1} / d u_j
 
     # backward multiplier recursion: lams[j] = d(penalty) / d z_{j+1}
     lams = np.empty((N, n))
@@ -525,84 +380,6 @@ def heisenberg_structure(steps: int = 32) -> DilatationStructure:
     return sr_dilatation(frame, heisenberg_cc, steps=steps, newton_tol=1e-13,
                          injectivity_radius=2.0,
                          ball_box=heisenberg_ball_box, name="heisenberg")
-
-
-# ---------------------------------------------------------------------------
-# Warped copy (pushforward under a chart diffeomorphism)
-
-
-def heisenberg_warp() -> DiffeoPair:
-    """Triangular warp of R^3 with a trigonometric shear and a closed-form
-    inverse.
-
-    The sine term matters: a polynomial triangular warp pushes the nilpotent
-    fields to a cascade that RK4 still integrates exactly (the higher
-    elementary differentials all vanish), which would make every
-    discretization-order measurement on the warped structure degenerate.
-    """
-    a, b, s, r = 0.4, 2.0, 0.3, 0.35
-
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        out = np.array(x)
-        out[..., 1] = x[..., 1] + a * np.sin(b * x[..., 0])
-        out[..., 2] = x[..., 2] + s * x[..., 0] * x[..., 1] + r * x[..., 1] ** 2
-        return out
-
-    def phi_inv(y):
-        y = np.asarray(y, dtype=float)
-        out = np.array(y)
-        x2 = y[..., 1] - a * np.sin(b * y[..., 0])
-        out[..., 1] = x2
-        out[..., 2] = y[..., 2] - s * y[..., 0] * x2 - r * x2 ** 2
-        return out
-
-    def dphi(x):
-        x = np.asarray(x, dtype=float)
-        J = np.zeros(x.shape[:-1] + (3, 3))
-        J[..., 0, 0] = 1.0
-        J[..., 1, 1] = 1.0
-        J[..., 2, 2] = 1.0
-        J[..., 1, 0] = a * b * np.cos(b * x[..., 0])
-        J[..., 2, 0] = s * x[..., 1]
-        J[..., 2, 1] = s * x[..., 0] + 2.0 * r * x[..., 1]
-        return J
-
-    return DiffeoPair(phi=phi, phi_inv=phi_inv, dphi=dphi, name="heisenberg-warp")
-
-
-def warped_heisenberg():
-    """Pushforward of the Heisenberg frame under heisenberg_warp.
-
-    Returns (frame, cc, phi): the frame fields are Dphi . X_i . phi^{-1}, and
-    cc is the pushforward metric, so the warped triple is again a regular
-    sub-Riemannian structure; its flows are NOT integrated exactly by RK4,
-    which makes it the reference instance for discretization-order checks.
-    The chart box is [-2.5, 2.5]^3.
-    """
-    base, _ = heisenberg()
-    warp = heisenberg_warp()
-    phi_inv, dphi = warp.phi_inv, warp.dphi
-
-    def push(i):
-        Xi = base.fields[i]
-
-        def func(yy):
-            x = phi_inv(yy)
-            return np.einsum("...ij,...j->...i", dphi(x), Xi(x))
-
-        return VectorField(func=func, jacobian=None, name="Y%d" % (i + 1))
-
-    def combined(a, z):
-        # one phi_inv and one dphi for all fields: Dphi (sum a_i X_i) . phi^{-1}
-        x = phi_inv(z)
-        return np.einsum("...ij,...j->...i", dphi(x), base.combined(a, x))
-
-    fields = tuple(push(i) for i in range(3))
-    frame = Frame(fields=fields, degrees=(1, 1, 2), chart_box=symmetric_box(3, 2.5),
-                  name="heisenberg-warped", closed_form=combined)
-    cc = lambda p, q: heisenberg_cc(phi_inv(as_point(p)), phi_inv(as_point(q)))
-    return frame, cc, warp.phi
 
 
 def warped_heisenberg_structure(steps: int = 256) -> DilatationStructure:

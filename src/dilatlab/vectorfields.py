@@ -241,6 +241,44 @@ def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequenc
 # Exponential chart
 
 
+def rk4_step(combined: Callable, a, z, h: float):
+    """One classical RK4 step of z' = combined(a, z), a held fixed.
+
+    combined is a Frame.combined; a and z broadcast as it allows. Returns
+    the next point and the four stage points (z, s2, s3, s4) at which the
+    field was evaluated; rk4_linearization differentiates the step there.
+    """
+    k1 = combined(a, z)
+    s2 = z + 0.5 * h * k1
+    k2 = combined(a, s2)
+    s3 = z + 0.5 * h * k2
+    k3 = combined(a, s3)
+    s4 = z + h * k3
+    k4 = combined(a, s4)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (z, s2, s3, s4)
+
+
+def rk4_linearization(A: np.ndarray, B: np.ndarray, h: float):
+    """Derivatives of rk4_step for the control system z' = sum_i u_i X_i(z).
+
+    A (N, 4, n, n) holds sum_i u_i DX_i and B (N, 4, n, m) the columns
+    X_1 ... X_m at the four stage points of each of N steps. Returns
+    (M, G): M (N, n, n) = d z_{j+1} / d z_j and G (N, n, m) = d z_{j+1} / d u_j.
+    """
+    eyeN = np.eye(A.shape[-1])
+    A1 = A[:, 0]
+    A2 = A[:, 1] @ (eyeN + 0.5 * h * A1)
+    A3 = A[:, 2] @ (eyeN + 0.5 * h * A2)
+    A4 = A[:, 3] @ (eyeN + h * A3)
+    B1 = B[:, 0]
+    B2 = A[:, 1] @ (0.5 * h * B1) + B[:, 1]
+    B3 = A[:, 2] @ (0.5 * h * B2) + B[:, 2]
+    B4 = A[:, 3] @ (h * B3) + B[:, 3]
+    M = eyeN + (h / 6.0) * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
+    G = (h / 6.0) * (B1 + 2.0 * B2 + 2.0 * B3 + B4)
+    return M, G
+
+
 def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
     """Time-1 flow of the combined field sum a_i X_i from x (RK4, fixed grid).
 
@@ -257,11 +295,7 @@ def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
     if box is not None:
         lo, hi = box[:, 0], box[:, 1]
     for _ in range(int(steps)):
-        k1 = combined(a, z)
-        k2 = combined(a, z + 0.5 * h * k1)
-        k3 = combined(a, z + 0.5 * h * k2)
-        k4 = combined(a, z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z, _ = rk4_step(combined, a, z, h)
         if box is not None and (np.any(z < lo) or np.any(z > hi)):
             raise ChartEscape("flow left the chart box")
     return z

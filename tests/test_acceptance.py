@@ -14,14 +14,14 @@ import pytest
 from dilatlab.axioms import (check_A0_A1, check_A2, check_conical_group,
                              check_tangent_cone, derive_sigma_inv,
                              estimate_delta, estimate_dx)
-from dilatlab.carnot import (CCConfig, cc_distance,
-                             check_normal_frame, heisenberg, heisenberg_cc,
-                             heisenberg_group_law, heisenberg_inverse,
-                             heisenberg_structure, vertical_cc_oracle,
-                             warped_heisenberg, warped_heisenberg_structure)
+from dilatlab.carnot import (CCConfig, cc_distance, check_normal_frame,
+                             heisenberg_structure, warped_heisenberg_structure)
 from dilatlab.geometry import FinitePointedSpace, rescale
 from dilatlab.gromov import (gh_pointed_exact, metric_profile,
                              profile_continuity_at_zero)
+from dilatlab.heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_group_law,
+                                       heisenberg_inverse, vertical_cc_oracle,
+                                       warped_heisenberg)
 from dilatlab.structures import (complex_dilatation, euclidean,
                                  riemannian_diffeo, shear_quadratic,
                                  snowflake_structure)

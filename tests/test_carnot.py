@@ -5,11 +5,11 @@ import pytest
 
 from dilatlab.carnot import (LIGHT_CC, CCConfig, _objective_and_grad, _rollout,
                              _seed_controls, check_normal_frame, cc_distance,
-                             heisenberg, heisenberg_ball_box, heisenberg_cc,
-                             heisenberg_dilate, heisenberg_gauge,
-                             heisenberg_group_law, heisenberg_inverse,
-                             heisenberg_structure, sr_dilatation,
-                             vertical_cc_oracle, warped_heisenberg)
+                             heisenberg_structure, sr_dilatation)
+from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenberg_cc,
+                                       heisenberg_dilate, heisenberg_gauge,
+                                       heisenberg_group_law, heisenberg_inverse,
+                                       vertical_cc_oracle, warped_heisenberg)
 from dilatlab.vectorfields import (Frame, compose_P, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket, polynomial_field)
 
@@ -220,6 +220,24 @@ def test_objective_gradient_matches_finite_differences():
         _, stages = _rollout(frame, x, U)
         ref = _adjoint_loop_reference(frame, U, stages, lam + rho * c)
         assert np.allclose(grad, ref, rtol=0.0, atol=1e-13), frame.name
+
+
+def test_rollout_and_flow_exp_share_one_integrator():
+    # constant controls make the CC rollout the exponential-chart flow with a
+    # zero vertical coefficient: both run rk4_step, to the same bits
+    manifest = {
+        "schema": 1, "name": "heis-manifest", "dim": 3, "chart_halfwidth": 2.0,
+        "generators": [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
+                       [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]],
+    }
+    rng = np.random.RandomState(12)
+    for frame in (heisenberg()[0], warped_heisenberg()[0], frame_from_manifest(manifest)):
+        for N in (8, 32):
+            x = rng.uniform(-0.3, 0.3, 3)
+            u = rng.uniform(-0.5, 0.5, 2)
+            end = _rollout(frame, x, np.tile(u, (N, 1)))[0][-1]
+            assert np.array_equal(end, flow_exp(frame, [u[0], u[1], 0.0], x, steps=N)), \
+                (frame.name, N)
 
 
 def test_cc_distance_on_manifest_frame():

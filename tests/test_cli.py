@@ -102,6 +102,18 @@ def test_tangent_heisenberg(capsys):
                gaps["inverse_gap"]) < 1e-4
 
 
+def test_tangent_error_bar_covers_the_oracle(capsys):
+    # a point from the bench's heisenberg-tangent workload (seed 14) where the
+    # probe pairs' error bar alone, 1.02e-7, missed the printed difference
+    # by 1.08e-7
+    rc = main(["tangent", "--structure", "heisenberg", "--eps-start", "0.125",
+               "--eps-count", "8",
+               "--point=0.07555296856996774,0.19838674919306604,0.13798547839765296"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["converged"]
+    assert max(doc["oracle"].values()) <= doc["limit_error"]
+
+
 def test_profile_csv(capsys):
     rc = main(["profile", "--structure", "euclidean2", "--eps-count", "5",
                "--samples", "4", "--format", "csv"])
@@ -138,6 +150,10 @@ def test_usage_errors_exit_64(capsys):
     # the tangent-cone verdict is the limit's own convergence: no tolerance flag
     assert main(["verify", "--structure", "euclidean2", "--checks", "tangent-cone",
                  "--tol.tangent-cone", "1e9"]) == 64
+    # an unwritable --out is a usage error, not a failed check
+    assert main(["verify", "--structure", "euclidean2", "--checks", "a0a1",
+                 "--out", "/nonexistent/dir/x.json"]) == 64
+    assert main(["list", "--out", "/nonexistent/x"]) == 64
 
 
 def test_bad_manifest_exits_64(tmp_path, capsys):

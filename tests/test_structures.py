@@ -8,8 +8,8 @@ from dilatlab.structures import (build_structure, complex_dilatation,
                                  shear_quadratic, snowflake_structure,
                                  structure_names, tanh_shear)
 from dilatlab.axioms import check_A2, estimate_dx
-from dilatlab.carnot import (heisenberg_warp, structure_from_manifest,
-                             warped_heisenberg_structure)
+from dilatlab.carnot import structure_from_manifest, warped_heisenberg_structure
+from dilatlab.heisenberg_group import heisenberg_warp
 from dilatlab.util import halving_schedule
 
 np.random.seed(3)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dilatlab.carnot import heisenberg, warped_heisenberg
+from dilatlab.heisenberg_group import heisenberg, warped_heisenberg
 from dilatlab.errors import NoConvergence, NonRegular, NotBracketGenerating
 from dilatlab.vectorfields import (Frame, VectorField, build_adapted_frame,
                                    chart_inverse, compose_P, flow_exp,
