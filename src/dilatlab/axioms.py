@@ -283,14 +283,19 @@ def _dx_sequence(ds, x, u, v, eps):
     return distances(ds.space, imgs[0], imgs[1]) / eps
 
 
+def _in_chart(ds, eps, what, *stacks):
+    """Raise DomainViolation at the first eps where a row of any (k, n) stack
+    lies outside the chart box."""
+    out = ~np.all([ds.space.contains(s) for s in stacks], axis=0)
+    if out.any():
+        raise DomainViolation("%s point left the chart at eps=%g" % (what, eps[np.argmax(out)]))
+
+
 def _delta_points(ds, x, u, v, eps):
     """dil(1/eps, dil(eps,x,u), dil(eps,x,v)) along the schedule."""
     w1, w2 = _dil_schedule(ds, eps, x, [u, v])
     out = _dil_rows(ds, 1.0 / eps, w1, w2)
-    for s, e in enumerate(eps):
-        if not ds.space.contains(out[s]) or not ds.space.contains(w1[s]):
-            raise DomainViolation("difference-operation point left the chart at eps=%g"
-                                  % float(e))
+    _in_chart(ds, eps, "difference-operation", out, w1)
     return out
 
 
@@ -298,9 +303,7 @@ def _sigma_points(ds, x, u, v, eps):
     """dil(1/eps, x, dil(eps, dil(eps,x,u), v)) along the schedule."""
     q = _dil_rows(ds, eps, _dil_rows(ds, eps, x, u), v)
     out = _dil_rows(ds, 1.0 / eps, x, q)
-    for s, e in enumerate(eps):
-        if not ds.space.contains(out[s]) or not ds.space.contains(q[s]):
-            raise DomainViolation("sum-operation point left the chart at eps=%g" % float(e))
+    _in_chart(ds, eps, "sum-operation", out, q)
     return out
 
 
@@ -339,20 +342,31 @@ def _tangent_data(ds, x, eps, cache) -> TangentData:
 
 def _dx_pairs(ds, x, pts, eps, cache):
     """d^x limits on every unordered pair of pts: one _dil_schedule call for
-    all points, then one richardson_limit per pair, each estimate cached under
-    both key orders. Returns the (n, n) matrix of extrapolated values and the
-    estimates in pair order."""
+    all points, then one richardson_limit per pair not already in cache, each
+    estimate cached under both key orders. Returns the (n, n) matrix of
+    extrapolated values and the estimates in pair order."""
     imgs = _dil_schedule(ds, eps, x, pts)
     ests = []
 
     def limit(i, j):
-        est = richardson_limit(eps, distances(ds.space, imgs[i], imgs[j]) / eps)
-        cache[("dx", pts[i].tobytes(), pts[j].tobytes())] = est
-        cache[("dx", pts[j].tobytes(), pts[i].tobytes())] = est
-        ests.append(est)
-        return est.extrapolated
+        key = ("dx", pts[i].tobytes(), pts[j].tobytes())
+        if key not in cache:
+            cache[key] = cache[("dx", pts[j].tobytes(), pts[i].tobytes())] = \
+                richardson_limit(eps, distances(ds.space, imgs[i], imgs[j]) / eps)
+        ests.append(cache[key])
+        return cache[key].extrapolated
 
     return pairwise(limit, range(len(pts))), ests
+
+
+def _ball_snapshots(ds, x, pts, dx_eps, mus, cache):
+    """One set of dilated points, two read-outs: the d^x matrix on pts and its
+    estimates (_dx_pairs along dx_eps), and the (len(mus), n, n) stack of
+    (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)) from one _dil_schedule call."""
+    dxm, ests = _dx_pairs(ds, x, pts, dx_eps, cache)
+    imgs = _dil_schedule(ds, mus, x, pts)
+    snaps = np.array([pairwise(ds.space.distance, imgs[:, s]) / mu for s, mu in enumerate(mus)])
+    return dxm, ests, snaps
 
 
 def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
@@ -401,10 +415,7 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule,
         # and make the folded error unrepresentative)
         r = ds.probe_radius
         rng = np.random.RandomState(11)
-        d1 = rng.standard_normal(len(x))
-        d2 = rng.standard_normal(len(x))
-        d1 /= np.linalg.norm(d1)
-        d2 /= np.linalg.norm(d2)
+        d1, d2 = (d / np.linalg.norm(d) for d in rng.standard_normal((2, len(x))))
         probe_pairs = [(x + 0.9 * r * d1, x - 0.75 * r * d2)]
     err = 0.0
     ok = True
@@ -492,25 +503,23 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
 
 def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
                        seed: int = 0) -> LimitEstimate:
-    """sup over sampled pairs in B(x, eps) of |d(u,v) - d^x(u,v)| / eps.
+    """A3's uniform gap: sup over pairs in B(x, eps) of |d(u,v) - d^x(u,v)| / eps.
 
-    The values should decrease to 0 when d^x is the tangent-cone distance at
-    x; d^x is extrapolated along a 12-scale halving schedule. converged
-    means the values decay (limits.decays_to_zero) to a quarter of the first
-    one.
+    One sample p_i of B(x, eps[0]) is dilated by mu = eps / eps[0]: by A2 the
+    images sample B(x, eps), and by the cone property d^x scales by mu on them.
+    So the value at eps is max |M - D| / eps[0], with M = (1/mu) d(dil(mu,x,p_i),
+    dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along a 12-scale
+    halving schedule. converged: the values decay (limits.decays_to_zero) to a
+    quarter of the first one.
     """
     eps = check_schedule(eps_schedule)
     x = as_point(x)
-    dx_eps = halving_schedule(0.5, 12)
-    sup_vals = []
-    for e in eps:
-        e = float(e)
-        pts = sample_ball(ds.space, x, e, count, seed=seed)
-        dxm, _ = _dx_pairs(ds, x, pts, dx_eps, {})
-        sup_vals.append(float(np.max(np.abs(pairwise(ds.space.distance, pts) - dxm))) / e)
-    est = richardson_limit(eps, np.array(sup_vals))
+    pts = sample_ball(ds.space, x, float(eps[0]), count, seed=seed)
+    dxm, _, snaps = _ball_snapshots(ds, x, pts, halving_schedule(0.5, 12), eps / eps[0], {})
+    vals = np.max(np.abs(snaps - dxm), axis=(1, 2)) / eps[0]
+    est = richardson_limit(eps, vals)
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
-    est.converged = decays_to_zero(sup_vals, max(0.25 * sup_vals[0], 1e-10))
+    est.converged = decays_to_zero(vals, max(0.25 * vals[0], 1e-10))
     return est
 
 
@@ -518,45 +527,35 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
                           count: int, seed: int = 0) -> CheckReport:
     """Compare rescaled-ball snapshots against the tangent-cone snapshot.
 
-    Builds the d^x matrix on a fixed sample of the unit d^x-ball at x, then
-    for each mu the (1/mu) d(dil(mu,x,u_i), dil(mu,x,u_j)) matrix, and checks
-    that the pointed GH gap between them decays to zero
-    (limits.decays_to_zero) with the sample density as tolerance. Raises
-    SamplingExhausted when fewer than three sample points lie in the d^x-ball.
+    On a fixed sample of the unit d^x-ball at x, _ball_snapshots gives the d^x
+    matrix and, per mu, the (1/mu) d(dil(mu,x,u_i), dil(mu,x,u_j)) matrix; the
+    pointed GH gap between them must decay to zero (limits.decays_to_zero)
+    within the sample density. Raises SamplingExhausted when fewer than three
+    sample points lie in the d^x-ball.
     """
     eps = check_schedule(eps_schedule)
     mus = check_schedule(mu_schedule)
     x = as_point(x)
     count = min(count, SIZE_LIMIT)
-
-    td = derive_sigma_inv(ds, x, eps, probe_pairs=[])
+    cache = {}
     raw = sample_ball(ds.space, x, ds.working_radius, max(24, 4 * count), seed=seed)
     pts = [x]
     for p in raw:
-        if td.dx(x, p) <= ds.working_radius:
+        if float(_limit(cache, ds, x, eps, "dx", x, p).extrapolated) <= ds.working_radius:
             pts.append(as_point(p))
         if len(pts) == count:
             break
     if len(pts) < 3:
         raise SamplingExhausted("tangent sample too thin for a snapshot comparison")
-    n = len(pts)
-    dmat0 = pairwise(td.dx, pts)
+    dmat0, _, snaps = _ball_snapshots(ds, x, pts, eps, mus, cache)
     base_fs = FinitePointedSpace(dmat=dmat0, base=0, slack=1e-5)
     density = _sample_density(dmat0)
 
-    gaps = []
-    table = []
-    snaps = _dil_schedule(ds, mus, x, pts)
-    for s, mu in enumerate(mus):
-        mu = float(mu)
-        m = pairwise(ds.space.distance, snaps[:, s]) / mu
-        fs = FinitePointedSpace(dmat=m, base=0, slack=1e-9)
-        g = gh_pointed_exact(fs, base_fs)
-        gaps.append(g)
-        table.append(_table_row(mu, g, error=float(density)))
-
+    gaps = [gh_pointed_exact(FinitePointedSpace(dmat=m, base=0, slack=1e-9), base_fs)
+            for m in snaps]
+    table = [_table_row(float(mu), g, error=float(density)) for mu, g in zip(mus, gaps)]
     passed = decays_to_zero(gaps, max(density, 1e-10))
     return CheckReport(check="profile-theorem", passed=passed,
                        max_residual=float(gaps[-1]), tolerance=float(density),
                        converged=passed, table=table,
-                       notes="%d-point snapshots, density %.3g" % (n, density))
+                       notes="%d-point snapshots, density %.3g" % (len(pts), density))

@@ -140,7 +140,9 @@ def _estimate_report(name, est, tol) -> CheckReport:
 def _setup(args):
     """Validate the invocation and build its structure: schedule, checks,
     structure, point, then the needs of the limits and of the checks, then
-    the seed, in that order. Returns (structure, label, base point, schedule)."""
+    the seed, then the --out path (opened for append, so an unwritable one
+    stops the run before any sampling), in that order. Returns (structure,
+    label, base point, schedule)."""
     if args.eps_count < 2 or not (0.0 < args.eps_start <= 1.0):
         _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
     if args.command == "verify":
@@ -161,6 +163,11 @@ def _setup(args):
             _die("samples: check %r needs --samples >= %d" % (c, MIN_SAMPLES[c]))
     if not 0 <= args.seed <= MAX_SEED:
         _die("seed: need 0 <= --seed <= %d, got %d" % (MAX_SEED, args.seed))
+    if args.out:
+        try:
+            open(args.out, "a").close()
+        except OSError as e:
+            _die("out: %s" % e)
     return ds, label, x, halving_schedule(args.eps_start, args.eps_count)
 
 

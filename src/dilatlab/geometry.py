@@ -42,9 +42,12 @@ class MetricSpaceHandle:
             raise ValueError("chart_box must be (dim, 2) with lo < hi rows")
         object.__setattr__(self, "chart_box", box)
 
-    def contains(self, p: np.ndarray) -> bool:
+    def contains(self, p: np.ndarray):
+        """Whether p lies in the closed chart box: a bool for one (n,) point,
+        a boolean array for a (..., n) stack."""
         p = np.asarray(p, dtype=float)
-        return bool(np.all(p >= self.chart_box[:, 0]) and np.all(p <= self.chart_box[:, 1]))
+        inside = np.all((p >= self.chart_box[:, 0]) & (p <= self.chart_box[:, 1]), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def box_handle(dim: int, distance, halfwidth: float = 3.0, name: str = "",

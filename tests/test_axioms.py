@@ -1,5 +1,7 @@
 """Axiom checks and tangent-operation extrapolation on closed-form cases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from dilatlab.axioms import (DilatationStructure, check_A0_A1, check_A2,
                              check_conical_group, check_profile_theorem,
                              check_tangent_cone, derive_sigma_inv, estimate_delta,
                              estimate_dx)
-from dilatlab.errors import SamplingExhausted
+from dilatlab.errors import DomainViolation, SamplingExhausted
 from dilatlab.geometry import box_handle, sample_ball
-from dilatlab.limits import decays_to_zero, richardson_limit
+from dilatlab.limits import decays_to_zero
 from dilatlab.structures import (build_structure, euclidean, riemannian_diffeo,
                                  shear_quadratic)
-from dilatlab.util import halving_schedule
+from dilatlab.util import halving_schedule, symmetric_box
 
 np.random.seed(2)
 
@@ -134,49 +136,91 @@ def test_tangent_cone_euclidean_zero():
     assert np.max(np.abs(est.values)) < 1e-9
 
 
-def _tangent_cone_per_pair(ds, x, eps, count, seed):
-    """The sup-gap sequence with d^x taken one pair at a time, each pair
-    running its own 12-scale limit through derive_sigma_inv."""
+def _tangent_cone_by_hand(ds, x, eps, count, seed, direct=False):
+    """The sup-gap sequence from an independent loop over one sample of
+    B(x, eps[0]): every point dilated by its own dil call at mu = eps / eps[0],
+    every d^x its own 12-scale limit through derive_sigma_inv. By default d^x
+    is taken on the sample and the check's cone-identity arithmetic is
+    repeated; direct=True takes d^x on the dilated images themselves,
+    sup |d(u,v) - d^x(u,v)| / eps, with no cone identity."""
     dx = derive_sigma_inv(ds, x, halving_schedule(0.5, 12), probe_pairs=[]).dx
-    sup_vals = []
+    pts = sample_ball(ds.space, x, eps[0], count, seed=seed)
+    vals = []
     for e in eps:
-        pts = sample_ball(ds.space, x, e, count, seed=seed)
+        mu = float(e / eps[0])
+        imgs = [ds.dil(mu, x, p) for p in pts]
         worst = 0.0
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                gap = abs(float(ds.space.distance(pts[i], pts[j])) - dx(pts[i], pts[j]))
-                worst = max(worst, gap / e)
-        sup_vals.append(worst)
-    est = richardson_limit(eps, np.array(sup_vals))
-    return est, decays_to_zero(sup_vals, max(0.25 * sup_vals[0], 1e-10))
+                d = float(ds.space.distance(imgs[i], imgs[j]))
+                if direct:
+                    worst = max(worst, abs(d - dx(imgs[i], imgs[j])) / e)
+                else:
+                    worst = max(worst, abs(d / mu - dx(pts[i], pts[j])))
+        vals.append(worst if direct else worst / eps[0])
+    return np.array(vals)
 
 
-@pytest.mark.parametrize("case", ["euclidean", "heisenberg", "one-point"])
-def test_tangent_cone_matches_per_pair_limits(case):
+def _tangent_cone_case(case):
     from dilatlab.carnot import heisenberg_structure
 
-    x, count = np.array([0.3, -0.2]), 4
+    x = np.array([0.3, -0.2])
     if case == "heisenberg":
-        ds, x, count = heisenberg_structure(steps=32), np.array([0.05, -0.1, 0.02]), 3
-    else:
-        ds = euclidean(2)
-        count = 1 if case == "one-point" else count
+        return heisenberg_structure(steps=32), np.array([0.05, -0.1, 0.02]), 3
+    if case == "heisenberg-origin":
+        return heisenberg_structure(steps=32), np.zeros(3), 4
+    if case == "riemannian-shear":
+        return build_structure("riemannian-shear"), x, 4
+    return euclidean(2), x, 1 if case == "one-point" else 4
+
+
+@pytest.mark.parametrize("case", ["euclidean", "heisenberg", "one-point", "riemannian-shear"])
+def test_tangent_cone_matches_per_pair_limits(case):
+    ds, x, count = _tangent_cone_case(case)
     eps = halving_schedule(0.25, 4)
     got = check_tangent_cone(ds, x, eps, count=count, seed=1)
-    want, converged = _tangent_cone_per_pair(ds, x, eps, count, seed=1)
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.extrapolated, want.extrapolated)
-    assert got.error == want.error
-    assert got.converged == converged
+    want = _tangent_cone_by_hand(ds, x, eps, count, seed=1)
+    assert np.array_equal(got.values, want)
+    assert got.converged == decays_to_zero(want, max(0.25 * want[0], 1e-10))
+
+
+@pytest.mark.parametrize("case", ["euclidean", "heisenberg-origin", "riemannian-shear"])
+def test_tangent_cone_matches_limits_on_dilated_images(case):
+    # the values are gaps between rescaled distances of order one, so an
+    # absolute 1e-9 is a relative 1e-9. Off the Heisenberg origin the direct
+    # limits lose digits (the dilated points sit ~1e-6 apart in a chart whose
+    # coordinates are ~0.1), which is why the check reads d^x on the sample
+    ds, x, count = _tangent_cone_case(case)
+    eps = halving_schedule(0.25, 4)
+    got = check_tangent_cone(ds, x, eps, count=count, seed=1)
+    want = _tangent_cone_by_hand(ds, x, eps, count, seed=1, direct=True)
+    np.testing.assert_allclose(got.values, want, rtol=1e-9, atol=1e-9)
 
 
 def test_tangent_cone_snowflake_does_not_converge():
-    # the sup gap grows with the scale index (8.8e-5 up to 1.1): a rising
-    # sequence must not read as decaying to zero
+    # off the origin d^x carries a fixed error (dil at eps^(1/0.3) rounds
+    # away digits of the images), so the gap stays near 8.8e-5 at every
+    # scale: a sequence that does not decay must not read as converged
     est = check_tangent_cone(build_structure("snowflake-0.3"), (0.3, -0.2),
                              halving_schedule(0.5, 8), count=4, seed=0)
     assert not est.converged
-    assert est.values[0] < 1e-4 and est.values[-1] > 1.0
+    assert np.all(est.values > 0.25 * est.values[0])
+    assert 5e-5 < est.values[0] < 2e-4
+
+
+def test_tangent_operations_name_the_first_scale_off_the_chart():
+    # on the chart [-1, 1]^2 both operations end at 1.2 - 0.6 eps on the
+    # first axis, which leaves the chart first at eps = 0.25 of the schedule
+    flat = euclidean(2)
+    ds = replace(flat, space=replace(flat.space, chart_box=symmetric_box(2, 1.0)))
+    x, u, v = np.zeros(2), np.array([-0.6, 0.0]), np.array([0.6, 0.0])
+    with pytest.raises(DomainViolation,
+                       match=r"^difference-operation point left the chart at eps=0\.25$"):
+        estimate_delta(ds, x, u, v, SCHED)
+    td = derive_sigma_inv(ds, x, SCHED, probe_pairs=[])
+    with pytest.raises(DomainViolation,
+                       match=r"^sum-operation point left the chart at eps=0\.25$"):
+        td.sigma_op(v, v)
 
 
 def test_profile_theorem_too_few_points_is_typed():

@@ -156,6 +156,19 @@ def test_usage_errors_exit_64(capsys):
     assert main(["list", "--out", "/nonexistent/x"]) == 64
 
 
+def test_unwritable_out_exits_64_before_any_check(monkeypatch, capsys):
+    from dilatlab import axioms
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a check ran before --out was found unwritable")
+
+    monkeypatch.setattr(axioms, "check_A0_A1", reached)
+    assert main(["verify", "--structure", "euclidean2", "--checks",
+                 "a0a1,a2,a3,a4,cone,tangent-cone,profile",
+                 "--out", "/nonexistent/dir/x.json"]) == 64
+    assert "dilatlab: error: out:" in capsys.readouterr().err
+
+
 def test_bad_manifest_exits_64(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
