@@ -340,12 +340,11 @@ def _tangent_data(ds, x, eps, cache) -> TangentData:
                        inv_op=lambda u: delta_op(u, x), limit=limit)
 
 
-def _dx_pairs(ds, x, pts, eps, cache):
-    """d^x limits on every unordered pair of pts: one _dil_schedule call for
-    all points, then one richardson_limit per pair not already in cache, each
-    estimate cached under both key orders. Returns the (n, n) matrix of
-    extrapolated values and the estimates in pair order."""
-    imgs = _dil_schedule(ds, eps, x, pts)
+def _dx_pairs(ds, imgs, pts, eps, cache):
+    """d^x limits on every unordered pair of pts from their images
+    imgs = _dil_schedule(ds, eps, x, pts): one richardson_limit per pair not
+    already in cache, each estimate cached under both key orders. Returns the
+    (n, n) matrix of extrapolated values and the estimates in pair order."""
     ests = []
 
     def limit(i, j):
@@ -360,13 +359,16 @@ def _dx_pairs(ds, x, pts, eps, cache):
 
 
 def _ball_snapshots(ds, x, pts, dx_eps, mus, cache):
-    """One set of dilated points, two read-outs: the d^x matrix on pts and its
-    estimates (_dx_pairs along dx_eps), and the (len(mus), n, n) stack of
-    (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)) from one _dil_schedule call."""
-    dxm, ests = _dx_pairs(ds, x, pts, dx_eps, cache)
-    imgs = _dil_schedule(ds, mus, x, pts)
+    """Two read-outs of the dilated sample pts: the d^x matrix on pts
+    (_dx_pairs on the images along dx_eps) and the (len(mus), n, n) stack of
+    (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)) (the images along mus). The sample
+    is dilated once when the two schedules coincide, else once per schedule."""
+    imgs = _dil_schedule(ds, dx_eps, x, pts)
+    dxm, _ = _dx_pairs(ds, imgs, pts, dx_eps, cache)
+    if not np.array_equal(mus, dx_eps):
+        imgs = _dil_schedule(ds, mus, x, pts)
     snaps = np.array([pairwise(ds.space.distance, imgs[:, s]) / mu for s, mu in enumerate(mus)])
-    return dxm, ests, snaps
+    return dxm, snaps
 
 
 def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
@@ -383,7 +385,7 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     if len(pts) < 2:
         raise ValueError("need at least two sample points")
     cache = {}
-    dxm, ests = _dx_pairs(ds, x, pts, eps, cache)
+    dxm, ests = _dx_pairs(ds, _dil_schedule(ds, eps, x, pts), pts, eps, cache)
     worst = max(ests, key=lambda est: est.error)
     td = _tangent_data(ds, x, eps, cache)
     td.limit_error = float(worst.error)
@@ -415,7 +417,10 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule,
         # and make the folded error unrepresentative)
         r = ds.probe_radius
         rng = np.random.RandomState(11)
-        d1, d2 = (d / np.linalg.norm(d) for d in rng.standard_normal((2, len(x))))
+        d1 = rng.standard_normal(len(x))
+        d2 = rng.standard_normal(len(x))
+        d1 /= np.linalg.norm(d1)
+        d2 /= np.linalg.norm(d2)
         probe_pairs = [(x + 0.9 * r * d1, x - 0.75 * r * d2)]
     err = 0.0
     ok = True
@@ -515,7 +520,7 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     eps = check_schedule(eps_schedule)
     x = as_point(x)
     pts = sample_ball(ds.space, x, float(eps[0]), count, seed=seed)
-    dxm, _, snaps = _ball_snapshots(ds, x, pts, halving_schedule(0.5, 12), eps / eps[0], {})
+    dxm, snaps = _ball_snapshots(ds, x, pts, halving_schedule(0.5, 12), eps / eps[0], {})
     vals = np.max(np.abs(snaps - dxm), axis=(1, 2)) / eps[0]
     est = richardson_limit(eps, vals)
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
@@ -547,7 +552,7 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
             break
     if len(pts) < 3:
         raise SamplingExhausted("tangent sample too thin for a snapshot comparison")
-    dmat0, _, snaps = _ball_snapshots(ds, x, pts, eps, mus, cache)
+    dmat0, snaps = _ball_snapshots(ds, x, pts, eps, mus, cache)
     base_fs = FinitePointedSpace(dmat=dmat0, base=0, slack=1e-5)
     density = _sample_density(dmat0)
 

@@ -14,6 +14,7 @@ nothing failed outright, 64 bad invocation or malformed manifest.
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -141,8 +142,8 @@ def _setup(args):
     """Validate the invocation and build its structure: schedule, checks,
     structure, point, then the needs of the limits and of the checks, then
     the seed, then the --out path (opened for append, so an unwritable one
-    stops the run before any sampling), in that order. Returns (structure,
-    label, base point, schedule)."""
+    stops the run before any sampling, and removed again if the probe made
+    it), in that order. Returns (structure, label, base point, schedule)."""
     if args.eps_count < 2 or not (0.0 < args.eps_start <= 1.0):
         _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
     if args.command == "verify":
@@ -164,10 +165,13 @@ def _setup(args):
     if not 0 <= args.seed <= MAX_SEED:
         _die("seed: need 0 <= --seed <= %d, got %d" % (MAX_SEED, args.seed))
     if args.out:
+        existed = os.path.exists(args.out)
         try:
             open(args.out, "a").close()
         except OSError as e:
             _die("out: %s" % e)
+        if not existed:
+            os.remove(args.out)
     return ds, label, x, halving_schedule(args.eps_start, args.eps_count)
 
 

@@ -11,7 +11,7 @@ from dilatlab.axioms import (DilatationStructure, check_A0_A1, check_A2,
                              estimate_dx)
 from dilatlab.errors import DomainViolation, SamplingExhausted
 from dilatlab.geometry import box_handle, sample_ball
-from dilatlab.limits import decays_to_zero
+from dilatlab.limits import decays_to_zero, richardson_limit
 from dilatlab.structures import (build_structure, euclidean, riemannian_diffeo,
                                  shear_quadratic)
 from dilatlab.util import halving_schedule, symmetric_box
@@ -180,7 +180,10 @@ def test_tangent_cone_matches_per_pair_limits(case):
     eps = halving_schedule(0.25, 4)
     got = check_tangent_cone(ds, x, eps, count=count, seed=1)
     want = _tangent_cone_by_hand(ds, x, eps, count, seed=1)
+    want_est = richardson_limit(eps, want)
     assert np.array_equal(got.values, want)
+    assert np.array_equal(got.extrapolated, want_est.extrapolated)
+    assert got.error == want_est.error
     assert got.converged == decays_to_zero(want, max(0.25 * want[0], 1e-10))
 
 

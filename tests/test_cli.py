@@ -231,11 +231,17 @@ def test_unconverged_limit_exits_2(capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
-def test_library_error_exits_2_with_its_type(capsys):
-    # probes around a point at the chart edge leave the dilatation domain
-    rc = main(["tangent", "--structure", "euclidean2", "--point=2.95,2.95"])
-    assert rc == 2
-    assert "dilatlab: DomainViolation:" in capsys.readouterr().err
+def test_library_error_exits_2_with_its_type(tmp_path, capsys):
+    # probes around a point at the chart edge leave the dilatation domain;
+    # the run writes no --out file and leaves an existing one untouched
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    for out in ([], ["--out", str(fresh)], ["--out", str(kept)]):
+        rc = main(["tangent", "--structure", "euclidean2", "--point=2.95,2.95"] + out)
+        assert rc == 2
+        assert "dilatlab: DomainViolation:" in capsys.readouterr().err
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier report\n"
 
 
 def test_profile_json(capsys):
