@@ -10,8 +10,8 @@ every positive scale.
 
 import numpy as np
 
-from dilatlab import (check_A0_A1, check_A2, complex_dilatation,
-                      derive_sigma_inv, halving_schedule)
+from dilatlab import (TangentData, check_A0_A1, check_A2, complex_dilatation,
+                      halving_schedule)
 
 
 def example_dilatation_formula():
@@ -47,8 +47,7 @@ def example_limit_is_euclidean():
     sched = halving_schedule(0.5, 23)
     for theta in (0.5, 1.0):
         ds = complex_dilatation(theta)
-        td = derive_sigma_inv(ds, x, sched, probe_pairs=[(u, v)])
-        got = td.sigma_op(u, v)
+        got = TangentData(ds, x, sched).sigma_op(u, v)
         print("theta %.1f  add(u,v) %s  expected %s  gap %.1e"
               % (theta, np.round(got, 8), np.round(u + v - x, 8),
                  np.max(np.abs(got - (u + v - x)))))

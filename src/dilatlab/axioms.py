@@ -60,30 +60,6 @@ class DilatationStructure:
 
 
 @dataclass
-class TangentData:
-    """Extrapolated tangent-space operations at a base point.
-
-    limit(tag, u, v) is the memoised LimitEstimate behind dx ("dx"),
-    delta_op ("delta") and sigma_op ("sigma") at (u, v).
-    """
-
-    center: np.ndarray
-    dx: Callable
-    delta_op: Callable
-    sigma_op: Callable
-    inv_op: Callable
-    limit: Callable
-    limit_error: float = 0.0
-    converged: bool = True
-    degenerate: bool = False
-
-    def consistency_residual(self, u, v) -> float:
-        """Chart gap of diff(u, add(u, v)) against v (group cancellation)."""
-        s = self.sigma_op(u, v)
-        return float(np.max(np.abs(self.delta_op(u, s) - as_point(v))))
-
-
-@dataclass
 class CheckReport:
     """Outcome of one named check, JSON/CSV serializable."""
 
@@ -310,84 +286,98 @@ def _sigma_points(ds, x, u, v, eps):
 _SEQUENCES = {"dx": _dx_sequence, "delta": _delta_points, "sigma": _sigma_points}
 
 
-def _limit(cache, ds, x, eps, tag, u, v) -> LimitEstimate:
-    """Memoised limit at x of d^x (tag "dx"), the difference ("delta") or the
-    sum ("sigma") operation applied to (u, v). cache maps (tag, u bytes,
-    v bytes) to the estimate; keys are ordered pairs."""
-    u, v = as_point(u), as_point(v)
-    key = (tag, u.tobytes(), v.tobytes())
-    if key not in cache:
-        cache[key] = richardson_limit(eps, _SEQUENCES[tag](ds, x, u, v, eps))
-    return cache[key]
+class TangentData:
+    """Tangent-space operations at x, extrapolated along eps on demand and
+    memoised. limit(tag, u, v) is the LimitEstimate behind dx ("dx"), delta_op
+    ("delta") and sigma_op ("sigma") at (u, v); limit_error and converged
+    summarise the limits that estimate_dx or derive_sigma_inv checked."""
+
+    def __init__(self, ds: DilatationStructure, x, eps):
+        self.ds = ds
+        self.eps = check_schedule(eps)
+        self.center = as_point(x)
+        self.limit_error = 0.0
+        self.converged = True
+        self.degenerate = False
+        self._memo = {}
+
+    def _memoised(self, tag, u, v, values) -> LimitEstimate:
+        """The estimate for (tag, u, v), extrapolated from values() on a miss.
+        The memo's key rule: a dx entry is stored under both orders (d^x is a
+        distance), a delta or sigma entry under its ordered pair."""
+        key = (tag, u.tobytes(), v.tobytes())
+        if key not in self._memo:
+            self._memo[key] = richardson_limit(self.eps, values())
+            if tag == "dx":
+                self._memo[(tag, v.tobytes(), u.tobytes())] = self._memo[key]
+        return self._memo[key]
+
+    def limit(self, tag, u, v) -> LimitEstimate:
+        u, v = as_point(u), as_point(v)
+        return self._memoised(tag, u, v,
+                              lambda: _SEQUENCES[tag](self.ds, self.center, u, v, self.eps))
+
+    def dx(self, u, v) -> float:
+        return float(self.limit("dx", u, v).extrapolated)
+
+    def delta_op(self, u, v) -> np.ndarray:
+        return np.array(self.limit("delta", u, v).extrapolated, dtype=float)
+
+    def sigma_op(self, u, v) -> np.ndarray:
+        return np.array(self.limit("sigma", u, v).extrapolated, dtype=float)
+
+    def inv_op(self, u) -> np.ndarray:
+        return self.delta_op(u, self.center)
+
+    def consistency_residual(self, u, v) -> float:
+        """Chart gap of diff(u, add(u, v)) against v (group cancellation)."""
+        s = self.sigma_op(u, v)
+        return float(np.max(np.abs(self.delta_op(u, s) - as_point(v))))
+
+    def dx_pairs(self, pts, imgs):
+        """d^x on every unordered pair of pts from their images
+        imgs = _dil_schedule(ds, eps, x, pts). Returns the (n, n) matrix of
+        extrapolated values and the estimates in pair order."""
+        ests = []
+
+        def dx(i, j):
+            est = self._memoised("dx", pts[i], pts[j],
+                                 lambda: distances(self.ds.space, imgs[i], imgs[j]) / self.eps)
+            ests.append(est)
+            return est.extrapolated
+
+        return pairwise(dx, range(len(pts))), ests
 
 
-def _tangent_data(ds, x, eps, cache) -> TangentData:
-    """TangentData whose operations extrapolate on demand through cache."""
-
-    def limit(tag, u, v):
-        return _limit(cache, ds, x, eps, tag, u, v)
-
-    def delta_op(u, v):
-        return np.array(limit("delta", u, v).extrapolated, dtype=float)
-
-    def sigma_op(u, v):
-        return np.array(limit("sigma", u, v).extrapolated, dtype=float)
-
-    def dx(u, v):
-        return float(limit("dx", u, v).extrapolated)
-
-    return TangentData(center=x, dx=dx, delta_op=delta_op, sigma_op=sigma_op,
-                       inv_op=lambda u: delta_op(u, x), limit=limit)
-
-
-def _dx_pairs(ds, imgs, pts, eps, cache):
-    """d^x limits on every unordered pair of pts from their images
-    imgs = _dil_schedule(ds, eps, x, pts): one richardson_limit per pair not
-    already in cache, each estimate cached under both key orders. Returns the
-    (n, n) matrix of extrapolated values and the estimates in pair order."""
-    ests = []
-
-    def limit(i, j):
-        key = ("dx", pts[i].tobytes(), pts[j].tobytes())
-        if key not in cache:
-            cache[key] = cache[("dx", pts[j].tobytes(), pts[i].tobytes())] = \
-                richardson_limit(eps, distances(ds.space, imgs[i], imgs[j]) / eps)
-        ests.append(cache[key])
-        return cache[key].extrapolated
-
-    return pairwise(limit, range(len(pts))), ests
-
-
-def _ball_snapshots(ds, x, pts, dx_eps, mus, cache):
+def _ball_snapshots(td, pts, mus):
     """Two read-outs of the dilated sample pts: the d^x matrix on pts
-    (_dx_pairs on the images along dx_eps) and the (len(mus), n, n) stack of
-    (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)) (the images along mus). The sample
-    is dilated once when the two schedules coincide, else once per schedule."""
-    imgs = _dil_schedule(ds, dx_eps, x, pts)
-    dxm, _ = _dx_pairs(ds, imgs, pts, dx_eps, cache)
-    if not np.array_equal(mus, dx_eps):
+    (td.dx_pairs on the images along td.eps) and the (len(mus), n, n) stack of
+    (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)) (the images along mus), plus the
+    worst error of the d^x estimates. The sample is dilated once when the two
+    schedules coincide, else once per schedule."""
+    ds, x = td.ds, td.center
+    imgs = _dil_schedule(ds, td.eps, x, pts)
+    dxm, ests = td.dx_pairs(pts, imgs)
+    if not np.array_equal(mus, td.eps):
         imgs = _dil_schedule(ds, mus, x, pts)
     snaps = np.array([pairwise(ds.space.distance, imgs[:, s]) / mu for s, mu in enumerate(mus)])
-    return dxm, snaps
+    return dxm, snaps, max((float(est.error) for est in ests), default=0.0)
 
 
 def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     """Rescaled-limit distance d^x on all pairs from sample.
 
     Returns (TangentData, worst LimitEstimate). The TangentData's operations
-    extrapolate fresh pairs on demand (results cached); its degenerate flag
+    extrapolate fresh pairs on demand (results memoised); its degenerate flag
     is set when some pair collapses (dx below 1e-6 while the original
     distance exceeds 1e-2).
     """
-    eps = check_schedule(eps_schedule)
-    x = as_point(x)
+    td = TangentData(ds, x, eps_schedule)
     pts = [as_point(p) for p in sample]
     if len(pts) < 2:
         raise ValueError("need at least two sample points")
-    cache = {}
-    dxm, ests = _dx_pairs(ds, _dil_schedule(ds, eps, x, pts), pts, eps, cache)
+    dxm, ests = td.dx_pairs(pts, _dil_schedule(ds, td.eps, td.center, pts))
     worst = max(ests, key=lambda est: est.error)
-    td = _tangent_data(ds, x, eps, cache)
     td.limit_error = float(worst.error)
     td.converged = all(est.converged for est in ests)
     td.degenerate = bool(np.any((dxm < 1e-6) & (pairwise(ds.space.distance, pts) > 1e-2)))
@@ -396,45 +386,34 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
 
 def estimate_delta(ds: DilatationStructure, x, u, v, eps_schedule) -> LimitEstimate:
     """Vector limit of the difference operation at x applied to (u, v)."""
-    return _limit({}, ds, as_point(x), check_schedule(eps_schedule), "delta", u, v)
+    return TangentData(ds, x, eps_schedule).limit("delta", u, v)
 
 
-def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule,
-                     probe_pairs: Optional[Sequence] = None) -> TangentData:
-    """TangentData with extrapolating closures for all tangent operations.
+def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule) -> TangentData:
+    """TangentData whose error bar covers one probe pair.
 
     The sum operation inverts the difference on the second slot; the
-    constructor spot-checks diff(u, add(u, v)) = v on probe pairs and folds
+    constructor spot-checks diff(u, add(u, v)) = v on a probe pair and folds
     the residual into limit_error / converged.
     """
-    eps = check_schedule(eps_schedule)
-    x = as_point(x)
-    cache = {}
-    td = _tangent_data(ds, x, eps, cache)
-
-    if probe_pairs is None:
-        # generic directions (axis-aligned probes can hide curvature terms
-        # and make the folded error unrepresentative)
-        r = ds.probe_radius
-        rng = np.random.RandomState(11)
-        d1 = rng.standard_normal(len(x))
-        d2 = rng.standard_normal(len(x))
-        d1 /= np.linalg.norm(d1)
-        d2 /= np.linalg.norm(d2)
-        probe_pairs = [(x + 0.9 * r * d1, x - 0.75 * r * d2)]
-    err = 0.0
-    ok = True
-    for (u, v) in probe_pairs:
-        for tag in ("delta", "sigma"):
-            est = _limit(cache, ds, x, eps, tag, u, v)
-            err = max(err, float(est.error))
-            ok = ok and est.converged
-        err = max(err, td.consistency_residual(u, v))
+    td = TangentData(ds, x, eps_schedule)
+    x = td.center
+    # generic directions (axis-aligned probes can hide curvature terms
+    # and make the folded error unrepresentative)
+    r = ds.probe_radius
+    rng = np.random.RandomState(11)
+    d1 = rng.standard_normal(len(x))
+    d2 = rng.standard_normal(len(x))
+    d1 /= np.linalg.norm(d1)
+    d2 /= np.linalg.norm(d2)
+    u, v = x + 0.9 * r * d1, x - 0.75 * r * d2
+    ests = [td.limit("delta", u, v), td.limit("sigma", u, v)]
+    td.limit_error = max([float(est.error) for est in ests] + [
+        td.consistency_residual(u, v),
         # neutral element and self-difference identities
-        err = max(err, float(np.max(np.abs(td.sigma_op(x, v) - as_point(v)))))
-        err = max(err, float(np.max(np.abs(td.delta_op(u, u) - x))))
-    td.limit_error = err
-    td.converged = ok
+        float(np.max(np.abs(td.sigma_op(x, v) - v))),
+        float(np.max(np.abs(td.delta_op(u, u) - x)))])
+    td.converged = all(est.converged for est in ests)
     return td
 
 
@@ -515,16 +494,17 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     So the value at eps is max |M - D| / eps[0], with M = (1/mu) d(dil(mu,x,p_i),
     dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along a 12-scale
     halving schedule. converged: the values decay (limits.decays_to_zero) to a
-    quarter of the first one.
+    quarter of the first one, or to the worst d^x error over eps[0], which is
+    all an exact cone can reach.
     """
     eps = check_schedule(eps_schedule)
-    x = as_point(x)
-    pts = sample_ball(ds.space, x, float(eps[0]), count, seed=seed)
-    dxm, snaps = _ball_snapshots(ds, x, pts, halving_schedule(0.5, 12), eps / eps[0], {})
+    td = TangentData(ds, x, halving_schedule(0.5, 12))
+    pts = sample_ball(ds.space, td.center, float(eps[0]), count, seed=seed)
+    dxm, snaps, dx_error = _ball_snapshots(td, pts, eps / eps[0])
     vals = np.max(np.abs(snaps - dxm), axis=(1, 2)) / eps[0]
     est = richardson_limit(eps, vals)
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
-    est.converged = decays_to_zero(vals, max(0.25 * vals[0], 1e-10))
+    est.converged = decays_to_zero(vals, max(0.25 * vals[0], dx_error / eps[0], 1e-10))
     return est
 
 
@@ -538,21 +518,20 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
     within the sample density. Raises SamplingExhausted when fewer than three
     sample points lie in the d^x-ball.
     """
-    eps = check_schedule(eps_schedule)
+    td = TangentData(ds, x, eps_schedule)
     mus = check_schedule(mu_schedule)
-    x = as_point(x)
+    x = td.center
     count = min(count, SIZE_LIMIT)
-    cache = {}
     raw = sample_ball(ds.space, x, ds.working_radius, max(24, 4 * count), seed=seed)
     pts = [x]
     for p in raw:
-        if float(_limit(cache, ds, x, eps, "dx", x, p).extrapolated) <= ds.working_radius:
+        if td.dx(x, p) <= ds.working_radius:
             pts.append(as_point(p))
         if len(pts) == count:
             break
     if len(pts) < 3:
         raise SamplingExhausted("tangent sample too thin for a snapshot comparison")
-    dmat0, snaps = _ball_snapshots(ds, x, pts, eps, mus, cache)
+    dmat0, snaps, _ = _ball_snapshots(td, pts, mus)
     base_fs = FinitePointedSpace(dmat=dmat0, base=0, slack=1e-5)
     density = _sample_density(dmat0)
 

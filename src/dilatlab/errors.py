@@ -13,10 +13,6 @@ class SizeLimitExceeded(DilatlabError):
     """Exact search requested on a finite space above the size cap."""
 
 
-class NotConverged(DilatlabError):
-    """A limit sequence failed to settle and no usable estimate exists."""
-
-
 class ChartEscape(DilatlabError):
     """A flow or dilatation left the declared chart box."""
 

@@ -1,13 +1,17 @@
 """Property-based tests: verdicts that must hold on every drawn input."""
 
+import functools
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dilatlab.axioms import check_tangent_cone
-from dilatlab.structures import complex_dilatation, euclidean
+from dilatlab.axioms import TangentData, check_tangent_cone, derive_sigma_inv, estimate_dx
+from dilatlab.geometry import FinitePointedSpace, pairwise, rescale
+from dilatlab.gromov import gh_lower_bound, gh_pointed_exact
+from dilatlab.structures import build_structure, complex_dilatation, euclidean, structure_names
 from dilatlab.util import halving_schedule
 
 # euclidean(2), or the spiralling plane structure at a drawn theta: both have
@@ -25,3 +29,59 @@ def test_tangent_cone_is_flat_on_exact_cones(ds, x, count, seed):
                              seed=seed)
     assert est.converged
     assert np.all(est.values <= 1e-11)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat(name):
+    return build_structure(name)
+
+
+FLAT_NAMES = [n for n in structure_names() if n != "heisenberg"]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(name=st.sampled_from(FLAT_NAMES), data=st.data(), count=st.integers(2, 4))
+def test_tangent_data_memo_matches_fresh_limits(name, data, count):
+    # every limit a constructor seeds equals the one a fresh TangentData
+    # extrapolates for the same pair, bit for bit; d^x in either order
+    ds = _flat(name)
+    n = ds.space.dim
+    point = st.tuples(*[st.floats(-0.3, 0.3)] * n).map(np.array)
+    x = data.draw(point)
+    pts = [data.draw(point) for _ in range(count)]
+    eps = halving_schedule(0.5, 6)
+    td, _ = estimate_dx(ds, x, pts, eps)
+    for i in range(count):
+        for j in range(i + 1, count):
+            want = TangentData(ds, x, eps).dx(pts[i], pts[j])
+            assert td.dx(pts[i], pts[j]) == want
+            assert td.dx(pts[j], pts[i]) == want
+    td = derive_sigma_inv(ds, x, eps)
+    fresh = TangentData(ds, x, eps)
+    seeded = [(tag, np.frombuffer(u), np.frombuffer(v)) for tag, u, v in td._memo]
+    assert {tag for tag, _, _ in seeded} == {"delta", "sigma"}
+    for tag, u, v in seeded:
+        op, want_op = ((td.sigma_op, fresh.sigma_op) if tag == "sigma"
+                       else (td.delta_op, fresh.delta_op))
+        assert np.array_equal(op(u, v), want_op(u, v))
+
+
+def _pointed(pts, base):
+    return FinitePointedSpace(dmat=pairwise(lambda p, q: float(np.linalg.norm(p - q)), pts),
+                              base=base % len(pts))
+
+
+point_sets = st.lists(st.tuples(coords, coords).map(np.array), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(a=point_sets, b=point_sets, base_a=st.integers(0, 5), base_b=st.integers(0, 5),
+       factor=st.floats(1e-3, 1e3))
+def test_gh_pointed_exact_symmetric_equivariant_and_above_lower_bound(a, b, base_a, base_b,
+                                                                       factor):
+    A, B = _pointed(a, base_a), _pointed(b, base_b)
+    gh = gh_pointed_exact(A, B)
+    assert gh_pointed_exact(B, A) == gh
+    scaled = gh_pointed_exact(rescale(A, factor), rescale(B, factor))
+    assert abs(scaled - factor * gh) <= 1e-12 * factor * gh
+    assert gh_lower_bound(A, B) <= gh
