@@ -131,11 +131,29 @@ def _dil_rows(ds, eps, x, y) -> np.ndarray:
 
 
 def _dil_schedule(ds, eps, x, pts) -> np.ndarray:
-    """(P, k, n) images dil(eps[s], x, pts[i]) of every point at every scale."""
+    """(P, k, n) images dil(eps[s], x_i, y_is) of P points at k scales in one
+    _dil_rows call. x is one base point (n,) or one per point (P, n); pts is
+    (P, n), every point at every scale, or (P, k, n), one point per scale."""
     pts = np.asarray(pts, dtype=float)
-    k = eps.size
-    return _dil_rows(ds, np.tile(eps, len(pts)), x,
-                     np.repeat(pts, k, axis=0)).reshape(len(pts), k, -1)
+    P, k = len(pts), eps.size
+    xs = np.repeat(x, k, axis=0) if np.ndim(x) == 2 else x
+    ys = pts.reshape(P * k, -1) if pts.ndim == 3 else np.repeat(pts, k, axis=0)
+    return _dil_rows(ds, np.tile(eps, P), xs, ys).reshape(P, k, -1)
+
+
+def _gap(a, b):
+    """Chart gap max |a - b| over the coordinate axis, as (nested) floats."""
+    return np.max(np.abs(a - b), axis=-1).tolist()
+
+
+def _sample_stacks(samples):
+    """(P, n) stacks of the first and of the second points of P sample pairs,
+    and their (P,) relative-tolerance scales (util.scale_of of each pair)."""
+    pairs = [(as_point(x), as_point(y)) for x, y in samples]
+    if not pairs:
+        raise ValueError("need at least one sample pair")
+    X, Y = (np.array(col) for col in zip(*pairs))
+    return X, Y, 1.0 + np.max(np.abs(np.hstack([X, Y])), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,67 +170,55 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
     samples: list of (x, y) point pairs with y in the working ball of x.
     """
     eps = check_schedule(eps_schedule)
-    failures = []
-    max_res = 0.0
-    table = []
+    X, Y, sc = _sample_stacks(samples)
     bump = 1e-6
+    # one stack for the identity at 1, the images along the schedule and the
+    # continuity probe at eps[0]: y moved by bump along the first axis, whose
+    # reference is the first image
+    ys = np.repeat(Y[:, None], eps.size + 2, axis=1)
+    ys[:, -1] += bump * np.eye(Y.shape[1])[0]
+    imgs = _dil_schedule(ds, np.concatenate([[1.0], eps, eps[:1]]), X, ys)
+    y_eps = imgs[:, 1:-1]
+    fixed = _dil_schedule(ds, eps, X, X)
+    back = _dil_schedule(ds, 1.0 / eps, X, y_eps)
+    # d(x, y), then the decay d(x, dil(eps,x,y)) along the schedule
+    dist = distances(ds.space, X[:, None], np.concatenate([Y[:, None], y_eps], axis=1))
+    # domain witness: the expanded ball points stay inside B(x, A)
+    d_back = distances(ds.space, X[:, None], back).tolist()
 
-    for idx, (x, y) in enumerate(samples):
-        x = as_point(x)
-        y = as_point(y)
-        sc = scale_of(x, y)
-        dy = np.zeros_like(y)
-        dy[0] = bump
-        # one call for the identity at 1, the images along the schedule and
-        # the continuity probe at eps[0] (whose reference is the first image)
-        imgs = _dil_rows(ds, np.concatenate([[1.0], eps, eps[:1]]), x,
-                         np.vstack([np.tile(y, (eps.size + 1, 1)), y + dy]))
-        y_eps = imgs[1:-1]
-        fixed = _dil_rows(ds, eps, x, x)
-        back = _dil_rows(ds, 1.0 / eps, x, y_eps)
-        decay = distances(ds.space, x, y_eps).tolist()
-        # domain witness: the expanded ball points stay inside B(x, A)
-        d_back = distances(ds.space, x, back)
+    r_id, r_cont = _gap(imgs[:, 0], Y), _gap(imgs[:, -1], y_eps[:, 0])
+    r_fix, r_inv = _gap(fixed, X[:, None]), _gap(back, Y[:, None])
+    # contraction trend: comparable to first order in eps, heading to 0
+    floor = 1e-12 * sc
+    d0, decay = dist[:, 0], dist[:, 1:]
+    trend = (np.all(decay[:, 1:] <= decay[:, :-1] * 1.01 + floor[:, None], axis=1)
+             & (decay[:, -1] <= np.maximum(50.0 * d0 * eps[-1] / eps[0], floor)))
+    stalled, decay = ((d0 > floor) & ~trend).tolist(), decay.tolist()
 
-        r_id = float(np.max(np.abs(imgs[0] - y)))
-        max_res = max(max_res, r_id)
-        if r_id > 1e-12 * sc:
-            failures.append({"sample": idx, "kind": "identity-at-1", "residual": r_id})
-
-        for s, e in enumerate(eps):
-            e = float(e)
-            r_fix = float(np.max(np.abs(fixed[s] - x)))
-            r_inv = float(np.max(np.abs(back[s] - y)))
-            max_res = max(max_res, r_fix, r_inv)
-            if r_fix > tol * sc:
-                failures.append({"sample": idx, "kind": "fixed-point", "eps": e,
-                                 "residual": r_fix})
-            if r_inv > tol * sc:
-                failures.append({"sample": idx, "kind": "invertibility", "eps": e,
-                                 "residual": r_inv})
-            if d_back[s] > ds.domain_radius * (1.0 + 1e-9):
-                failures.append({"sample": idx, "kind": "domain-witness", "eps": e,
-                                 "distance": float(d_back[s])})
-
-        # contraction trend: comparable to first order in eps, heading to 0
-        d0 = float(ds.space.distance(x, y))
-        floor = 1e-12 * sc
-        ok_trend = all(decay[k + 1] <= decay[k] * 1.01 + floor for k in range(len(decay) - 1))
-        ok_final = decay[-1] <= max(50.0 * d0 * eps[-1] / eps[0], floor)
-        if d0 > floor and not (ok_trend and ok_final):
-            failures.append({"sample": idx, "kind": "contraction-trend",
-                             "decay": [float(t) for t in decay]})
-        if idx == 0:
-            for k, e in enumerate(eps):
-                table.append(_table_row(float(e), decay[k],
-                                        diff="" if k == 0 else decay[k] - decay[k - 1]))
-
+    failures = []
+    for i, lim in enumerate((tol * sc).tolist()):
+        if r_id[i] > floor[i]:
+            failures.append({"sample": i, "kind": "identity-at-1", "residual": r_id[i]})
+        for s, e in enumerate(eps.tolist()):
+            if r_fix[i][s] > lim:
+                failures.append({"sample": i, "kind": "fixed-point", "eps": e,
+                                 "residual": r_fix[i][s]})
+            if r_inv[i][s] > lim:
+                failures.append({"sample": i, "kind": "invertibility", "eps": e,
+                                 "residual": r_inv[i][s]})
+            if d_back[i][s] > ds.domain_radius * (1.0 + 1e-9):
+                failures.append({"sample": i, "kind": "domain-witness", "eps": e,
+                                 "distance": d_back[i][s]})
+        if stalled[i]:
+            failures.append({"sample": i, "kind": "contraction-trend", "decay": decay[i]})
         # continuity probe at a fixed small perturbation of y
-        r_cont = float(np.max(np.abs(imgs[-1] - y_eps[0])))
-        if r_cont > 100.0 * bump * sc:
-            failures.append({"sample": idx, "kind": "continuity-probe", "residual": r_cont})
+        if r_cont[i] > 100.0 * bump * sc[i]:
+            failures.append({"sample": i, "kind": "continuity-probe", "residual": r_cont[i]})
 
-    return CheckReport(check="a0a1", passed=not failures, max_residual=max_res,
+    table = [_table_row(e, decay[0][k], diff="" if k == 0 else decay[0][k] - decay[0][k - 1])
+             for k, e in enumerate(eps.tolist())]
+    return CheckReport(check="a0a1", passed=not failures,
+                       max_residual=max(map(max, [r_id] + r_fix + r_inv)),
                        tolerance=tol, failures=failures[:20], table=table,
                        notes="%d samples, %d scales" % (len(samples), len(eps)))
 
@@ -224,28 +230,18 @@ def check_A2(ds: DilatationStructure, samples: Sequence, pairs: Sequence,
     samples: list of (x, u); pairs: list of (eps, mu) scale pairs. Residuals
     are chart-coordinate gaps relative to the coordinate scale.
     """
-    failures = []
-    max_res = 0.0
-    table = []
+    X, U, sc = _sample_stacks(samples)
     es = np.array([float(e) for e, _ in pairs])
     ms = np.array([float(m) for _, m in pairs])
-    for idx, (x, u) in enumerate(samples):
-        x = as_point(x)
-        u = as_point(u)
-        sc = scale_of(x, u)
-        lhs = _dil_rows(ds, es, x, _dil_rows(ds, ms, x, u))
-        rhs = _dil_rows(ds, es * ms, x, u)
-        for j, (e, m) in enumerate(zip(es, ms)):
-            e, m = float(e), float(m)
-            r = float(np.max(np.abs(lhs[j] - rhs[j])))
-            max_res = max(max_res, r)
-            if r > tol * sc:
-                failures.append({"sample": idx, "kind": "composition", "eps": e,
-                                 "mu": m, "residual": r})
-            if idx == 0:
-                table.append(_table_row(e * m, r))
-    return CheckReport(check="a2", passed=not failures, max_residual=max_res,
-                       tolerance=tol, failures=failures[:20], table=table,
+    res = _gap(_dil_schedule(ds, es, X, _dil_schedule(ds, ms, X, U)),
+               _dil_schedule(ds, es * ms, X, U))
+    scales = list(zip(es.tolist(), ms.tolist()))
+    failures = [{"sample": i, "kind": "composition", "eps": e, "mu": m, "residual": r}
+                for i, (row, lim) in enumerate(zip(res, (tol * sc).tolist()))
+                for (e, m), r in zip(scales, row) if r > lim]
+    return CheckReport(check="a2", passed=not failures, max_residual=max(map(max, res)),
+                       tolerance=tol, failures=failures[:20],
+                       table=[_table_row(e * m, r) for (e, m), r in zip(scales, res[0])],
                        notes="%d samples x %d scale pairs" % (len(samples), len(pairs)))
 
 
@@ -432,51 +428,42 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
 
     samples: list of points near x (consecutive triples are used).
     Tolerance adapts to the tangent data's own limit error: ten times it,
-    but at least tol_floor.
+    but at least tol_floor. Tangent data with unconverged limits certifies
+    nothing: the report is then inconclusive (converged=False).
     """
-    if not td.converged:
-        raise ValueError("tangent data has unconverged limits; refusing to certify")
-    x = td.center
     pts = [as_point(p) for p in samples]
     if len(pts) < 3:
         raise ValueError("need at least three sample points")
+    if not td.converged:
+        return CheckReport(check="conical-group", passed=False,
+                           max_residual=float(td.limit_error), tolerance=tol_floor,
+                           converged=False, notes="tangent limits unconverged")
     mus = np.asarray(mus, dtype=float)
     tol = max(tol_floor, 10.0 * td.limit_error)
+    add, dx = td.sigma_op, td.dx
+    triples = [pts[i:i + 3] for i in range(len(pts) - 2)]
+    sums = [add(u, v) for u, v, _ in triples]
+    # every triple's u, v and their sum dilated at every mu in one call
+    stack = [p for (u, v, _), s in zip(triples, sums) for p in (u, v, s)]
+    imgs = _dil_schedule(ds, mus, td.center, stack).reshape(len(triples), 3, mus.size, -1)
+    r_assoc = [_gap(add(u, add(v, w)), add(s, w)) for (u, v, w), s in zip(triples, sums)]
+    r_left = [abs(dx(add(w, u), add(w, v)) - dx(u, v)) for u, v, w in triples]
+    # (triples, mus) residuals of the automorphism and of the cone property
+    r_auto = [[_gap(s, add(a, b)) for a, b, s in zip(*im)] for im in imgs]
+    r_cone = [[abs(dx(u, v) - dx(a, b) / mu) for a, b, mu in zip(im[0], im[1], mus.tolist())]
+              for (u, v, _), im in zip(triples, imgs)]
     failures = []
-    max_res = 0.0
-    table = []
-
-    triples = [(pts[i], pts[i + 1], pts[i + 2]) for i in range(len(pts) - 2)]
-    for idx, (u, v, w) in enumerate(triples):
-        sc = scale_of(u, v, w)
-        r_assoc = float(np.max(np.abs(td.sigma_op(u, td.sigma_op(v, w))
-                                      - td.sigma_op(td.sigma_op(u, v), w))))
-        r_left = abs(td.dx(td.sigma_op(w, u), td.sigma_op(w, v)) - td.dx(u, v))
-        max_res = max(max_res, r_assoc, r_left)
-        if r_assoc > tol * sc:
-            failures.append({"triple": idx, "kind": "associativity", "residual": r_assoc})
-        if r_left > tol * sc:
-            failures.append({"triple": idx, "kind": "left-invariance", "residual": r_left})
-
-        # u, v and their sum dilated at every mu in one schedule
-        imgs = _dil_schedule(ds, mus, x, [u, v, td.sigma_op(u, v)])
-        for k, mu in enumerate(mus):
-            mu = float(mu)
-            du, dv, dsum = imgs[:, k]
-            r_auto = float(np.max(np.abs(dsum - td.sigma_op(du, dv))))
-            r_cone = abs(td.dx(u, v) - td.dx(du, dv) / mu)
-            max_res = max(max_res, r_auto, r_cone)
-            if r_auto > tol * sc:
-                failures.append({"triple": idx, "kind": "automorphism", "mu": mu,
-                                 "residual": r_auto})
-            if r_cone > tol * sc:
-                failures.append({"triple": idx, "kind": "cone-property", "mu": mu,
-                                 "residual": r_cone})
-            if idx == 0:
-                table.append(_table_row(mu, max(r_auto, r_cone),
-                                        error=float(td.limit_error)))
-
-    return CheckReport(check="conical-group", passed=not failures, max_residual=max_res,
+    for t, (u, v, w) in enumerate(triples):
+        found = [("associativity", {}, r_assoc[t]), ("left-invariance", {}, r_left[t])]
+        for k, mu in enumerate(mus.tolist()):
+            found += [("automorphism", {"mu": mu}, r_auto[t][k]),
+                      ("cone-property", {"mu": mu}, r_cone[t][k])]
+        failures += [dict(triple=t, kind=kind, **at, residual=r)
+                     for kind, at, r in found if r > tol * scale_of(u, v, w)]
+    table = [_table_row(mu, max(a, c), error=float(td.limit_error))
+             for mu, a, c in zip(mus.tolist(), r_auto[0], r_cone[0])]
+    return CheckReport(check="conical-group", passed=not failures,
+                       max_residual=max(map(max, [r_assoc, r_left] + r_auto + r_cone)),
                        tolerance=tol, converged=td.converged, failures=failures[:20],
                        table=table, notes="%d triples" % len(triples))
 

@@ -174,10 +174,12 @@ def sample_ball(space: MetricSpaceHandle, center, radius: float, count: int,
 
 
 def distances(space: MetricSpaceHandle, P, Q) -> np.ndarray:
-    """(k,) distances d(P[r], Q[r]) of two (k, n) stacks, one metric call per
-    row; either side may be a single (n,) point."""
+    """Distances d(P[..., r, :], Q[..., r, :]) of two broadcastable (..., n)
+    stacks, one metric call per row: (k,) for two (k, n) stacks, where either
+    side may be a single (n,) point; (P, k) for (P, 1, n) against (P, k, n)."""
     P, Q = np.broadcast_arrays(np.atleast_2d(P), np.atleast_2d(Q))
-    return np.array([float(space.distance(p, q)) for p, q in zip(P, Q)])
+    rows = zip(P.reshape(-1, P.shape[-1]), Q.reshape(-1, Q.shape[-1]))
+    return np.array([float(space.distance(p, q)) for p, q in rows]).reshape(P.shape[:-1])
 
 
 def pairwise(dist, pts) -> np.ndarray:

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dilatlab.axioms import (DilatationStructure, TangentData, check_A0_A1, check_A2,
-                             check_conical_group, check_profile_theorem,
+from dilatlab.axioms import (DilatationStructure, TangentData, broadcasting, check_A0_A1,
+                             check_A2, check_conical_group, check_profile_theorem,
                              check_tangent_cone, derive_sigma_inv, estimate_delta,
                              estimate_dx)
 from dilatlab.errors import DomainViolation, SamplingExhausted
@@ -34,21 +34,73 @@ def test_a0_a1_euclidean():
     assert rep.max_residual < 1e-12
 
 
+def _broken_inverse(eps, x, y):
+    # not invertible through eps -> 1/eps (wrong exponent going out); unmarked,
+    # so the checks call it once per scale
+    e = eps if eps <= 1 else eps ** 1.5
+    return np.asarray(x) + e * (np.asarray(y) - np.asarray(x))
+
+
 def test_a0_a1_catches_broken_inverse():
-    base = euclidean(2)
-
-    def bad_dil(eps, x, y):
-        # not invertible through eps -> 1/eps (wrong exponent going out)
-        e = eps if eps <= 1 else eps ** 1.5
-        return np.asarray(x) + e * (np.asarray(y) - np.asarray(x))
-
-    import dataclasses
-    ds = dataclasses.replace(base, dil=bad_dil)
+    ds = replace(euclidean(2), dil=_broken_inverse)
     rng = np.random.RandomState(1)
     rep = check_A0_A1(ds, euclid_samples(2, 3, rng), SCHED, tol=1e-9)
     assert not rep.passed
     kinds = {f["kind"] for f in rep.failures}
     assert "invertibility" in kinds
+
+
+def _merged_reports(check, ds, samples, *args, **kwargs):
+    """The verdict, failures, max_residual and table of check on samples,
+    merged from one call per sample: failures in sample order with "sample"
+    re-indexed, the first 20 kept, and the table from sample 0."""
+    reps = [check(ds, [s], *args, **kwargs) for s in samples]
+    failures = [dict(f, sample=i) for i, r in enumerate(reps) for f in r.failures]
+    return (all(r.passed for r in reps), failures[:20], max(r.max_residual for r in reps),
+            reps[0].table)
+
+
+@pytest.mark.parametrize("case", ["broken-inverse", "heisenberg"])
+def test_pointwise_checks_equal_their_merged_per_sample_reports(case):
+    from dilatlab.carnot import heisenberg_structure
+
+    if case == "heisenberg":
+        # an a0a1 tolerance below the Newton chart inverse's precision makes
+        # every sample fail at several scales, so the failure order is exercised
+        ds, x, sched, tol = (heisenberg_structure(steps=32), np.array([0.05, -0.1, 0.02]),
+                             halving_schedule(0.125, 6), 1e-14)
+    else:
+        ds, x, sched, tol = replace(euclidean(2), dil=_broken_inverse), np.zeros(2), SCHED, 1e-9
+    rng = np.random.RandomState(8)
+    samples = [(x + rng.uniform(-0.1, 0.1, x.size), x + rng.uniform(-0.1, 0.1, x.size))
+               for _ in range(3)]
+    pairs = [(0.5, 0.5), (0.8, 0.4), (0.25, 0.125)]
+    for check, args in ((check_A0_A1, (sched,)), (check_A2, (pairs,))):
+        rep = check(ds, samples, *args, tol=tol)
+        assert rep.failures or check is check_A2
+        got = (rep.passed, rep.failures, rep.max_residual, rep.table)
+        assert got == _merged_reports(check, ds, samples, *args, tol=tol)
+
+
+def test_pointwise_checks_dilate_each_role_in_one_call():
+    # a marked dil sees every sample at every scale in one call per role:
+    # A0/A1's images (with the identity at 1 and the continuity probe), fixed
+    # points and inverse images; A2's inner, outer and composed scales
+    base = euclidean(2)
+    calls = []
+
+    @broadcasting
+    def counted(e, x, y):
+        calls.append(np.size(e))
+        return base.dil(e, x, y)
+
+    ds = replace(base, dil=counted)
+    samples = euclid_samples(2, 5, np.random.RandomState(6))
+    check_A0_A1(ds, samples, SCHED)
+    assert calls == [5 * (len(SCHED) + 2), 5 * len(SCHED), 5 * len(SCHED)]
+    del calls[:]
+    check_A2(ds, samples, [(0.5, 0.5), (0.7, 0.2)])
+    assert calls == [10, 10, 10]
 
 
 def test_a2_euclidean_exact():
@@ -109,11 +161,17 @@ def test_conical_group_euclidean():
 
 
 def test_conical_refuses_unconverged():
+    # unconverged tangent limits certify nothing: the report is inconclusive,
+    # carries the limit error and the caller's tolerance floor, and checks
+    # no triple
     ds = euclidean(2)
     td = derive_sigma_inv(ds, np.zeros(2), SCHED)
-    td.converged = False
-    with pytest.raises(ValueError):
-        check_conical_group(td, ds, [np.zeros(2)] * 3, mus=(0.5,))
+    td.converged, td.limit_error = False, 3e-4
+    rep = check_conical_group(td, ds, [np.zeros(2)] * 3, mus=(0.5,), tol_floor=1e-7)
+    assert rep.to_jsonable() == {"check": "conical-group", "passed": False,
+                                 "max_residual": 3e-4, "tolerance": 1e-7,
+                                 "converged": False, "failures": [], "table": [],
+                                 "notes": "tangent limits unconverged"}
 
 
 def test_riemannian_dx_matches_jacobian_norm():

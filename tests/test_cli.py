@@ -156,6 +156,30 @@ def test_usage_errors_exit_64(capsys):
     assert main(["list", "--out", "/nonexistent/x"]) == 64
 
 
+def test_non_finite_or_negative_tolerance_exits_64(capsys):
+    # both runs fail at their default tolerances; a NaN tolerance compares
+    # false with every residual and an infinite one admits all of them, so
+    # either would turn the failure into a pass
+    for argv, name in ((["--structure", "snowflake-0.3", "--point=0.3,-0.2"], "a0a1"),
+                       (["--structure", "riemannian-shear"], "cone")):
+        assert main(["verify", "--checks", name] + argv) == 1
+        capsys.readouterr()
+        for bad in ("nan", "inf", "-inf", "-1e-9"):
+            assert main(["verify", "--checks", name, "--tol.%s=%s" % (name, bad)] + argv) == 64
+            assert "dilatlab: error: tol.%s:" % name in capsys.readouterr().err
+    # a zero tolerance is a legal, if strict, request
+    assert main(["verify", "--structure", "euclidean2", "--checks", "a2",
+                 "--tol.a2", "0"]) in (0, 1)
+
+
+def test_point_outside_the_chart_exits_64(capsys):
+    # euclidean2's chart is [-3, 3]^2; a base point off it is a usage error,
+    # not an a0a1 FAIL, a DomainViolation or a SamplingExhausted
+    for argv in (["verify", "--checks", "a0a1,a2"], ["tangent"], ["profile"]):
+        assert main(argv + ["--structure", "euclidean2", "--point=5,5"]) == 64
+        assert "dilatlab: error: point:" in capsys.readouterr().err
+
+
 def test_unwritable_out_exits_64_before_any_check(monkeypatch, capsys):
     from dilatlab import axioms
 

@@ -1,6 +1,8 @@
 """Property-based tests: verdicts that must hold on every drawn input."""
 
+import contextlib
 import functools
+import io
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dilatlab.axioms import TangentData, check_tangent_cone, derive_sigma_inv, estimate_dx
+from dilatlab.cli import CHECK_NAMES, main
 from dilatlab.geometry import FinitePointedSpace, pairwise, rescale
 from dilatlab.gromov import gh_lower_bound, gh_pointed_exact
 from dilatlab.structures import build_structure, complex_dilatation, euclidean, structure_names
@@ -64,6 +67,24 @@ def test_tangent_data_memo_matches_fresh_limits(name, data, count):
         op, want_op = ((td.sigma_op, fresh.sigma_op) if tag == "sigma"
                        else (td.delta_op, fresh.delta_op))
         assert np.array_equal(op(u, v), want_op(u, v))
+
+
+def _verify(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(name=st.sampled_from(FLAT_NAMES), data=st.data(), seed=st.integers(0, 1000),
+       checks=st.lists(st.sampled_from(CHECK_NAMES), min_size=1, unique=True))
+def test_same_seed_gives_a_byte_identical_verify_run(name, data, seed, checks):
+    n = _flat(name).space.dim
+    x = data.draw(st.tuples(*[st.floats(-0.5, 0.5)] * n))
+    argv = ["verify", "--structure", name, "--point=" + ",".join(map(repr, x)),
+            "--seed", str(seed), "--checks", ",".join(checks)]
+    assert _verify(argv) == _verify(argv)
 
 
 def _pointed(pts, base):
