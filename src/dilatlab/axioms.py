@@ -29,7 +29,7 @@ from .errors import DomainViolation, SamplingExhausted
 from .geometry import FinitePointedSpace, MetricSpaceHandle, distances, pairwise, sample_ball
 from .gromov import SIZE_LIMIT, gh_pointed_exact, _sample_density
 from .limits import LimitEstimate, _table_row, decays_to_zero, richardson_limit
-from .util import as_point, as_points, check_schedule, halving_schedule, scale_of
+from .util import as_point, as_points, check_schedule, halving_schedule
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,8 @@ def _gap(a, b):
 
 def _sample_stacks(samples):
     """(P, n) stacks of the first and of the second points of P sample pairs,
-    and their (P,) relative-tolerance scales (util.scale_of of each pair)."""
+    and their (P,) relative-tolerance scales: 1 + each pair's largest
+    coordinate."""
     pairs = [(as_point(x), as_point(y)) for x, y in samples]
     if not pairs:
         raise ValueError("need at least one sample pair")
@@ -249,10 +250,20 @@ def check_A2(ds: DilatationStructure, samples: Sequence, pairs: Sequence,
 # A3 / A4: rescaled-distance limit and tangent operations
 
 
-def _dx_sequence(ds, x, u, v, eps):
-    """(1/eps) d(dil(eps,x,u), dil(eps,x,v)) along the schedule."""
-    imgs = _dil_schedule(ds, eps, x, [u, v])
-    return distances(ds.space, imgs[0], imgs[1]) / eps
+def _rescaled(ds, eps, x, pts):
+    """(k, P, P) stack of the matrices (1/eps) d(dil(eps,x,p_i), dil(eps,x,p_j))
+    of the (P, n) points pts along the schedule: one _dil_schedule call and
+    one distances call."""
+    return pairwise(ds.space, _dil_schedule(ds, eps, x, pts).swapaxes(0, 1)) / eps[:, None, None]
+
+
+def _dx_sequences(ds, x, U, V, eps):
+    """(R, k) stack of (1/eps) d(dil(eps,x,u_r), dil(eps,x,v_r)) along the
+    schedule for the (R, n) points U and V, either of which may be one (n,)
+    point: one _dil_schedule call and one distances call."""
+    U, V = np.atleast_2d(U), np.atleast_2d(V)
+    imgs = _dil_schedule(ds, eps, x, np.concatenate([U, V]))
+    return distances(ds.space, imgs[:len(U)], imgs[len(U):]) / eps
 
 
 def _in_chart(ds, eps, what, *stacks):
@@ -279,7 +290,8 @@ def _sigma_points(ds, x, u, v, eps):
     return out
 
 
-_SEQUENCES = {"dx": _dx_sequence, "delta": _delta_points, "sigma": _sigma_points}
+_SEQUENCES = {"dx": lambda ds, x, u, v, eps: _dx_sequences(ds, x, u, v, eps)[0],
+              "delta": _delta_points, "sigma": _sigma_points}
 
 
 class TangentData:
@@ -330,34 +342,29 @@ class TangentData:
         s = self.sigma_op(u, v)
         return float(np.max(np.abs(self.delta_op(u, s) - as_point(v))))
 
-    def dx_pairs(self, pts, imgs):
-        """d^x on every unordered pair of pts from their images
-        imgs = _dil_schedule(ds, eps, x, pts). Returns the (n, n) matrix of
-        extrapolated values and the estimates in pair order."""
-        ests = []
-
-        def dx(i, j):
-            est = self._memoised("dx", pts[i], pts[j],
-                                 lambda: distances(self.ds.space, imgs[i], imgs[j]) / self.eps)
-            ests.append(est)
-            return est.extrapolated
-
-        return pairwise(dx, range(len(pts))), ests
+    def dx_rows(self, U, V, seqs=None) -> list:
+        """The d^x estimates of the pairs (U[r], V[r]) of two (R, n) stacks,
+        each memoised: every pair's sequence comes from one _dx_sequences
+        call, or from seqs, the (R, k) sequences already measured."""
+        if seqs is None:
+            seqs = _dx_sequences(self.ds, self.center, U, V, self.eps)
+        return [self._memoised("dx", u, v, lambda s=s: s) for u, v, s in zip(U, V, seqs)]
 
 
 def _ball_snapshots(td, pts, mus):
-    """Two read-outs of the dilated sample pts: the d^x matrix on pts
-    (td.dx_pairs on the images along td.eps) and the (len(mus), n, n) stack of
-    (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)) (the images along mus), plus the
-    worst error of the d^x estimates. The sample is dilated once when the two
-    schedules coincide, else once per schedule."""
+    """Two read-outs of the rescaled distances on the sample pts: the d^x
+    matrix, extrapolated along td.eps, with its estimates in pair order, and
+    the (len(mus), P, P) stack of (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)).
+    When the two schedules coincide, both come from one _rescaled stack."""
     ds, x = td.ds, td.center
-    imgs = _dil_schedule(ds, td.eps, x, pts)
-    dxm, ests = td.dx_pairs(pts, imgs)
-    if not np.array_equal(mus, td.eps):
-        imgs = _dil_schedule(ds, mus, x, pts)
-    snaps = np.array([pairwise(ds.space.distance, imgs[:, s]) / mu for s, mu in enumerate(mus)])
-    return dxm, snaps, max((float(est.error) for est in ests), default=0.0)
+    pts = np.asarray(pts, dtype=float)
+    seqs = _rescaled(ds, td.eps, x, pts)
+    i, j = np.triu_indices(len(pts), 1)
+    ests = td.dx_rows(pts[i], pts[j], seqs[:, i, j].T)
+    dxm = np.zeros(seqs.shape[1:])
+    dxm[i, j] = dxm[j, i] = [float(est.extrapolated) for est in ests]
+    snaps = seqs if np.array_equal(mus, td.eps) else _rescaled(ds, mus, x, pts)
+    return dxm, snaps, ests
 
 
 def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
@@ -369,14 +376,14 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     distance exceeds 1e-2).
     """
     td = TangentData(ds, x, eps_schedule)
-    pts = [as_point(p) for p in sample]
+    pts = np.array([as_point(p) for p in sample])
     if len(pts) < 2:
         raise ValueError("need at least two sample points")
-    dxm, ests = td.dx_pairs(pts, _dil_schedule(ds, td.eps, td.center, pts))
+    dxm, _, ests = _ball_snapshots(td, pts, td.eps)
     worst = max(ests, key=lambda est: est.error)
     td.limit_error = float(worst.error)
     td.converged = all(est.converged for est in ests)
-    td.degenerate = bool(np.any((dxm < 1e-6) & (pairwise(ds.space.distance, pts) > 1e-2)))
+    td.degenerate = bool(np.any((dxm < 1e-6) & (pairwise(ds.space, pts) > 1e-2)))
     return td, worst
 
 
@@ -440,26 +447,33 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
                            converged=False, notes="tangent limits unconverged")
     mus = np.asarray(mus, dtype=float)
     tol = max(tol_floor, 10.0 * td.limit_error)
-    add, dx = td.sigma_op, td.dx
+    add = td.sigma_op
     triples = [pts[i:i + 3] for i in range(len(pts) - 2)]
     sums = [add(u, v) for u, v, _ in triples]
     # every triple's u, v and their sum dilated at every mu in one call
     stack = [p for (u, v, _), s in zip(triples, sums) for p in (u, v, s)]
     imgs = _dil_schedule(ds, mus, td.center, stack).reshape(len(triples), 3, mus.size, -1)
     r_assoc = [_gap(add(u, add(v, w)), add(s, w)) for (u, v, w), s in zip(triples, sums)]
-    r_left = [abs(dx(add(w, u), add(w, v)) - dx(u, v)) for u, v, w in triples]
+    # d^x of u, v, of their left translates by w and of their images at every
+    # mu, each set in one d^x batch
+    dx = lambda U, V: np.array([float(est.extrapolated) for est in td.dx_rows(U, V)])
+    U, V, W = (np.array(col) for col in zip(*triples))
+    lim = (tol * (1.0 + np.max(np.abs(np.hstack([U, V, W])), axis=1))).tolist()
+    d_uv = dx(U, V)
+    r_left = np.abs(dx([add(w, u) for u, w in zip(U, W)], [add(w, v) for v, w in zip(V, W)])
+                    - d_uv).tolist()
     # (triples, mus) residuals of the automorphism and of the cone property
     r_auto = [[_gap(s, add(a, b)) for a, b, s in zip(*im)] for im in imgs]
-    r_cone = [[abs(dx(u, v) - dx(a, b) / mu) for a, b, mu in zip(im[0], im[1], mus.tolist())]
-              for (u, v, _), im in zip(triples, imgs)]
+    A, B = (imgs[:, r].reshape(-1, imgs.shape[-1]) for r in (0, 1))
+    r_cone = np.abs(d_uv[:, None] - dx(A, B).reshape(len(triples), -1) / mus).tolist()
     failures = []
-    for t, (u, v, w) in enumerate(triples):
+    for t in range(len(triples)):
         found = [("associativity", {}, r_assoc[t]), ("left-invariance", {}, r_left[t])]
         for k, mu in enumerate(mus.tolist()):
             found += [("automorphism", {"mu": mu}, r_auto[t][k]),
                       ("cone-property", {"mu": mu}, r_cone[t][k])]
         failures += [dict(triple=t, kind=kind, **at, residual=r)
-                     for kind, at, r in found if r > tol * scale_of(u, v, w)]
+                     for kind, at, r in found if r > lim[t]]
     table = [_table_row(mu, max(a, c), error=float(td.limit_error))
              for mu, a, c in zip(mus.tolist(), r_auto[0], r_cone[0])]
     return CheckReport(check="conical-group", passed=not failures,
@@ -487,7 +501,8 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     eps = check_schedule(eps_schedule)
     td = TangentData(ds, x, halving_schedule(0.5, 12))
     pts = sample_ball(ds.space, td.center, float(eps[0]), count, seed=seed)
-    dxm, snaps, dx_error = _ball_snapshots(td, pts, eps / eps[0])
+    dxm, snaps, ests = _ball_snapshots(td, pts, eps / eps[0])
+    dx_error = max((float(est.error) for est in ests), default=0.0)
     vals = np.max(np.abs(snaps - dxm), axis=(1, 2)) / eps[0]
     est = richardson_limit(eps, vals)
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
@@ -510,9 +525,11 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
     x = td.center
     count = min(count, SIZE_LIMIT)
     raw = sample_ball(ds.space, x, ds.working_radius, max(24, 4 * count), seed=seed)
+    # d^x(x, p) of every raw point from one dilation and one metric call; the
+    # limits are taken until the sample is full
     pts = [x]
-    for p in raw:
-        if td.dx(x, p) <= ds.working_radius:
+    for p, seq in zip(raw, _dx_sequences(ds, x, x, raw, td.eps)):
+        if td.dx_rows([x], [p], [seq])[0].extrapolated <= ds.working_radius:
             pts.append(as_point(p))
         if len(pts) == count:
             break

@@ -220,6 +220,19 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     return (length_best, path) if return_info else length_best
 
 
+def stacked_metric(cc: Callable) -> Callable:
+    """The metric cc(p, q) on one pair as a metric on point stacks (see
+    geometry.MetricSpaceHandle), solved row by row: the CC metrics, the
+    gauge root solve and cc_distance, are solved one pair at a time."""
+
+    def distance(P, Q):
+        P, Q = np.broadcast_arrays(as_points(P), as_points(Q))
+        rows = zip(P.reshape(-1, P.shape[-1]), Q.reshape(-1, Q.shape[-1]))
+        return np.array([float(cc(p, q)) for p, q in rows]).reshape(P.shape[:-1])
+
+    return distance
+
+
 # ---------------------------------------------------------------------------
 # Normal-frame checks
 
@@ -268,6 +281,7 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     value_noise = 1e-4 if cc is None else 1e-9
     if cc is None:
         cc = lambda p, q: cc_distance(frame, p, q, config=LIGHT_CC)
+    metric = stacked_metric(cc)
 
     coeffs = _coeff_samples(frame, coeff_box)
     failures = []
@@ -279,7 +293,7 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
         limits = []
         for pi, y in enumerate(probes):
             pts = flow_exp(frame, frame.scale_coeffs(eps, a), y, steps=flow_steps)
-            vals = np.array([float(cc(p, y)) / float(e) for e, p in zip(eps, pts)])
+            vals = metric(pts, y) / eps
             est = richardson_limit(eps, vals)
             band = max(0.02 * float(np.median(np.abs(vals))),
                        10.0 * value_noise / float(eps[-1]))
@@ -342,9 +356,10 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
         dil(eps, x, y) = exp(sum eps^deg_i a_i X_i)(x),  a = chart coords of y
 
     dil broadcasts over a schedule of scales (see axioms.broadcasting). cc
-    is the metric callable (typically cc_distance on the frame, or an
-    exact formula when one exists). The chart is the frame's box, or
-    [-3, 3]^n when it declares none; the domain radius is 1.2.
+    is the metric on one pair of points (typically cc_distance on the
+    frame, or an exact formula when one exists), solved row by row by the
+    handle's stacked_metric. The chart is the frame's box, or [-3, 3]^n
+    when it declares none; the domain radius is 1.2.
     """
     n = frame.n
     if frame.chart_box is not None:
@@ -355,13 +370,20 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     @broadcasting
     def dil(eps, x, y):
         # the chart coordinates of y do not depend on eps: one batched inverse
-        # for the (x, y) rows, then every scale in one flow
-        x = as_points(x)
-        a = chart_inverse(frame, x, y, tol=newton_tol, steps=steps,
-                          injectivity_radius=injectivity_radius)
-        return flow_exp(frame, frame.scale_coeffs(eps, a), x, steps=steps)
+        # for the distinct (x, y) rows (a schedule repeats each pair once per
+        # scale), then every scale in one flow
+        x, y = as_points(x), as_points(y)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        rows = np.concatenate(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2 * n)
+        # distinct by exact bytes, so -0.0 and 0.0 stay apart
+        keys = rows.view(np.dtype((np.void, rows.itemsize * 2 * n))).ravel()
+        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+        a = chart_inverse(frame, rows[first, :n], rows[first, n:], tol=newton_tol,
+                          steps=steps, injectivity_radius=injectivity_radius)
+        return flow_exp(frame, frame.scale_coeffs(eps, a[back.ravel()].reshape(shape)), x,
+                        steps=steps)
 
-    space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box,
+    space = MetricSpaceHandle(dim=n, distance=stacked_metric(cc), chart_box=box,
                               ball_box=ball_box, name=name or frame.name)
     return DilatationStructure(space=space, dil=dil, name=name or frame.name,
                                domain_radius=1.2, working_radius=working_radius)

@@ -147,6 +147,9 @@ def _setup(args):
     Returns (structure, label, base point, schedule)."""
     if args.eps_count < 2 or not (0.0 < args.eps_start <= 1.0):
         _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
+    # tested before the schedule is built, so a huge count allocates nothing
+    if not args.eps_start * 0.5 ** (args.eps_count - 1) > 0.0:
+        _die("eps schedule: eps-start * 0.5**(eps-count - 1) underflows to 0")
     if args.command == "verify":
         args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not args.checks:

@@ -2,9 +2,9 @@
 pointed spaces and the snowflake transform.
 
 Everything lives in a single coordinate chart (an axis-aligned box in R^n);
-the distance attached to a handle is an arbitrary callable, so handles can
-carry Euclidean, diffeomorphism-pulled, snowflaked or Carnot-Caratheodory
-metrics without the samplers caring.
+the distance attached to a handle maps stacks of point pairs to their
+distances, so handles can carry Euclidean, diffeomorphism-pulled, snowflaked
+or Carnot-Caratheodory metrics without the samplers caring.
 """
 
 from dataclasses import dataclass, field, replace
@@ -23,7 +23,9 @@ CANDIDATE_BUDGET = 200
 class MetricSpaceHandle:
     """A metric on an open chart box.
 
-    distance   symmetric callable d(p, q) -> float >= 0
+    distance   symmetric d(P, Q) >= 0 on point stacks: broadcastable (..., n)
+               stacks P and Q map to the (...) array of the distances of
+               their rows, each equal to the distance of that pair alone
     chart_box  (dim, 2) array of per-axis [lo, hi] bounds
     ball_box   optional hint: (center, radius) -> per-axis halfwidths of a
                box guaranteed to contain the metric ball, for metrics whose
@@ -31,7 +33,7 @@ class MetricSpaceHandle:
     """
 
     dim: int
-    distance: Callable[[np.ndarray, np.ndarray], float]
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     chart_box: np.ndarray
     ball_box: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     name: str = ""
@@ -58,9 +60,16 @@ def box_handle(dim: int, distance, halfwidth: float = 3.0, name: str = "",
                              ball_box=ball_box, name=name)
 
 
+def euclidean_distance(P, Q) -> np.ndarray:
+    """|P - Q| over the last axis of broadcastable (..., n) stacks. Each row
+    gets the bits of np.linalg.norm on that row alone, which
+    np.linalg.norm(..., axis=-1) does not always give."""
+    d = np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)
+    return np.sqrt(np.vecdot(d, d))
+
+
 def euclidean_handle(dim: int) -> MetricSpaceHandle:
-    d = lambda p, q: float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
-    return box_handle(dim, d, name="euclidean%d" % dim,
+    return box_handle(dim, euclidean_distance, name="euclidean%d" % dim,
                       ball_box=lambda c, r: np.full(dim, r))
 
 
@@ -132,9 +141,11 @@ def sample_ball(space: MetricSpaceHandle, center, radius: float, count: int,
     """Low-discrepancy sample of count points from the closed metric ball.
 
     Halton candidates are drawn from the ball's bounding box (clipped to the
-    chart) and filtered by the actual metric; the budget is 200x count
-    candidates, after which SamplingExhausted is raised. Deterministic for a
-    fixed seed (the seed fast-forwards the Halton stream).
+    chart), 256 at a time, and filtered by the actual metric, one metric
+    call per batch of as many candidates as points are still missing; the
+    budget is 200x count candidates, after which SamplingExhausted is
+    raised. Deterministic for a fixed seed (the seed fast-forwards the
+    Halton stream).
     """
     center = as_point(center)
     if center.size != space.dim:
@@ -155,18 +166,16 @@ def sample_ball(space: MetricSpaceHandle, center, radius: float, count: int,
 
     budget = CANDIDATE_BUDGET * count
     slack = radius * (1.0 + 1e-12)
-    accepted = []
-    drawn = 0
+    accepted, cands, drawn = [], [], 0
     while drawn < budget and len(accepted) < count:
-        chunk = min(256, budget - drawn)
-        u = halton(space.dim, 1 + int(seed) + drawn, chunk)
-        drawn += chunk
-        pts = lo + u * (hi - lo)
-        for p in pts:
-            if space.distance(center, p) <= slack:
-                accepted.append(p)
-                if len(accepted) == count:
-                    break
+        if len(cands) == 0:
+            u = halton(space.dim, 1 + int(seed) + drawn, min(256, budget - drawn))
+            cands = lo + u * (hi - lo)
+        # measure exactly the points still missing, so no candidate after the
+        # one that completes the sample is measured
+        pts, cands = cands[:count - len(accepted)], cands[count - len(accepted):]
+        drawn += len(pts)
+        accepted += list(pts[distances(space, center, pts) <= slack])
     if len(accepted) < count:
         raise SamplingExhausted(
             "accepted %d/%d points after %d candidates" % (len(accepted), count, drawn))
@@ -175,22 +184,28 @@ def sample_ball(space: MetricSpaceHandle, center, radius: float, count: int,
 
 def distances(space: MetricSpaceHandle, P, Q) -> np.ndarray:
     """Distances d(P[..., r, :], Q[..., r, :]) of two broadcastable (..., n)
-    stacks, one metric call per row: (k,) for two (k, n) stacks, where either
-    side may be a single (n,) point; (P, k) for (P, 1, n) against (P, k, n)."""
-    P, Q = np.broadcast_arrays(np.atleast_2d(P), np.atleast_2d(Q))
-    rows = zip(P.reshape(-1, P.shape[-1]), Q.reshape(-1, Q.shape[-1]))
-    return np.array([float(space.distance(p, q)) for p, q in rows]).reshape(P.shape[:-1])
+    stacks in one metric call: (k,) for two (k, n) stacks, where either side
+    may be a single (n,) point; (P, k) for (P, 1, n) against (P, k, n).
+    Raises ValueError when the metric does not return that shape, as a
+    metric written for one pair does."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    shape = np.broadcast_shapes(P.shape, Q.shape)[:-1]
+    d = np.asarray(space.distance(P, Q), dtype=float)
+    if d.shape != shape:
+        raise ValueError("distance(P, Q) must map (..., n) point stacks to the (...) array "
+                         "of their distances: got shape %r for stacks %r and %r"
+                         % (d.shape, P.shape, Q.shape))
+    return d
 
 
-def pairwise(dist, pts) -> np.ndarray:
-    """(n, n) matrix of dist(pts[i], pts[j]) for any callable dist: one call
-    per unordered pair, mirrored, so it is exactly symmetric with a zero
-    diagonal."""
-    n = len(pts)
-    m = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = float(dist(pts[i], pts[j]))
+def pairwise(space: MetricSpaceHandle, pts) -> np.ndarray:
+    """(..., P, P) distance matrices of the (..., P, n) point stacks: one
+    distances call over the unordered pairs, mirrored, so each matrix is
+    exactly symmetric with a zero diagonal."""
+    pts = np.asarray(pts, dtype=float)
+    i, j = np.triu_indices(pts.shape[-2], 1)
+    m = np.zeros(pts.shape[:-1] + pts.shape[-2:-1])
+    m[..., i, j] = m[..., j, i] = distances(space, pts[..., i, :], pts[..., j, :])
     return m
 
 
@@ -209,7 +224,7 @@ def restrict(space: MetricSpaceHandle, pts: Sequence, base) -> FinitePointedSpac
             break
     if base_idx is None:
         raise ValueError("base point is not among the given points")
-    return FinitePointedSpace(dmat=pairwise(space.distance, arr), base=base_idx)
+    return FinitePointedSpace(dmat=pairwise(space, arr), base=base_idx)
 
 
 def rescale(fs: FinitePointedSpace, factor: float) -> FinitePointedSpace:
@@ -229,7 +244,12 @@ def snowflake_distance(space: MetricSpaceHandle, a: float) -> MetricSpaceHandle:
     if not (0.0 < a <= 1.0):
         raise ValueError("snowflake exponent must lie in (0, 1]")
     base_d = space.distance
-    d = lambda p, q: float(base_d(p, q)) ** a
+
+    def d(p, q):
+        # Python's float power on each value: numpy's array power can differ
+        # from it in the last bit
+        base = np.asarray(base_d(p, q), dtype=float)
+        return np.array([v ** a for v in base.ravel().tolist()]).reshape(base.shape)
 
     if space.ball_box is not None:
         base_hint = space.ball_box

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .axioms import DilatationStructure, broadcasting
-from .geometry import box_handle, euclidean_handle, snowflake_distance
+from .geometry import box_handle, euclidean_distance, euclidean_handle, snowflake_distance
 from .util import as_point, as_points
 from .vectorfields import VectorField
 
@@ -100,8 +100,7 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2) -> Dilatat
                dil(eps, x, y) = phi^{-1}(phi(x) + eps (phi(y) - phi(x))).
     """
     if variant == 1:
-        d = lambda p, q: float(np.linalg.norm(np.asarray(dp.phi(as_point(p)))
-                                              - np.asarray(dp.phi(as_point(q)))))
+        d = lambda p, q: euclidean_distance(dp.phi(as_points(p)), dp.phi(as_points(q)))
         dil = _affine_dil
 
         def hint(c, r):
@@ -112,7 +111,7 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2) -> Dilatat
         space = box_handle(dim, d, name="riemannian-v1:" + dp.name,
                            ball_box=hint)
     elif variant == 2:
-        d = lambda p, q: float(np.linalg.norm(as_point(p) - as_point(q)))
+        d = lambda p, q: euclidean_distance(as_points(p), as_points(q))
 
         @broadcasting
         def dil(eps, x, y):

@@ -26,16 +26,6 @@ def as_points(x) -> np.ndarray:
     return p
 
 
-def scale_of(*points) -> float:
-    """Reference magnitude for relative tolerances: 1 + largest coordinate."""
-    m = 0.0
-    for p in points:
-        a = np.asarray(p, dtype=float)
-        if a.size:
-            m = max(m, float(np.max(np.abs(a))))
-    return 1.0 + m
-
-
 def symmetric_box(n: int, half: float) -> np.ndarray:
     """(n, 2) chart box [-half, half]^n, one [lo, hi] row per axis."""
     half = float(half)

@@ -125,7 +125,7 @@ def test_estimate_dx_euclidean_is_distance():
 def test_estimate_dx_flags_a_collapsing_metric():
     # with d = |p - q|^2 and affine dilatations the rescaled distance is
     # eps |u - v|^2, so d^x -> 0 on pairs whose distance stays above 1e-2
-    space = box_handle(2, lambda p, q: float(np.sum((p - q) ** 2)))
+    space = box_handle(2, lambda p, q: np.sum((p - q) ** 2, axis=-1))
     ds = DilatationStructure(space=space, dil=lambda e, x, y: x + e * (y - x))
     pts = [np.array([0.4, 0.1]), np.array([-0.3, 0.2]), np.array([0.1, -0.5])]
     td, worst = estimate_dx(ds, np.zeros(2), pts, SCHED)

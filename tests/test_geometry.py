@@ -7,6 +7,7 @@ from dilatlab.errors import SamplingExhausted
 from dilatlab.geometry import (FinitePointedSpace, box_handle, distances,
                                euclidean_handle, pairwise, rescale, restrict,
                                sample_ball, snowflake_distance)
+from dilatlab.structures import build_structure, structure_names
 from dilatlab.util import halton
 
 np.random.seed(0)
@@ -60,7 +61,8 @@ def test_sample_ball_euclidean():
 
 def test_sample_ball_exhaustion():
     # metric that no candidate can satisfy
-    h = box_handle(2, lambda a, b: 10.0 + np.linalg.norm(a - b), halfwidth=1.0)
+    h = box_handle(2, lambda a, b: 10.0 + np.sqrt(np.sum((a - b) ** 2, axis=-1)),
+                   halfwidth=1.0)
     with pytest.raises(SamplingExhausted):
         sample_ball(h, np.zeros(2), 0.5, 4, seed=0)
 
@@ -81,15 +83,28 @@ def test_pairwise_calls_each_unordered_pair_once():
     calls = []
 
     def dist(p, q):
-        # not symmetric, so a mirrored entry shows which order was called
-        calls.append((p, q))
-        return 1.0 + p - 0.5 * q
+        # not symmetric, so a mirrored entry shows which order was measured
+        calls.append((p.copy(), q.copy()))
+        return 1.0 + p[..., 0] - 0.5 * q[..., 0]
 
-    m = pairwise(dist, [0.0, 1.0, 2.0, 3.0, 4.0])
-    assert len(calls) == 5 * 4 // 2
+    pts = np.arange(5.0)[:, None]
+    m = pairwise(box_handle(1, dist, halfwidth=10.0), pts)
+    # one metric call over the 5 * 4 / 2 unordered pairs, each once, i < j
+    assert len(calls) == 1
+    p, q = calls[0]
+    assert sorted(zip(p[:, 0], q[:, 0])) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
-    assert m[1, 3] == dist(1.0, 3.0)
+    assert m[1, 3] == dist(pts[1], pts[3])
+
+
+def test_pairwise_takes_a_stack_of_point_sets():
+    h = euclidean_handle(2)
+    sets = np.random.RandomState(4).uniform(-1.0, 1.0, (3, 4, 2))
+    stacked = pairwise(h, sets)
+    assert stacked.shape == (3, 4, 4)
+    for s in range(3):
+        assert np.array_equal(stacked[s], pairwise(h, sets[s]))
 
 
 def test_distances_broadcasts_one_point():
@@ -113,7 +128,7 @@ def test_snowflake_distance_values():
 
 
 def test_handle_contains():
-    h = box_handle(2, lambda a, b: float(np.linalg.norm(a - b)), halfwidth=1.0)
+    h = box_handle(2, euclidean_handle(2).distance, halfwidth=1.0)
     assert h.contains(np.array([0.5, -0.5]))
     assert not h.contains(np.array([1.5, 0.0]))
 
@@ -128,3 +143,58 @@ def test_halton_from_an_index_continues_the_stream():
             stream = eng.random(3 * 256)
             chunks = [halton(dim, start + 256 * c, 256) for c in range(3)]
             assert np.array_equal(np.concatenate(chunks), stream)
+
+
+@pytest.mark.parametrize("name", structure_names())
+def test_stacked_metric_equals_its_per_pair_calls(name):
+    # the metric contract: a stacked call gives each row the bits of the call
+    # on that pair alone, for one point against a stack and for stacks of
+    # stacks (the Euclidean, shear, tanh and conjugate Riemannian metrics,
+    # the snowflakes and Heisenberg)
+    space = build_structure(name).space
+    rng = np.random.RandomState(7)
+    p = rng.uniform(-0.5, 0.5, space.dim)
+    Q = rng.uniform(-0.5, 0.5, (6, space.dim))
+    P3 = rng.uniform(-0.5, 0.5, (3, 1, space.dim))
+    Q3 = rng.uniform(-0.5, 0.5, (3, 6, space.dim))
+    one = lambda a, b: float(space.distance(a, b))  # noqa: E731
+    got = np.asarray(space.distance(p, Q))
+    assert got.tobytes() == np.array([one(p, q) for q in Q]).tobytes()
+    got = np.asarray(space.distance(P3, Q3))
+    want = np.array([[one(a[0], b) for b in B] for a, B in zip(P3, Q3)])
+    assert got.tobytes() == want.tobytes()
+    if name.startswith(("euclidean", "complex")):
+        # np.linalg.norm on each 1-D difference, the one-pair Euclidean metric
+        want = np.array([[np.linalg.norm(a[0] - b) for b in B] for a, B in zip(P3, Q3)])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_distances_rejects_a_metric_written_for_one_pair():
+    h = box_handle(2, lambda p, q: float(np.linalg.norm(p - q)))
+    with pytest.raises(ValueError, match="distance"):
+        distances(h, np.zeros(2), np.ones((3, 2)))
+
+
+def test_sample_ball_measures_no_candidate_after_the_completing_one():
+    measured = []
+
+    def dist(p, q):
+        d = np.sqrt(np.sum((p - q) ** 2, axis=-1))
+        measured.append(d.size)
+        return d
+
+    h = box_handle(2, dist, halfwidth=1.0)
+    center, radius, count, seed = np.array([0.6, -0.2]), 0.5, 9, 4
+    pts = sample_ball(h, center, radius, count, seed=seed)
+    rows = sum(measured)
+    # reference: one candidate at a time along the Halton stream
+    lo, hi = np.maximum(center - radius, -1.0), np.minimum(center + radius, 1.0)
+    ref, examined = [], 0
+    for c in lo + halton(2, 1 + seed, 200 * count) * (hi - lo):
+        examined += 1
+        if dist(center, c) <= radius * (1.0 + 1e-12):
+            ref.append(c)
+            if len(ref) == count:
+                break
+    assert pts.tobytes() == np.array(ref).tobytes()
+    assert rows == examined

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dilatlab.axioms import TangentData, check_tangent_cone, derive_sigma_inv, estimate_dx
 from dilatlab.cli import CHECK_NAMES, main
-from dilatlab.geometry import FinitePointedSpace, pairwise, rescale
+from dilatlab.geometry import FinitePointedSpace, euclidean_handle, pairwise, rescale
 from dilatlab.gromov import gh_lower_bound, gh_pointed_exact
 from dilatlab.structures import build_structure, complex_dilatation, euclidean, structure_names
 from dilatlab.util import halving_schedule
@@ -88,7 +88,7 @@ def test_same_seed_gives_a_byte_identical_verify_run(name, data, seed, checks):
 
 
 def _pointed(pts, base):
-    return FinitePointedSpace(dmat=pairwise(lambda p, q: float(np.linalg.norm(p - q)), pts),
+    return FinitePointedSpace(dmat=pairwise(euclidean_handle(2), pts),
                               base=base % len(pts))
 
 
