@@ -19,10 +19,10 @@ from .gromov import (Correspondence, LimitVerdict, ProfileCurve, ProfilePoint,
                      gh_pointed_exact, metric_profile,
                      profile_continuity_at_zero)
 from .limits import LimitEstimate, richardson_limit
-from .axioms import (CheckReport, DilatationStructure, TangentData, broadcasting,
-                     check_A0_A1, check_A2, check_conical_group,
-                     check_profile_theorem, check_tangent_cone, derive_sigma_inv,
-                     estimate_delta, estimate_dx, report_to_json)
+from .axioms import (CheckReport, DilatationStructure, TangentData, check_A0_A1,
+                     check_A2, check_conical_group, check_profile_theorem,
+                     check_tangent_cone, derive_sigma_inv, estimate_delta,
+                     estimate_dx, report_to_json)
 from .structures import (DiffeoPair, build_structure, complex_dilatation,
                          euclidean, identity_diffeo, register_structure,
                          riemannian_diffeo, shear_quadratic, snowflake_structure,

@@ -37,9 +37,11 @@ class DilatationStructure:
     """Metric space plus dilatations.
 
     dil(eps, x, y) must accept any eps > 0 (eps > 1 gives the inverse maps),
-    fix x, and be the identity at eps = 1; a dil marked @broadcasting also
-    takes a whole schedule of scales in one call. domain_radius is the
-    declared bound A of the axioms' domains; working_radius is the
+    fix x, and be the identity at eps = 1. A float eps with (n,) points gives
+    one (n,) point; a (k,) eps with points x, y of shape (n,) or (k, n) gives
+    the (k, n) stack whose row r equals dil(eps[r], x_r, y_r) to the last
+    bit, so the harness evaluates a whole schedule in one call. domain_radius
+    is the declared bound A of the axioms' domains; working_radius is the
     "sufficiently close" radius within which witnesses are drawn.
     """
 
@@ -104,41 +106,16 @@ def report_to_json(reports: Sequence[CheckReport], meta: Optional[dict] = None) 
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def broadcasting(dil):
-    """Mark dil(eps, x, y) as broadcasting over a schedule of scales.
-
-    A marked dil takes eps of shape (k,) and points x, y of shape (n,) or
-    (k, n), and returns the (k, n) stack whose row r equals
-    dil(eps[r], x_r, y_r) to the last bit; a float eps with (n,) points
-    still gives one (n,) point. The harness then evaluates a schedule in one
-    call. An unmarked dil is called once per scale, with a float and two
-    (n,) points. The mark lives on the function, so a structure copied with
-    dataclasses.replace(ds, dil=other) takes the mark of its new dil.
-    """
-    dil.broadcasts = True
-    return dil
-
-
-def _dil_rows(ds, eps, x, y) -> np.ndarray:
-    """(k, n) stack of dil(eps[r], x_r, y_r) for x, y of shape (n,) or (k, n):
-    one call to a broadcasting dil, a per-scale loop over any other."""
-    eps = np.asarray(eps, dtype=float)
-    if getattr(ds.dil, "broadcasts", False):
-        return as_points(ds.dil(eps, x, y))
-    xs = x if np.ndim(x) == 2 else [x] * eps.size
-    ys = y if np.ndim(y) == 2 else [y] * eps.size
-    return np.array([as_point(ds.dil(float(e), p, q)) for e, p, q in zip(eps, xs, ys)])
-
-
 def _dil_schedule(ds, eps, x, pts) -> np.ndarray:
-    """(P, k, n) images dil(eps[s], x_i, y_is) of P points at k scales in one
-    _dil_rows call. x is one base point (n,) or one per point (P, n); pts is
-    (P, n), every point at every scale, or (P, k, n), one point per scale."""
+    """(P, k, n) images dil(eps[s], x_is, y_is) of P points at k scales in one
+    dil call. x is one base point (n,), one per point (P, n) or one per point
+    and scale (P, k, n); pts is (P, n), every point at every scale, or
+    (P, k, n), one point per scale."""
     pts = np.asarray(pts, dtype=float)
     P, k = len(pts), eps.size
-    xs = np.repeat(x, k, axis=0) if np.ndim(x) == 2 else x
-    ys = pts.reshape(P * k, -1) if pts.ndim == 3 else np.repeat(pts, k, axis=0)
-    return _dil_rows(ds, np.tile(eps, P), xs, ys).reshape(P, k, -1)
+    rows = lambda a: a.reshape(P * k, -1) if a.ndim == 3 else np.repeat(a, k, axis=0)
+    xs = rows(np.asarray(x, dtype=float)) if np.ndim(x) > 1 else x
+    return as_points(ds.dil(np.tile(eps, P), xs, rows(pts))).reshape(P, k, -1)
 
 
 def _gap(a, b):
@@ -257,48 +234,45 @@ def _rescaled(ds, eps, x, pts):
     return pairwise(ds.space, _dil_schedule(ds, eps, x, pts).swapaxes(0, 1)) / eps[:, None, None]
 
 
-def _dx_sequences(ds, x, U, V, eps):
-    """(R, k) stack of (1/eps) d(dil(eps,x,u_r), dil(eps,x,v_r)) along the
-    schedule for the (R, n) points U and V, either of which may be one (n,)
-    point: one _dil_schedule call and one distances call."""
-    U, V = np.atleast_2d(U), np.atleast_2d(V)
-    imgs = _dil_schedule(ds, eps, x, np.concatenate([U, V]))
-    return distances(ds.space, imgs[:len(U)], imgs[len(U):]) / eps
+def _sequences(ds, tag, x, U, V, eps) -> np.ndarray:
+    """The finite-scale sequences behind tag at the R pairs (U[r], V[r]) of
+    two (R, n) stacks (for "dx", U may be one (1, n) row paired with every
+    row of V), with one dil call per role:
 
+      "dx"     (R, k) rescaled distances (1/eps) d(dil(eps,x,u), dil(eps,x,v))
+      "delta"  (R, k, n) points dil(1/eps, dil(eps,x,u), dil(eps,x,v))
+      "sigma"  (R, k, n) points dil(1/eps, x, dil(eps, dil(eps,x,u), v))
 
-def _in_chart(ds, eps, what, *stacks):
-    """Raise DomainViolation at the first eps where a row of any (k, n) stack
-    lies outside the chart box."""
-    out = ~np.all([ds.space.contains(s) for s in stacks], axis=0)
-    if out.any():
-        raise DomainViolation("%s point left the chart at eps=%g" % (what, eps[np.argmax(out)]))
-
-
-def _delta_points(ds, x, u, v, eps):
-    """dil(1/eps, dil(eps,x,u), dil(eps,x,v)) along the schedule."""
-    w1, w2 = _dil_schedule(ds, eps, x, [u, v])
-    out = _dil_rows(ds, 1.0 / eps, w1, w2)
-    _in_chart(ds, eps, "difference-operation", out, w1)
+    A delta or sigma batch raises DomainViolation for its first pair that
+    leaves the chart, at that pair's first scale off it.
+    """
+    if tag == "sigma":
+        base = _dil_schedule(ds, eps, _dil_schedule(ds, eps, x, U), V)
+        out, what = _dil_schedule(ds, 1.0 / eps, x, base), "sum-operation"
+    else:
+        imgs = _dil_schedule(ds, eps, x, np.concatenate([U, V]))
+        base, other = imgs[:len(U)], imgs[len(U):]
+        if tag == "dx":
+            return distances(ds.space, base, other) / eps
+        out, what = _dil_schedule(ds, 1.0 / eps, base, other), "difference-operation"
+    off = ~(ds.space.contains(out) & ds.space.contains(base))
+    if off.any():
+        r = np.argmax(off.any(axis=1))
+        raise DomainViolation("%s point left the chart at eps=%g" % (what, eps[np.argmax(off[r])]))
     return out
 
 
-def _sigma_points(ds, x, u, v, eps):
-    """dil(1/eps, x, dil(eps, dil(eps,x,u), v)) along the schedule."""
-    q = _dil_rows(ds, eps, _dil_rows(ds, eps, x, u), v)
-    out = _dil_rows(ds, 1.0 / eps, x, q)
-    _in_chart(ds, eps, "sum-operation", out, q)
-    return out
-
-
-_SEQUENCES = {"dx": lambda ds, x, u, v, eps: _dx_sequences(ds, x, u, v, eps)[0],
-              "delta": _delta_points, "sigma": _sigma_points}
+# the 12-scale halving schedule along which the tangent-cone and profile
+# checks extrapolate d^x
+DX_SCHEDULE = halving_schedule(0.5, 12)
 
 
 class TangentData:
     """Tangent-space operations at x, extrapolated along eps on demand and
-    memoised. limit(tag, u, v) is the LimitEstimate behind dx ("dx"), delta_op
-    ("delta") and sigma_op ("sigma") at (u, v); limit_error and converged
-    summarise the limits that estimate_dx or derive_sigma_inv checked."""
+    memoised. limits(tag, U, V) gives the LimitEstimates behind dx ("dx"),
+    delta_op ("delta") and sigma_op ("sigma") at a batch of pairs; limit and
+    the operations read one pair. limit_error and converged summarise the
+    limits that estimate_dx or derive_sigma_inv checked."""
 
     def __init__(self, ds: DilatationStructure, x, eps):
         self.ds = ds
@@ -309,21 +283,31 @@ class TangentData:
         self.degenerate = False
         self._memo = {}
 
-    def _memoised(self, tag, u, v, values) -> LimitEstimate:
-        """The estimate for (tag, u, v), extrapolated from values() on a miss.
-        The memo's key rule: a dx entry is stored under both orders (d^x is a
-        distance), a delta or sigma entry under its ordered pair."""
-        key = (tag, u.tobytes(), v.tobytes())
-        if key not in self._memo:
-            self._memo[key] = richardson_limit(self.eps, values())
-            if tag == "dx":
-                self._memo[(tag, v.tobytes(), u.tobytes())] = self._memo[key]
-        return self._memo[key]
+    def limits(self, tag, U, V, seqs=None) -> list:
+        """The estimates of tag at the pairs (U[r], V[r]) of two (R, n)
+        stacks, in order. The memo's key rule: a dx entry is stored under both
+        orders (d^x is a distance), a delta or sigma entry under its ordered
+        pair. The pairs the memo lacks are measured once, in one _sequences
+        batch, or read from seqs, the sequences of all R pairs already
+        measured."""
+        U, V = as_points(U), as_points(V)
+        keys = [(tag, u.tobytes(), v.tobytes()) for u, v in zip(U, V)]
+        todo = {}  # missing key -> the row that measures it
+        for r, key in enumerate(keys):
+            if key not in self._memo and key not in todo:
+                todo[key] = r
+                if tag == "dx":
+                    todo[(tag, key[2], key[1])] = r
+        rows = list(dict.fromkeys(todo.values()))
+        if rows:
+            seqs = (_sequences(self.ds, tag, self.center, U[rows], V[rows], self.eps)
+                    if seqs is None else np.asarray(seqs, dtype=float)[rows])
+            ests = {r: richardson_limit(self.eps, s) for r, s in zip(rows, seqs)}
+            self._memo.update((key, ests[r]) for key, r in todo.items())
+        return [self._memo[key] for key in keys]
 
     def limit(self, tag, u, v) -> LimitEstimate:
-        u, v = as_point(u), as_point(v)
-        return self._memoised(tag, u, v,
-                              lambda: _SEQUENCES[tag](self.ds, self.center, u, v, self.eps))
+        return self.limits(tag, [as_point(u)], [as_point(v)])[0]
 
     def dx(self, u, v) -> float:
         return float(self.limit("dx", u, v).extrapolated)
@@ -342,28 +326,21 @@ class TangentData:
         s = self.sigma_op(u, v)
         return float(np.max(np.abs(self.delta_op(u, s) - as_point(v))))
 
-    def dx_rows(self, U, V, seqs=None) -> list:
-        """The d^x estimates of the pairs (U[r], V[r]) of two (R, n) stacks,
-        each memoised: every pair's sequence comes from one _dx_sequences
-        call, or from seqs, the (R, k) sequences already measured."""
-        if seqs is None:
-            seqs = _dx_sequences(self.ds, self.center, U, V, self.eps)
-        return [self._memoised("dx", u, v, lambda s=s: s) for u, v, s in zip(U, V, seqs)]
-
 
 def _ball_snapshots(td, pts, mus):
     """Two read-outs of the rescaled distances on the sample pts: the d^x
     matrix, extrapolated along td.eps, with its estimates in pair order, and
     the (len(mus), P, P) stack of (1/mu) d(dil(mu,x,p_i), dil(mu,x,p_j)).
-    When the two schedules coincide, both come from one _rescaled stack."""
+    When mus is a head of td.eps, both come from one _rescaled stack."""
     ds, x = td.ds, td.center
     pts = np.asarray(pts, dtype=float)
     seqs = _rescaled(ds, td.eps, x, pts)
     i, j = np.triu_indices(len(pts), 1)
-    ests = td.dx_rows(pts[i], pts[j], seqs[:, i, j].T)
+    ests = td.limits("dx", pts[i], pts[j], seqs[:, i, j].T)
     dxm = np.zeros(seqs.shape[1:])
     dxm[i, j] = dxm[j, i] = [float(est.extrapolated) for est in ests]
-    snaps = seqs if np.array_equal(mus, td.eps) else _rescaled(ds, mus, x, pts)
+    head = np.array_equal(mus, td.eps[:len(mus)])
+    snaps = seqs[:len(mus)] if head else _rescaled(ds, mus, x, pts)
     return dxm, snaps, ests
 
 
@@ -410,12 +387,14 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule) -> TangentData:
     d1 /= np.linalg.norm(d1)
     d2 /= np.linalg.norm(d2)
     u, v = x + 0.9 * r * d1, x - 0.75 * r * d2
-    ests = [td.limit("delta", u, v), td.limit("sigma", u, v)]
+    d_uv, d_uu = td.limits("delta", [u, u], [v, u])
+    s_uv, s_xv = td.limits("sigma", [u, x], [v, v])
+    ests = [d_uv, s_uv]
     td.limit_error = max([float(est.error) for est in ests] + [
         td.consistency_residual(u, v),
         # neutral element and self-difference identities
-        float(np.max(np.abs(td.sigma_op(x, v) - v))),
-        float(np.max(np.abs(td.delta_op(u, u) - x)))])
+        float(np.max(np.abs(s_xv.extrapolated - v))),
+        float(np.max(np.abs(d_uu.extrapolated - x)))])
     td.converged = all(est.converged for est in ests)
     return td
 
@@ -447,25 +426,30 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
                            converged=False, notes="tangent limits unconverged")
     mus = np.asarray(mus, dtype=float)
     tol = max(tol_floor, 10.0 * td.limit_error)
-    add = td.sigma_op
     triples = [pts[i:i + 3] for i in range(len(pts) - 2)]
-    sums = [add(u, v) for u, v, _ in triples]
-    # every triple's u, v and their sum dilated at every mu in one call
-    stack = [p for (u, v, _), s in zip(triples, sums) for p in (u, v, s)]
-    imgs = _dil_schedule(ds, mus, td.center, stack).reshape(len(triples), 3, mus.size, -1)
-    r_assoc = [_gap(add(u, add(v, w)), add(s, w)) for (u, v, w), s in zip(triples, sums)]
-    # d^x of u, v, of their left translates by w and of their images at every
-    # mu, each set in one d^x batch
-    dx = lambda U, V: np.array([float(est.extrapolated) for est in td.dx_rows(U, V)])
+    T, n = len(triples), len(td.center)
     U, V, W = (np.array(col) for col in zip(*triples))
     lim = (tol * (1.0 + np.max(np.abs(np.hstack([U, V, W])), axis=1))).tolist()
-    d_uv = dx(U, V)
-    r_left = np.abs(dx([add(w, u) for u, w in zip(U, W)], [add(w, v) for v, w in zip(V, W)])
-                    - d_uv).tolist()
+    cat = np.concatenate
+    add = lambda A, B: np.array([est.extrapolated for est in td.limits("sigma", A, B)])
+    # first sum batch: u + v, v + w, and the left translates w + u, w + v
+    S, VW, WU, WV = np.split(add(cat([U, V, W, W]), cat([V, W, U, V])), 4)
+    # every triple's u, v and their sum dilated at every mu in one call
+    imgs = _dil_schedule(ds, mus, td.center,
+                         np.stack([U, V, S], axis=1).reshape(-1, n)).reshape(T, 3, -1, n)
+    A, B = (imgs[:, r].reshape(-1, n) for r in (0, 1))
+    # second sum batch: u + (v + w), (u + v) + w and the sums of the images
+    U_VW, S_W, AB = np.split(add(cat([U, S, A]), cat([VW, W, B])), [T, 2 * T])
+    r_assoc = _gap(U_VW, S_W)
+    # d^x of u, v, of their left translates by w and of their images at every
+    # mu in one batch
+    dx = np.array([float(est.extrapolated)
+                   for est in td.limits("dx", cat([U, WU, A]), cat([V, WV, B]))])
+    d_uv, d_left, d_img = np.split(dx, [T, 2 * T])
+    r_left = np.abs(d_left - d_uv).tolist()
     # (triples, mus) residuals of the automorphism and of the cone property
-    r_auto = [[_gap(s, add(a, b)) for a, b, s in zip(*im)] for im in imgs]
-    A, B = (imgs[:, r].reshape(-1, imgs.shape[-1]) for r in (0, 1))
-    r_cone = np.abs(d_uv[:, None] - dx(A, B).reshape(len(triples), -1) / mus).tolist()
+    r_auto = _gap(imgs[:, 2], AB.reshape(T, -1, n))
+    r_cone = np.abs(d_uv[:, None] - d_img.reshape(T, -1) / mus).tolist()
     failures = []
     for t in range(len(triples)):
         found = [("associativity", {}, r_assoc[t]), ("left-invariance", {}, r_left[t])]
@@ -493,13 +477,13 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     One sample p_i of B(x, eps[0]) is dilated by mu = eps / eps[0]: by A2 the
     images sample B(x, eps), and by the cone property d^x scales by mu on them.
     So the value at eps is max |M - D| / eps[0], with M = (1/mu) d(dil(mu,x,p_i),
-    dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along a 12-scale
-    halving schedule. converged: the values decay (limits.decays_to_zero) to a
-    quarter of the first one, or to the worst d^x error over eps[0], which is
-    all an exact cone can reach.
+    dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along DX_SCHEDULE.
+    converged: the values decay (limits.decays_to_zero) to a quarter of the
+    first one, or to the worst d^x error over eps[0], which is all an exact
+    cone can reach.
     """
     eps = check_schedule(eps_schedule)
-    td = TangentData(ds, x, halving_schedule(0.5, 12))
+    td = TangentData(ds, x, DX_SCHEDULE)
     pts = sample_ball(ds.space, td.center, float(eps[0]), count, seed=seed)
     dxm, snaps, ests = _ball_snapshots(td, pts, eps / eps[0])
     dx_error = max((float(est.error) for est in ests), default=0.0)
@@ -510,17 +494,19 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     return est
 
 
-def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
-                          count: int, seed: int = 0) -> CheckReport:
+def check_profile_theorem(ds: DilatationStructure, x, mu_schedule, count: int,
+                          seed: int = 0) -> CheckReport:
     """Compare rescaled-ball snapshots against the tangent-cone snapshot.
 
     On a fixed sample of the unit d^x-ball at x, _ball_snapshots gives the d^x
-    matrix and, per mu, the (1/mu) d(dil(mu,x,u_i), dil(mu,x,u_j)) matrix; the
-    pointed GH gap between them must decay to zero (limits.decays_to_zero)
-    within the sample density. Raises SamplingExhausted when fewer than three
-    sample points lie in the d^x-ball.
+    matrix, extrapolated along DX_SCHEDULE, and, per mu, the
+    (1/mu) d(dil(mu,x,u_i), dil(mu,x,u_j)) matrix; the pointed GH gap between
+    them must decay to zero (limits.decays_to_zero) within the sample
+    density. A d^x limit behind the sample that did not converge makes the
+    report inconclusive (converged=False). Raises SamplingExhausted when fewer
+    than three sample points lie in the d^x-ball.
     """
-    td = TangentData(ds, x, eps_schedule)
+    td = TangentData(ds, x, DX_SCHEDULE)
     mus = check_schedule(mu_schedule)
     x = td.center
     count = min(count, SIZE_LIMIT)
@@ -528,22 +514,25 @@ def check_profile_theorem(ds: DilatationStructure, x, eps_schedule, mu_schedule,
     # d^x(x, p) of every raw point from one dilation and one metric call; the
     # limits are taken until the sample is full
     pts = [x]
-    for p, seq in zip(raw, _dx_sequences(ds, x, x, raw, td.eps)):
-        if td.dx_rows([x], [p], [seq])[0].extrapolated <= ds.working_radius:
+    for p, seq in zip(raw, _sequences(ds, "dx", x, x[None], raw, td.eps)):
+        if td.limits("dx", [x], [p], [seq])[0].extrapolated <= ds.working_radius:
             pts.append(as_point(p))
         if len(pts) == count:
             break
     if len(pts) < 3:
         raise SamplingExhausted("tangent sample too thin for a snapshot comparison")
-    dmat0, snaps, _ = _ball_snapshots(td, pts, mus)
+    dmat0, snaps, ests = _ball_snapshots(td, pts, mus)
     base_fs = FinitePointedSpace(dmat=dmat0, base=0, slack=1e-5)
     density = _sample_density(dmat0)
 
     gaps = [gh_pointed_exact(FinitePointedSpace(dmat=m, base=0, slack=1e-9), base_fs)
             for m in snaps]
     table = [_table_row(float(mu), g, error=float(density)) for mu, g in zip(mus, gaps)]
-    passed = decays_to_zero(gaps, max(density, 1e-10))
+    notes = "%d-point snapshots, density %.3g" % (len(pts), density)
+    unconverged = sum(not est.converged for est in ests)
+    if unconverged:
+        notes += "; %d of %d d^x limits unconverged" % (unconverged, len(ests))
+    passed = not unconverged and decays_to_zero(gaps, max(density, 1e-10))
     return CheckReport(check="profile-theorem", passed=passed,
                        max_residual=float(gaps[-1]), tolerance=float(density),
-                       converged=passed, table=table,
-                       notes="%d-point snapshots, density %.3g" % (len(pts), density))
+                       converged=passed, table=table, notes=notes)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .axioms import CheckReport, DilatationStructure, broadcasting
+from .axioms import CheckReport, DilatationStructure
 from .errors import NoFeasiblePath
 from .geometry import MetricSpaceHandle
 from .heisenberg_group import heisenberg, heisenberg_ball_box, heisenberg_cc, warped_heisenberg
@@ -355,7 +355,7 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
 
         dil(eps, x, y) = exp(sum eps^deg_i a_i X_i)(x),  a = chart coords of y
 
-    dil broadcasts over a schedule of scales (see axioms.broadcasting). cc
+    dil takes a whole schedule of scales (see axioms.DilatationStructure). cc
     is the metric on one pair of points (typically cc_distance on the
     frame, or an exact formula when one exists), solved row by row by the
     handle's stacked_metric. The chart is the frame's box, or [-3, 3]^n
@@ -367,7 +367,6 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     else:
         box = symmetric_box(n, 3.0)
 
-    @broadcasting
     def dil(eps, x, y):
         # the chart coordinates of y do not depend on eps: one batched inverse
         # for the distinct (x, y) rows (a schedule repeats each pair once per

@@ -147,9 +147,13 @@ def _setup(args):
     Returns (structure, label, base point, schedule)."""
     if args.eps_count < 2 or not (0.0 < args.eps_start <= 1.0):
         _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
-    # tested before the schedule is built, so a huge count allocates nothing
-    if not args.eps_start * 0.5 ** (args.eps_count - 1) > 0.0:
+    # tested before the schedule is built, so a huge count allocates nothing;
+    # the checks dilate by 1/eps, which must stay finite at the last scale
+    last = args.eps_start * 0.5 ** (args.eps_count - 1)
+    if not last > 0.0:
         _die("eps schedule: eps-start * 0.5**(eps-count - 1) underflows to 0")
+    if not 1.0 / last < np.inf:
+        _die("eps schedule: 1 / (eps-start * 0.5**(eps-count - 1)) overflows")
     if args.command == "verify":
         args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not args.checks:
@@ -222,8 +226,7 @@ def _run_checks(ds, args, x, eps) -> List[CheckReport]:
             rep = _estimate_report("tangent-cone", est, max(TANGENT_CONE_TOL, float(est.error)))
             rep.passed = bool(est.converged)
         else:  # "profile"; _setup rejected every other name
-            rep = axioms.check_profile_theorem(ds, x, eps, eps,
-                                               count=min(args.samples + 1, 6),
+            rep = axioms.check_profile_theorem(ds, x, eps, count=min(args.samples + 1, 6),
                                                seed=args.seed)
         reports.append(rep)
     return reports
@@ -281,12 +284,15 @@ def _cmd_tangent(args) -> int:
     u, v = pts[0], pts[1]
 
     td = axioms.derive_sigma_inv(ds, x, eps)
-    s = td.sigma_op(u, v)
-    d = td.delta_op(u, v)
-    iu = td.inv_op(u)
+    # the sum, then one batch for the difference, the inverse and the
+    # cancellation diff(u, add(u, v)) that should give back v
+    (s_est,) = td.limits("sigma", [u], [v])
+    s = np.array(s_est.extrapolated, dtype=float)
+    d_est, i_est, back = td.limits("delta", [u, u, u], [v, td.center, s])
+    d, iu = (np.array(est.extrapolated, dtype=float) for est in (d_est, i_est))
+    printed = [s_est, d_est, i_est]
     # the error bar covers the printed operations, not only the probe pairs
     # derive_sigma_inv checked
-    printed = [td.limit("sigma", u, v), td.limit("delta", u, v), td.limit("delta", u, td.center)]
     limit_error = max([td.limit_error] + [float(est.error) for est in printed])
     converged = bool(td.converged and all(est.converged for est in printed))
     dx_rows = td.limit("dx", u, v).table_rows()
@@ -299,7 +305,7 @@ def _cmd_tangent(args) -> int:
         "sum": [float(t) for t in s],
         "difference": [float(t) for t in d],
         "inverse_u": [float(t) for t in iu],
-        "consistency": float(td.consistency_residual(u, v)),
+        "consistency": float(np.max(np.abs(back.extrapolated - v))),
         "limit_error": limit_error,
         "converged": converged,
         "dx_table": dx_rows,

@@ -8,13 +8,12 @@ from typing import Callable
 
 import numpy as np
 
-from .axioms import DilatationStructure, broadcasting
+from .axioms import DilatationStructure
 from .geometry import box_handle, euclidean_distance, euclidean_handle, snowflake_distance
 from .util import as_point, as_points
 from .vectorfields import VectorField
 
 
-@broadcasting
 def _affine_dil(eps, x, y):
     """The affine dilatations of the chart, dil(eps, x, y) = x + eps (y - x)."""
     x = as_points(x)
@@ -113,7 +112,6 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2) -> Dilatat
     elif variant == 2:
         d = lambda p, q: euclidean_distance(as_points(p), as_points(q))
 
-        @broadcasting
         def dil(eps, x, y):
             fx = np.asarray(dp.phi(as_points(x)), dtype=float)
             fy = np.asarray(dp.phi(as_points(y)), dtype=float)
@@ -133,8 +131,7 @@ def snowflake_structure(base: DilatationStructure, a: float) -> DilatationStruct
     """Snowflake transform: distance d^a with dil_a(eps, .) = dil(eps^(1/a), .).
 
     The composition law survives exactly ((eps mu)^(1/a) = eps^(1/a) mu^(1/a))
-    and the rescaled-limit distance of the transform is (d^x)^a. dil
-    broadcasts exactly when the base dil does.
+    and the rescaled-limit distance of the transform is (d^x)^a.
     """
     if not (0.0 < a <= 1.0):
         raise ValueError("exponent must lie in (0, 1]")
@@ -148,9 +145,6 @@ def snowflake_structure(base: DilatationStructure, a: float) -> DilatationStruct
         if np.ndim(eps) == 0:
             return base_dil(float(eps) ** inv_a, x, y)
         return base_dil(np.array([float(e) ** inv_a for e in eps]), x, y)
-
-    if getattr(base_dil, "broadcasts", False):
-        dil = broadcasting(dil)
 
     return DilatationStructure(space=space, dil=dil,
                                name="snowflake-%g-of-%s" % (a, base.name),
@@ -176,7 +170,6 @@ def complex_dilatation(theta: float) -> DilatationStructure:
         rot = np.stack([np.stack([c, -sn], axis=-1), np.stack([sn, c], axis=-1)], axis=-2)
         return eps[..., None, None] * rot
 
-    @broadcasting
     def dil(eps, x, y):
         x = as_points(x)
         y = as_points(y)

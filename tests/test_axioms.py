@@ -5,15 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dilatlab.axioms import (DilatationStructure, TangentData, broadcasting, check_A0_A1,
-                             check_A2, check_conical_group, check_profile_theorem,
+from dilatlab.axioms import (DilatationStructure, TangentData, check_A0_A1, check_A2,
+                             check_conical_group, check_profile_theorem,
                              check_tangent_cone, derive_sigma_inv, estimate_delta,
                              estimate_dx)
 from dilatlab.errors import DomainViolation, SamplingExhausted
 from dilatlab.geometry import box_handle, sample_ball
 from dilatlab.limits import decays_to_zero, richardson_limit
-from dilatlab.structures import (build_structure, euclidean, riemannian_diffeo,
-                                 shear_quadratic)
+from dilatlab.structures import (build_structure, complex_dilatation, euclidean,
+                                 riemannian_diffeo, shear_quadratic)
 from dilatlab.util import halving_schedule, symmetric_box
 
 np.random.seed(2)
@@ -35,9 +35,10 @@ def test_a0_a1_euclidean():
 
 
 def _broken_inverse(eps, x, y):
-    # not invertible through eps -> 1/eps (wrong exponent going out); unmarked,
-    # so the checks call it once per scale
-    e = eps if eps <= 1 else eps ** 1.5
+    # not invertible through eps -> 1/eps (wrong exponent going out); takes a
+    # schedule of scales like every dil
+    e = np.asarray(eps, dtype=float)
+    e = np.where(e <= 1, e, e ** 1.5)[..., None]
     return np.asarray(x) + e * (np.asarray(y) - np.asarray(x))
 
 
@@ -83,13 +84,14 @@ def test_pointwise_checks_equal_their_merged_per_sample_reports(case):
 
 
 def test_pointwise_checks_dilate_each_role_in_one_call():
-    # a marked dil sees every sample at every scale in one call per role:
-    # A0/A1's images (with the identity at 1 and the continuity probe), fixed
-    # points and inverse images; A2's inner, outer and composed scales
+    # dil sees every sample at every scale in one call per role: A0/A1's
+    # images (with the identity at 1 and the continuity probe), fixed points
+    # and inverse images; A2's inner, outer and composed scales; the
+    # difference's two roles and the sum's three in derive_sigma_inv and
+    # check_conical_group, whose call counts do not grow with the samples
     base = euclidean(2)
     calls = []
 
-    @broadcasting
     def counted(e, x, y):
         calls.append(np.size(e))
         return base.dil(e, x, y)
@@ -101,6 +103,23 @@ def test_pointwise_checks_dilate_each_role_in_one_call():
     del calls[:]
     check_A2(ds, samples, [(0.5, 0.5), (0.7, 0.2)])
     assert calls == [10, 10, 10]
+    k, mus = len(SCHED), (0.5, 0.25)
+    for count in (4, 7):
+        del calls[:]
+        td = derive_sigma_inv(ds, np.zeros(2), SCHED)
+        # delta on (u, v), (u, u); sigma on (u, v), (x, v); delta on (u, u + v)
+        assert calls == [4 * k, 2 * k] + [2 * k] * 3 + [2 * k, k]
+        del calls[:]
+        pts = [0.5 * p for p, _ in euclid_samples(2, count, np.random.RandomState(7))]
+        check_conical_group(td, ds, pts, mus=mus)
+        # T triples: sums of the 3T + 1 distinct pairs among u + v, v + w,
+        # w + u, w + v (v + w of a triple is u + v of the next), the images
+        # of u, v and u + v at each mu, sums of 2T pairs and of the T x mu
+        # image pairs, then d^x of as many pairs
+        T = count - 2
+        R = 2 * T + T * len(mus)
+        assert calls == ([(3 * T + 1) * k] * 3 + [3 * T * len(mus)] + [R * k] * 3
+                         + [2 * R * k])
 
 
 def test_a2_euclidean_exact():
@@ -126,7 +145,8 @@ def test_estimate_dx_flags_a_collapsing_metric():
     # with d = |p - q|^2 and affine dilatations the rescaled distance is
     # eps |u - v|^2, so d^x -> 0 on pairs whose distance stays above 1e-2
     space = box_handle(2, lambda p, q: np.sum((p - q) ** 2, axis=-1))
-    ds = DilatationStructure(space=space, dil=lambda e, x, y: x + e * (y - x))
+    ds = DilatationStructure(space=space,
+                             dil=lambda e, x, y: x + np.asarray(e)[..., None] * (y - x))
     pts = [np.array([0.4, 0.1]), np.array([-0.3, 0.2]), np.array([0.1, -0.5])]
     td, worst = estimate_dx(ds, np.zeros(2), pts, SCHED)
     assert td.degenerate is True
@@ -295,24 +315,26 @@ def test_tangent_data_validates_point_and_schedule():
 
 
 def test_seeded_dx_pair_makes_no_dil_call():
-    # an unmarked wrapper takes the per-scale path and counts every dil call
+    # the wrapper counts the scale rows dil evaluates: estimate_dx dilates
+    # each sample point once per scale, memo hits (in either order) dilate
+    # nothing, and a fresh pair dilates its two points once per scale
     base = euclidean(2)
-    calls = [0]
+    rows = [0]
 
     def counted(e, x, y):
-        calls[0] += 1
+        rows[0] += np.size(e)
         return base.dil(e, x, y)
 
     ds = replace(base, dil=counted)
     pts = [np.array([0.4, 0.1]), np.array([-0.3, 0.2]), np.array([0.1, -0.5])]
     td, _ = estimate_dx(ds, np.zeros(2), pts, SCHED)
-    seeded = calls[0]
+    seeded = rows[0]
     assert seeded == len(pts) * len(SCHED)
     for u, v in [(pts[0], pts[1]), (pts[2], pts[0]), (pts[2], pts[1])]:
         td.dx(u, v)
-    assert calls[0] == seeded
+    assert rows[0] == seeded
     td.dx(pts[0], np.array([0.2, 0.2]))
-    assert calls[0] == seeded + 2 * len(SCHED)
+    assert rows[0] == seeded + 2 * len(SCHED)
 
 
 def test_tangent_operations_name_the_first_scale_off_the_chart():
@@ -328,19 +350,41 @@ def test_tangent_operations_name_the_first_scale_off_the_chart():
     with pytest.raises(DomainViolation,
                        match=r"^sum-operation point left the chart at eps=0\.25$"):
         td.sigma_op(v, v)
+    # a batch names its first pair in request order that leaves the chart, at
+    # that pair's first scale: the second row here (eps = 0.25), though the
+    # third, which ends at 1.2 - 0.2 eps, leaves it earlier in the schedule
+    inside, early = np.array([0.1, 0.0]), np.array([-0.2, 0.0])
+    with pytest.raises(DomainViolation,
+                       match=r"^difference-operation point left the chart at eps=0\.25$"):
+        td.limits("delta", [-inside, u, early], [inside, v, np.array([1.0, 0.0])])
 
 
 def test_profile_theorem_too_few_points_is_typed():
     sched = halving_schedule(0.5, 4)
     with pytest.raises(SamplingExhausted):
-        check_profile_theorem(euclidean(2), np.zeros(2), sched, sched, count=2)
+        check_profile_theorem(euclidean(2), np.zeros(2), sched, count=2)
 
 
 def test_profile_theorem_euclidean():
     ds = euclidean(2)
-    rep = check_profile_theorem(ds, np.zeros(2), halving_schedule(0.5, 6),
-                                halving_schedule(0.5, 6), count=5, seed=1)
+    rep = check_profile_theorem(ds, np.zeros(2), halving_schedule(0.5, 6), count=5, seed=1)
     assert rep.passed
+    assert rep.max_residual <= rep.tolerance
+
+
+@pytest.mark.parametrize("count", [3, 5, 7])
+def test_profile_theorem_refuses_a_spiral_under_the_l1_metric(count):
+    # the spiral's dilatations rotate by ln(eps), and the l1 norm is not
+    # rotation invariant: the rescaled distances swing forever, so no d^x
+    # limit exists. The GH gaps (0.02-0.25) sit far below the sample density
+    # (0.82-0.87) that judges their decay, so only the unconverged d^x limits
+    # behind the snapshot can refuse the verdict
+    l1 = lambda p, q: np.sum(np.abs(p - q), axis=-1)
+    ds = replace(complex_dilatation(1.0), space=box_handle(2, l1))
+    rep = check_profile_theorem(ds, np.array([0.3, -0.2]), SCHED, count=count)
+    assert not rep.passed
+    assert rep.converged is False
+    assert "d^x limits unconverged" in rep.notes
     assert rep.max_residual <= rep.tolerance
 
 
@@ -356,14 +400,20 @@ def test_report_serialization():
 
 
 def test_batched_and_per_scale_paths_agree_on_heisenberg():
-    # the broadcasting dil and a scalar-only wrapper of it (which takes the
-    # per-scale loop) must give identical reports and values
-    import dataclasses
+    # the batched dil and a wrapper that calls it once per row with a float
+    # scale must give identical reports and values
     from dilatlab.carnot import heisenberg_structure
 
     ds = heisenberg_structure(steps=32)
-    looped = dataclasses.replace(ds, dil=lambda e, x, y: ds.dil(e, x, y))
-    assert ds.dil.broadcasts and not hasattr(looped.dil, "broadcasts")
+
+    def per_row(e, x, y):
+        if np.ndim(e) == 0:
+            return ds.dil(e, x, y)
+        shape = (np.size(e), np.shape(x)[-1])
+        return np.array([ds.dil(float(s), p, q) for s, p, q
+                         in zip(e, np.broadcast_to(x, shape), np.broadcast_to(y, shape))])
+
+    looped = replace(ds, dil=per_row)
     sched = halving_schedule(0.125, 4)
     rng = np.random.RandomState(13)
     x = np.array([0.05, -0.1, 0.02])

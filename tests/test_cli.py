@@ -147,8 +147,10 @@ def test_usage_errors_exit_64(capsys):
     for cmd in ("verify", "tangent", "profile"):
         assert main([cmd, "--structure", "euclidean2", "--seed", "-5"]) == 64
         assert main([cmd, "--structure", "euclidean2", "--seed", "2147483648"]) == 64
-        # a halving schedule whose last scale underflows to 0
-        assert main([cmd, "--structure", "euclidean2", "--eps-count", "1100"]) == 64
+        # a halving schedule whose last scale underflows to 0, or whose last
+        # scale's reciprocal (the inverse dilatations' factor) overflows
+        for count in ("1100", "1030"):
+            assert main([cmd, "--structure", "euclidean2", "--eps-count", count]) == 64
     # the tangent-cone verdict is the limit's own convergence: no tolerance flag
     assert main(["verify", "--structure", "euclidean2", "--checks", "tangent-cone",
                  "--tol.tangent-cone", "1e9"]) == 64

@@ -10,7 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dilatlab.axioms import TangentData, check_tangent_cone, derive_sigma_inv, estimate_dx
+from dilatlab.axioms import (TangentData, check_conical_group, check_tangent_cone,
+                             derive_sigma_inv, estimate_dx)
 from dilatlab.cli import CHECK_NAMES, main
 from dilatlab.geometry import FinitePointedSpace, euclidean_handle, pairwise, rescale
 from dilatlab.gromov import gh_lower_bound, gh_pointed_exact
@@ -60,13 +61,38 @@ def test_tangent_data_memo_matches_fresh_limits(name, data, count):
             assert td.dx(pts[i], pts[j]) == want
             assert td.dx(pts[j], pts[i]) == want
     td = derive_sigma_inv(ds, x, eps)
-    fresh = TangentData(ds, x, eps)
-    seeded = [(tag, np.frombuffer(u), np.frombuffer(v)) for tag, u, v in td._memo]
-    assert {tag for tag, _, _ in seeded} == {"delta", "sigma"}
-    for tag, u, v in seeded:
-        op, want_op = ((td.sigma_op, fresh.sigma_op) if tag == "sigma"
-                       else (td.delta_op, fresh.delta_op))
-        assert np.array_equal(op(u, v), want_op(u, v))
+    assert {tag for tag, _, _ in td._memo} == {"delta", "sigma"}
+    _assert_memo_is_fresh(td)
+    # the conical check's sum and d^x batches, whatever the tangent verdict
+    td.converged = True
+    check_conical_group(td, ds, pts + [x], mus=(0.5, 0.25))
+    assert {tag for tag, _, _ in td._memo} == {"delta", "sigma", "dx"}
+    _assert_memo_is_fresh(td)
+
+
+def test_tangent_data_memo_matches_fresh_limits_on_heisenberg():
+    from dilatlab.carnot import heisenberg_structure
+
+    ds = heisenberg_structure(steps=32)
+    x = np.array([0.05, -0.1, 0.02])
+    rng = np.random.RandomState(5)
+    pts = [x + rng.uniform(-0.08, 0.08, 3) for _ in range(4)]
+    td = derive_sigma_inv(ds, x, halving_schedule(0.125, 8))
+    assert td.converged
+    check_conical_group(td, ds, pts, mus=(0.5, 0.25))
+    _assert_memo_is_fresh(td)
+
+
+def _assert_memo_is_fresh(td):
+    """Every memo entry equals the limit a fresh TangentData extrapolates for
+    that pair alone, bit for bit."""
+    for tag, u, v in list(td._memo):
+        got = td._memo[(tag, u, v)]
+        want = TangentData(td.ds, td.center, td.eps).limit(tag, np.frombuffer(u),
+                                                           np.frombuffer(v))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.extrapolated, want.extrapolated)
+        assert (got.error, got.converged, got.note) == (want.error, want.converged, want.note)
 
 
 def _verify(argv):
