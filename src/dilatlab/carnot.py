@@ -4,7 +4,10 @@ cc_distance is a variational solver: horizontal paths are piecewise-constant
 controls on the degree-1 frame fields, integrated by vectorfields.rk4_step,
 optimized by L-BFGS on the path energy with an augmented quadratic endpoint
 penalty (multiplier update plus x10 continuation), several deterministic
-starts, and analytic adjoint gradients through the discretization.
+starts, and analytic adjoint gradients through the discretization. The
+L-BFGS solver is scipy's, reached through this module's minimize, which
+imports scipy.optimize on its first call, so importing carnot loads no
+scipy.
 
 check_normal_frame tests the degrees of an adapted frame, and sr_dilatation
 turns a frame and a CC-type metric into a dilatation structure; the
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .axioms import CheckReport, DilatationStructure
 from .errors import NoFeasiblePath
@@ -31,6 +33,15 @@ from .vectorfields import (Frame, chart_inverse, compose_rows, flow_exp, frame_f
 
 # ---------------------------------------------------------------------------
 # Variational CC distance
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call so that importing
+    carnot loads no scipy. cc_distance looks this name up when it calls it,
+    so a wrapper set on the module attribute sees every L-BFGS solve."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 # Initial endpoint-penalty weight of cc_distance and its growth per stage.

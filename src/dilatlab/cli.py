@@ -32,8 +32,8 @@ DEFAULT_TOLS = {"a0a1": 1e-9, "a2": 1e-9, "a3": 1e-5, "a4": 1e-5, "cone": 1e-9}
 # the tolerance a tangent-cone report prints; its verdict is the limit's own
 # convergence, so no flag sets it
 TANGENT_CONE_TOL = 1e-3
-# the largest --seed: the seed is how far the Halton streams skip ahead, and
-# skipping costs memory in proportion to it
+# the largest --seed: the CLI's documented seed range is 0 to MAX_SEED, and
+# the seed is the Halton index its streams start from
 MAX_SEED = 1000000
 # the fewest --samples a check runs with: tangent-cone needs one ball point,
 # profile needs the base point plus two

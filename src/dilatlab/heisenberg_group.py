@@ -7,13 +7,14 @@ purely vertical targets, and the chart box of a CC ball. A warped copy
 (pushforward under a trigonometric triangular diffeomorphism) keeps the
 closed-form metric while its flows are no longer integrated exactly by RK4.
 The variational solver in carnot is checked against these oracles, so
-nothing here imports it.
+nothing here imports it. The two scipy solvers, brentq for the gauge and
+minimize_scalar for the vertical oracle, are imported inside the functions
+that call them, so importing this module loads no scipy.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .structures import DiffeoPair
 from .util import as_point, symmetric_box
@@ -101,6 +102,8 @@ def heisenberg_gauge(w) -> float:
     hi = 2.0 * math.pi - 1e-9
     if ratio >= _arc_ratio(hi):
         return 2.0 * math.sqrt(math.pi * t)
+    from scipy.optimize import brentq
+
     theta = brentq(lambda th: _arc_ratio(th) - ratio, 1e-9, hi, xtol=1e-14, rtol=8.9e-16)
     return rho * theta / (2.0 * math.sin(0.5 * theta))
 
@@ -122,6 +125,8 @@ def vertical_cc_oracle(t: float) -> float:
     if t == 0.0:
         return 0.0
     r_guess = math.sqrt(t / math.pi)
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda r: (math.pi * r * r - t) ** 2,
                           bounds=(0.0, 3.0 * r_guess + 1.0), method="bounded",
                           options={"xatol": 1e-13})

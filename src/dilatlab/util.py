@@ -1,7 +1,12 @@
 """Small shared helpers: point coercion, scale schedules, chart boxes and the
-Halton stream."""
+Halton stream.
 
-from typing import Iterable
+The Halton stream is computed here in numpy, so drawing from it loads no
+scipy module.
+"""
+
+from functools import lru_cache
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -32,16 +37,46 @@ def symmetric_box(n: int, half: float) -> np.ndarray:
     return np.stack([np.full(n, -half), np.full(n, half)], axis=1)
 
 
+@lru_cache(maxsize=None)
+def _first_primes(count: int) -> Tuple[int, ...]:
+    """The first count primes, 2, 3, 5, ...: the Halton bases of count axes."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return tuple(primes)
+
+
 def halton(dim: int, start: int, count: int) -> np.ndarray:
-    """(count, dim) points of the unscrambled Halton sequence from index start.
+    """(count, dim) points of the unscrambled Halton stream from index start.
 
-    scipy.stats loads on the first draw, not with the package.
+    Point i is the radical inverse of index start + i in the first dim prime
+    bases, computed from the index alone: no point before start is made. The
+    digits are summed least significant first, acc += digit * f with f from
+    1 / base down by one division per digit, the same arithmetic as scipy's
+    unscrambled van der Corput, so the stream is bitwise equal to
+    scipy.stats.qmc.Halton(d=dim, scramble=False) fast-forwarded to start.
     """
-    from scipy.stats import qmc
-
-    engine = qmc.Halton(d=dim, scramble=False)
-    engine.fast_forward(start)
-    return engine.random(count)
+    if start < 0 or count < 0:
+        raise ValueError("halton needs start >= 0 and count >= 0, got %r, %r"
+                         % (start, count))
+    index = np.arange(start, start + count, dtype=np.int64)
+    out = np.zeros((count, dim))
+    for axis, base in enumerate(_first_primes(dim)):
+        q = index
+        f = 1.0 / base
+        acc = out[:, axis]
+        # one pass per base-`base` digit of the largest index; an index with
+        # fewer digits adds 0.0, which leaves its sum's bits unchanged
+        top = start + count - 1
+        while top > 0:
+            acc += (q % base) * f
+            q = q // base
+            f /= base
+            top //= base
+    return out
 
 
 def halving_schedule(start: float = 0.5, count: int = 12) -> np.ndarray:
@@ -54,12 +89,20 @@ def halving_schedule(start: float = 0.5, count: int = 12) -> np.ndarray:
 
 
 def check_schedule(eps_schedule: Iterable[float]) -> np.ndarray:
-    """Validate a scale schedule: strictly decreasing, inside (0, 1]."""
-    eps = np.asarray(list(eps_schedule), dtype=float)
+    """Validate a scale schedule: strictly decreasing, inside (0, 1].
+
+    A 1-D float ndarray, as every TangentData.eps and halving_schedule is, is
+    checked in place, without a copy.
+    """
+    if (isinstance(eps_schedule, np.ndarray) and eps_schedule.dtype == np.float64
+            and eps_schedule.ndim == 1):
+        eps = eps_schedule
+    else:
+        eps = np.asarray(list(eps_schedule), dtype=float)
     if eps.ndim != 1 or eps.size < 2:
         raise ValueError("schedule must hold at least 2 scales")
-    if np.any(eps <= 0.0) or np.any(eps > 1.0):
+    if (eps <= 0.0).any() or (eps > 1.0).any():
         raise ValueError("schedule entries must lie in (0, 1]")
-    if np.any(np.diff(eps) >= 0.0):
+    if (eps[1:] >= eps[:-1]).any():
         raise ValueError("schedule must be strictly decreasing")
     return eps

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dilatlab.carnot import LIGHT_CC, cc_distance
 from dilatlab.cli import main
+from dilatlab.heisenberg_group import heisenberg, heisenberg_cc, vertical_cc_oracle
 
 
 HEIS_MANIFEST = {
@@ -142,8 +144,7 @@ def test_usage_errors_exit_64(capsys):
                  "--checks", "tangent-cone"]) == 64
     assert main(["verify", "--structure", "euclidean2", "--samples", "1",
                  "--checks", "profile"]) == 64
-    # a negative seed cannot fast-forward the Halton stream, and a huge one
-    # would allocate the whole skipped stretch of it
+    # a seed outside the CLI's documented range, 0 to MAX_SEED
     for cmd in ("verify", "tangent", "profile"):
         assert main([cmd, "--structure", "euclidean2", "--seed", "-5"]) == 64
         assert main([cmd, "--structure", "euclidean2", "--seed", "2147483648"]) == 64
@@ -287,10 +288,75 @@ def test_tangent_csv(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "eps,value,diff,extrapolated,error"
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter on this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, dilatlab, dilatlab.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, dilatlab, dilatlab.cli; print(%s)" % SCIPY_MODULES
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_flat_runs_load_no_scipy():
+    # every check, the tangent operations and the profile on a flat structure:
+    # the Halton stream is numpy's, and no solver runs
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from dilatlab.cli import CHECK_NAMES, main",
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):",
+        "    codes = [main(['verify', '--structure', 'euclidean2', '--checks',",
+        "                   ','.join(CHECK_NAMES)]),",
+        "             main(['tangent', '--structure', 'euclidean2']),",
+        "             main(['profile', '--structure', 'euclidean2'])]",
+        "print(codes, %s)" % SCIPY_MODULES,
+    ])
+    assert _fresh_python(code).strip() == "[0, 0, 0] []"
+
+
+@pytest.mark.parametrize("call, want", [
+    ("heisenberg_cc(np.zeros(3), np.array([0.1, 0.05, 0.02]))",
+     lambda: heisenberg_cc(np.zeros(3), np.array([0.1, 0.05, 0.02]))),
+    ("vertical_cc_oracle(0.05)", lambda: vertical_cc_oracle(0.05)),
+    ("carnot.cc_distance(heisenberg()[0], np.zeros(3), np.array([0.3, 0.1, 0.0]), "
+     "config=carnot.LIGHT_CC)",
+     lambda: cc_distance(heisenberg()[0], np.zeros(3), np.array([0.3, 0.1, 0.0]),
+                         config=LIGHT_CC)),
+])
+def test_solvers_load_scipy_on_their_first_call(call, want):
+    # each solver is the first scipy user of a fresh interpreter and gives
+    # the bits it gives here; carnot.minimize is looked up when cc_distance
+    # calls it, so a wrapper set on the module sees each L-BFGS result
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from dilatlab import carnot",
+        "from dilatlab.heisenberg_group import heisenberg, heisenberg_cc, vertical_cc_oracle",
+        "before = %s" % SCIPY_MODULES,
+        "solves = []",
+        "scipy_minimize = carnot.minimize",
+        "def counted(*args, **kwargs):",
+        "    res = scipy_minimize(*args, **kwargs)",
+        "    solves.append((res.nit, res.nfev))",
+        "    return res",
+        "carnot.minimize = counted",
+        "value = %s" % call,
+        "print(before, 'scipy.optimize' in sys.modules)",
+        "print(repr(float(value)))",
+        "print(len(solves), min((nfev for _, nfev in solves), default=0))",
+    ])
+    lines = _fresh_python(code).splitlines()
+    assert lines[0] == "[] True"
+    assert float(lines[1]) == float(want())
+    solves, fewest_nfev = (int(v) for v in lines[2].split())
+    if call.startswith("carnot.cc_distance"):
+        assert solves >= 1 and fewest_nfev >= 1
+    else:
+        assert solves == 0

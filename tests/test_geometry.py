@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dilatlab.cli import MAX_SEED
 from dilatlab.errors import SamplingExhausted
-from dilatlab.geometry import (FinitePointedSpace, box_handle, distances,
+from dilatlab.geometry import (CANDIDATE_BUDGET, FinitePointedSpace, box_handle, distances,
                                euclidean_handle, pairwise, rescale, restrict,
                                sample_ball, snowflake_distance)
 from dilatlab.structures import build_structure, structure_names
@@ -134,15 +135,47 @@ def test_handle_contains():
 
 
 def test_halton_from_an_index_continues_the_stream():
+    # scipy is the reference here only; fast_forward makes every skipped
+    # point, so the starts stay small
     from scipy.stats import qmc
 
-    for dim in (2, 3, 4):
-        for start in (1, 8, 301):
+    for dim in range(1, 7):
+        for start in (0, 1, 8, 301):
             eng = qmc.Halton(d=dim, scramble=False)
             eng.fast_forward(start)
             stream = eng.random(3 * 256)
             chunks = [halton(dim, start + 256 * c, 256) for c in range(3)]
             assert np.array_equal(np.concatenate(chunks), stream)
+
+
+def _radical_inverse(index: int, base: int) -> float:
+    """Scalar reference: the base-`base` digits of index mirrored about the
+    radix point, summed least significant first."""
+    acc, f = 0.0, 1.0 / base
+    while index > 0:
+        index, digit = divmod(index, base)
+        acc += digit * f
+        f /= base
+    return acc
+
+
+FIRST_15_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def test_halton_matches_a_scalar_radical_inverse():
+    # 15 axes, more than the CLI draws, and a start near the largest index a
+    # sample_ball draw can reach from the CLI's highest seed
+    count = 32
+    for dim, start, n in ((15, 0, 40), (15, 977, 40),
+                          (2, 1 + MAX_SEED + CANDIDATE_BUDGET * count - 40, 40)):
+        got = halton(dim, start, n)
+        want = [[_radical_inverse(start + i, b) for b in FIRST_15_PRIMES[:dim]]
+                for i in range(n)]
+        assert got.shape == (n, dim)
+        assert np.array_equal(got, np.array(want))
+    assert halton(3, 5, 0).shape == (0, 3)
+    with pytest.raises(ValueError):
+        halton(2, -1, 4)
 
 
 @pytest.mark.parametrize("name", structure_names())

@@ -14,6 +14,25 @@ def test_halving_schedule():
         check_schedule([0.5, 0.6])
     with pytest.raises(ValueError):
         check_schedule([0.5])
+    # a float ndarray is checked in place, a list is copied
+    assert check_schedule(s) is s
+    assert np.array_equal(check_schedule(list(s)), s)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.5], "schedule must hold at least 2 scales"),
+    ([[0.5, 0.25], [0.125, 0.0625]], "schedule must hold at least 2 scales"),
+    ([0.5, 0.0], "schedule entries must lie in (0, 1]"),
+    ([1.5, 0.5], "schedule entries must lie in (0, 1]"),
+    ([0.5, 0.6], "schedule must be strictly decreasing"),
+    ([0.5, 0.5], "schedule must be strictly decreasing"),
+])
+def test_check_schedule_messages(bad, message):
+    # the same rule and message for a list and for a float ndarray
+    for arg in (bad, np.array(bad, dtype=float)):
+        with pytest.raises(ValueError) as err:
+            check_schedule(arg)
+        assert str(err.value) == message
 
 
 def test_constant_sequence():
