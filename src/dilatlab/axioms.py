@@ -263,8 +263,10 @@ def _sequences(ds, tag, x, U, V, eps) -> np.ndarray:
 
 
 # the 12-scale halving schedule along which the tangent-cone and profile
-# checks extrapolate d^x
+# checks extrapolate d^x; read-only, since every TangentData built on it
+# shares it as its eps
 DX_SCHEDULE = halving_schedule(0.5, 12)
+DX_SCHEDULE.setflags(write=False)
 
 
 class TangentData:

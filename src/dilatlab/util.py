@@ -5,8 +5,7 @@ The Halton stream is computed here in numpy, so drawing from it loads no
 scipy module.
 """
 
-from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +36,6 @@ def symmetric_box(n: int, half: float) -> np.ndarray:
     return np.stack([np.full(n, -half), np.full(n, half)], axis=1)
 
 
-@lru_cache(maxsize=None)
 def _first_primes(count: int) -> Tuple[int, ...]:
     """The first count primes, 2, 3, 5, ...: the Halton bases of count axes."""
     primes = []
@@ -88,17 +86,13 @@ def halving_schedule(start: float = 0.5, count: int = 12) -> np.ndarray:
     return start * 0.5 ** np.arange(count, dtype=float)
 
 
-def check_schedule(eps_schedule: Iterable[float]) -> np.ndarray:
+def check_schedule(eps_schedule: Sequence[float]) -> np.ndarray:
     """Validate a scale schedule: strictly decreasing, inside (0, 1].
 
     A 1-D float ndarray, as every TangentData.eps and halving_schedule is, is
-    checked in place, without a copy.
+    checked and returned as it is, not copied: the result aliases its input.
     """
-    if (isinstance(eps_schedule, np.ndarray) and eps_schedule.dtype == np.float64
-            and eps_schedule.ndim == 1):
-        eps = eps_schedule
-    else:
-        eps = np.asarray(list(eps_schedule), dtype=float)
+    eps = np.asarray(eps_schedule, dtype=float)
     if eps.ndim != 1 or eps.size < 2:
         raise ValueError("schedule must hold at least 2 scales")
     if (eps <= 0.0).any() or (eps > 1.0).any():

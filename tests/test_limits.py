@@ -14,7 +14,7 @@ def test_halving_schedule():
         check_schedule([0.5, 0.6])
     with pytest.raises(ValueError):
         check_schedule([0.5])
-    # a float ndarray is checked in place, a list is copied
+    # a float ndarray is returned as it is, a list is converted
     assert check_schedule(s) is s
     assert np.array_equal(check_schedule(list(s)), s)
 
@@ -114,3 +114,9 @@ def test_decays_to_zero_on_both_sides_of_tol():
     assert not decays_to_zero([0.4, 0.45, 0.05], tol=0.1)
     assert decays_to_zero([0.0, 0.09, 0.05], tol=0.1)
     assert not decays_to_zero([8.8e-5, 1.3e-3, 1.1], tol=0.25 * 8.8e-5)
+
+
+def test_dx_schedule_is_read_only():
+    # every TangentData built on DX_SCHEDULE shares it as its eps
+    from dilatlab.axioms import DX_SCHEDULE
+    assert not DX_SCHEDULE.flags.writeable
