@@ -10,7 +10,7 @@ pointed Gromov-Hausdorff sense.
 
 from .errors import (ChartEscape, DilatlabError, DomainViolation, NoConvergence,
                      NoFeasiblePath, NonRegular, NotBracketGenerating,
-                     SamplingExhausted, SizeLimitExceeded)
+                     SamplingExhausted, SizeLimitExceeded, TriangleViolation)
 from .geometry import (FinitePointedSpace, MetricSpaceHandle, box_handle,
                        euclidean_handle, rescale, restrict, sample_ball,
                        snowflake_distance)

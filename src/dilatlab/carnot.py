@@ -10,9 +10,9 @@ imports scipy.optimize on its first call, so importing carnot loads no
 scipy.
 
 check_normal_frame tests the degrees of an adapted frame, and sr_dilatation
-turns a frame and a CC-type metric into a dilatation structure; the
-Heisenberg and warped-Heisenberg structures take their frames and exact
-metrics from heisenberg_group.
+turns a frame and a CC-type metric on point stacks into a dilatation
+structure: the exact Heisenberg metrics of heisenberg_group, or cc_distance
+through _light_cc, the package's only per-row metric loop.
 """
 
 import math
@@ -231,17 +231,12 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     return (length_best, path) if return_info else length_best
 
 
-def stacked_metric(cc: Callable) -> Callable:
-    """The metric cc(p, q) on one pair as a metric on point stacks (see
-    geometry.MetricSpaceHandle), solved row by row: the CC metrics, the
-    gauge root solve and cc_distance, are solved one pair at a time."""
-
-    def distance(P, Q):
-        P, Q = np.broadcast_arrays(as_points(P), as_points(Q))
-        rows = zip(P.reshape(-1, P.shape[-1]), Q.reshape(-1, Q.shape[-1]))
-        return np.array([float(cc(p, q)) for p, q in rows]).reshape(P.shape[:-1])
-
-    return distance
+def _light_cc(frame: Frame) -> Callable:
+    """cc_distance with LIGHT_CC on the frame as a metric on point stacks (see
+    geometry.MetricSpaceHandle), solved row by row: the package's one per-row
+    metric loop, since the solver takes one pair at a time."""
+    return np.vectorize(lambda p, q: cc_distance(frame, p, q, config=LIGHT_CC),
+                        signature="(n),(n)->()", otypes=[float])
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +277,16 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     (b) eps^(-deg_i) P_i(eps-scaled a, eps-scaled b, y) settles per
         coordinate, where P solves the two-exponential composition.
 
-    cc defaults to the variational solver (LIGHT_CC) on the frame. The
-    plateau verdict takes the absolute noise floor of one cc evaluation as
-    1e-4 for the solver and 1e-9 for a supplied exact metric.
+    cc is a metric on point stacks (see geometry.MetricSpaceHandle), called
+    once per schedule; it defaults to the variational solver (LIGHT_CC) on
+    the frame. The plateau verdict takes the absolute noise floor of one cc
+    evaluation as 1e-4 for the solver and 1e-9 for a supplied exact metric.
     """
     eps = check_schedule(eps_schedule)
     probes = [as_point(p) for p in probes]
     degrees = np.asarray(frame.degrees, dtype=float)
     value_noise = 1e-4 if cc is None else 1e-9
-    if cc is None:
-        cc = lambda p, q: cc_distance(frame, p, q, config=LIGHT_CC)
-    metric = stacked_metric(cc)
+    metric = cc or _light_cc(frame)
 
     coeffs = _coeff_samples(frame, coeff_box)
     failures = []
@@ -367,10 +361,10 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
         dil(eps, x, y) = exp(sum eps^deg_i a_i X_i)(x),  a = chart coords of y
 
     dil takes a whole schedule of scales (see axioms.DilatationStructure). cc
-    is the metric on one pair of points (typically cc_distance on the
-    frame, or an exact formula when one exists), solved row by row by the
-    handle's stacked_metric. The chart is the frame's box, or [-3, 3]^n
-    when it declares none; the domain radius is 1.2.
+    is the handle's metric on point stacks (see geometry.MetricSpaceHandle),
+    used as it is: heisenberg_cc, or _light_cc(frame) row by row. The chart
+    is the frame's box, or [-3, 3]^n when it declares none; the domain
+    radius is 1.2.
     """
     n = frame.n
     if frame.chart_box is not None:
@@ -393,7 +387,7 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
         return flow_exp(frame, frame.scale_coeffs(eps, a[back.ravel()].reshape(shape)), x,
                         steps=steps)
 
-    space = MetricSpaceHandle(dim=n, distance=stacked_metric(cc), chart_box=box,
+    space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box,
                               ball_box=ball_box, name=name or frame.name)
     return DilatationStructure(space=space, dil=dil, name=name or frame.name,
                                domain_radius=1.2, working_radius=working_radius)
@@ -426,5 +420,4 @@ def structure_from_manifest(doc: dict, steps: int = 256) -> DilatationStructure:
     """Dilatation structure from a JSON frame manifest (variational metric,
     cc_distance with LIGHT_CC)."""
     frame = frame_from_manifest(doc)
-    cc = lambda p, q: cc_distance(frame, p, q, config=LIGHT_CC)
-    return sr_dilatation(frame, cc, steps=steps, name=frame.name)
+    return sr_dilatation(frame, _light_cc(frame), steps=steps, name=frame.name)

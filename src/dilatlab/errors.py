@@ -13,6 +13,10 @@ class SizeLimitExceeded(DilatlabError):
     """Exact search requested on a finite space above the size cap."""
 
 
+class TriangleViolation(DilatlabError, ValueError):
+    """A distance matrix breaks the triangle inequality beyond its slack."""
+
+
 class ChartEscape(DilatlabError):
     """A flow or dilatation left the declared chart box."""
 

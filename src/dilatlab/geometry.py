@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import SamplingExhausted
+from .errors import SamplingExhausted, TriangleViolation
 from .util import as_point, halton, symmetric_box
 
 # Rejection sampling gives up after this many candidates per requested point.
@@ -110,7 +110,7 @@ class FinitePointedSpace:
             lhs = m[:, None, :]
             rhs = m[:, :, None] + m[None, :, :]
             if np.any(lhs > rhs + slack):
-                raise ValueError("triangle inequality violated beyond slack")
+                raise TriangleViolation("triangle inequality violated beyond slack")
         object.__setattr__(self, "dmat", m)
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(n)))

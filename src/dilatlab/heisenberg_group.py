@@ -1,15 +1,14 @@
 """The Heisenberg group, the worked example with closed forms.
 
 The left-invariant frame, the group law with its inverse and dilatation,
-and three oracles that use no optimizer: the exact gauge distance (a root
-solve for the connecting circular arc), a 1-D arc-radius minimization for
-purely vertical targets, and the chart box of a CC ball. A warped copy
-(pushforward under a trigonometric triangular diffeomorphism) keeps the
-closed-form metric while its flows are no longer integrated exactly by RK4.
-The variational solver in carnot is checked against these oracles, so
-nothing here imports it. The two scipy solvers, brentq for the gauge and
-minimize_scalar for the vertical oracle, are imported inside the functions
-that call them, so importing this module loads no scipy.
+and three oracles that use no optimizer: the exact gauge distance on point
+stacks (a batched Newton solve for the angle of the connecting circular
+arc), a 1-D arc-radius minimization for purely vertical targets, and the
+chart box of a CC ball. A warped copy (pushforward under a trigonometric
+triangular diffeomorphism) keeps the closed-form metric while its flows are
+no longer integrated exactly by RK4. The variational solver in carnot is
+checked against these oracles, so nothing here imports it; only the vertical
+oracle uses scipy (minimize_scalar, imported when it is called).
 """
 
 import math
@@ -17,7 +16,7 @@ import math
 import numpy as np
 
 from .structures import DiffeoPair
-from .util import as_point, symmetric_box
+from .util import as_point, as_points, symmetric_box
 from .vectorfields import Frame, VectorField, polynomial_field
 
 
@@ -73,45 +72,59 @@ def heisenberg():
     return frame, heisenberg_group_law
 
 
-def _arc_ratio(theta: float) -> float:
-    """(theta - sin theta) / (8 sin^2(theta/2)): vertical gain over chord^2."""
-    s = math.sin(0.5 * theta)
-    return (theta - math.sin(theta)) / (8.0 * s * s)
+# the arc angle's bracket; from the arc ratio of its top on, the path is the full circle
+_LO, _HI = 1e-9, 2.0 * math.pi - 1e-9
+_CIRCLE_RATIO = (_HI - math.sin(_HI)) / (8.0 * math.sin(0.5 * _HI) ** 2)
 
 
-def heisenberg_gauge(w) -> float:
-    """Exact CC distance from the origin (unit horizontal frame).
+def _arc_angle(ratio: np.ndarray) -> np.ndarray:
+    """Angles theta in [_LO, _HI] of arc ratio (theta - sin theta) / (8 sin^2(theta/2))
+    = ratio: Newton on its log in v = log(theta / (2 pi - theta)), where the slope
+    lies in [0.88, 2], from the asymptotes 12 ratio and 2 pi - sqrt(pi / ratio). A
+    row stops once its step in v is 4e-16 or no smaller than its last (the rounding
+    floor), so it gets the bits of its one-row solve."""
+    tau = 2.0 * math.pi
+    start = np.where(ratio < 0.25, 12.0 * ratio, tau - np.sqrt(math.pi / ratio))
+    theta, log_ratio = np.clip(start, _LO, _HI), np.log(ratio)
+    last, rows = np.full(ratio.shape, np.inf), np.arange(ratio.size)
+    while rows.size:
+        th = theta[rows]
+        s, c, num = np.sin(0.5 * th), np.cos(0.5 * th), th - np.sin(th)
+        dv = ((np.log(num / (8.0 * s * s)) - log_ratio[rows]) * tau
+              / ((2.0 * s * s / num - c / s) * th * (tau - th)))
+        theta[rows] = np.clip(tau / (1.0 + (tau - th) / th * np.exp(dv)), _LO, _HI)
+        keep = (np.abs(dv) > 4e-16) & (np.abs(dv) < last[rows])
+        last[rows] = np.abs(dv)
+        rows = rows[keep]
+    return theta
+
+
+def heisenberg_gauge(W):
+    """Exact CC distance from the origin (unit horizontal frame): a float for
+    one point, for a (..., 3) stack the (...) array of its rows' gauges.
 
     The minimizing path projects to a circular arc; the central angle theta
-    solves (theta - sin theta) / (8 sin^2(theta/2)) = |t| / rho^2 where rho is
-    the horizontal chord and t the vertical coordinate, and the length is
-    rho * theta / (2 sin(theta/2)). Degenerate regimes: theta -> 0 gives the
-    straight segment (length rho), rho -> 0 the full circle (length
-    2 sqrt(pi |t|)).
+    has arc ratio |t| / rho^2 (see _arc_angle), rho the horizontal chord and t
+    the vertical coordinate, and the length is rho theta / (2 sin(theta/2)).
+    Masks pick the straight segment (length rho) at t = 0 or a ratio below
+    1e-8, and the full circle (2 sqrt(pi |t|)) at rho = 0 or _CIRCLE_RATIO.
     """
-    w = as_point(w)
-    rho = math.hypot(w[0], w[1])
-    t = abs(float(w[2]))
-    if t < 1e-300:
-        return rho
-    if rho < 1e-300:
-        return 2.0 * math.sqrt(math.pi * t)
-    ratio = t / (rho * rho)
-    if ratio < 1e-8:
-        return rho  # correction is O(ratio^2), below machine precision
-    hi = 2.0 * math.pi - 1e-9
-    if ratio >= _arc_ratio(hi):
-        return 2.0 * math.sqrt(math.pi * t)
-    from scipy.optimize import brentq
-
-    theta = brentq(lambda th: _arc_ratio(th) - ratio, 1e-9, hi, xtol=1e-14, rtol=8.9e-16)
-    return rho * theta / (2.0 * math.sin(0.5 * theta))
+    W = as_points(W)
+    rho, t = np.hypot(W[..., 0], W[..., 1]), np.abs(W[..., 2])
+    with np.errstate(all="ignore"):  # rho = 0 rows take the masks, not the ratio
+        ratio = t / (rho * rho)
+    circle = (t >= 1e-300) & ((rho < 1e-300) | (ratio >= _CIRCLE_RATIO))
+    arc = (t >= 1e-300) & ~circle & (ratio >= 1e-8)
+    out = np.where(circle, 2.0 * np.sqrt(np.pi * t), rho)
+    theta = _arc_angle(ratio[arc])
+    out[arc] = rho[arc] * theta / (2.0 * np.sin(0.5 * theta))
+    return float(out) if out.ndim == 0 else out
 
 
-def heisenberg_cc(p, q) -> float:
-    """Exact CC distance: gauge of the group difference."""
-    return heisenberg_gauge(heisenberg_group_law(heisenberg_inverse(as_point(p)),
-                                                 as_point(q)))
+def heisenberg_cc(P, Q):
+    """Exact CC distance, the gauge of the group difference, on one pair or stacks."""
+    return heisenberg_gauge(heisenberg_group_law(heisenberg_inverse(as_points(P)),
+                                                 as_points(Q)))
 
 
 def vertical_cc_oracle(t: float) -> float:
@@ -220,5 +233,5 @@ def warped_heisenberg():
     fields = tuple(push(i) for i in range(3))
     frame = Frame(fields=fields, degrees=(1, 1, 2), chart_box=symmetric_box(3, 2.5),
                   name="heisenberg-warped", closed_form=combined)
-    cc = lambda p, q: heisenberg_cc(phi_inv(as_point(p)), phi_inv(as_point(q)))
+    cc = lambda P, Q: heisenberg_cc(phi_inv(as_points(P)), phi_inv(as_points(Q)))
     return frame, cc, warp.phi

@@ -1,11 +1,14 @@
 """Group law, gauge, horizontal-path solver, and the frame-built structures."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dilatlab.carnot import (LIGHT_CC, CCConfig, _objective_and_grad, _rollout,
                              _seed_controls, check_normal_frame, cc_distance,
                              heisenberg_structure, sr_dilatation)
+from dilatlab.geometry import euclidean_distance
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenberg_cc,
                                        heisenberg_dilate, heisenberg_gauge,
                                        heisenberg_group_law, heisenberg_inverse,
@@ -61,6 +64,66 @@ def test_gauge_vertical_matches_independent_minimizer():
         assert got == pytest.approx(want, rel=1e-7)
         # closed form for purely vertical displacements
         assert got == pytest.approx(2.0 * np.sqrt(np.pi * t), rel=1e-9)
+
+
+def _gauge_reference(w) -> float:
+    """Scalar reference gauge: scipy's brentq on the arc ratio, one point at a
+    time, with the regimes of the closed form (scipy serves only as the
+    reference here)."""
+    from scipy.optimize import brentq
+
+    rho, t = math.hypot(w[0], w[1]), abs(float(w[2]))
+    if t < 1e-300:
+        return rho
+    if rho < 1e-300:
+        return 2.0 * math.sqrt(math.pi * t)
+    ratio = t / (rho * rho)
+    if ratio < 1e-8:
+        return rho
+    arc_ratio = lambda th: (th - math.sin(th)) / (8.0 * math.sin(0.5 * th) ** 2)  # noqa: E731
+    hi = 2.0 * math.pi - 1e-9
+    if ratio >= arc_ratio(hi):
+        return 2.0 * math.sqrt(math.pi * t)
+    theta = brentq(lambda th: arc_ratio(th) - ratio, 1e-9, hi, xtol=1e-14, rtol=8.9e-16)
+    return rho * theta / (2.0 * math.sin(0.5 * theta))
+
+
+def _gauge_points():
+    """Points in every regime of the gauge: straight (t = 0, a signed zero t,
+    t / rho^2 below 1e-8), rho = 0 (and -0.0), the origin, arcs with ratios
+    from 1e-8 to 1e12 (near the circle), and the circle branch above the
+    ratio of theta = 2 pi - 1e-9."""
+    rng = np.random.RandomState(11)
+    fixed = [[0.3, -0.4, 0.0], [0.3, -0.4, -0.0], [0.3, -0.4, 1e-10], [0.0, 0.0, 0.05],
+             [-0.0, 0.0, -0.2], [0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [1e-10, 0.0, 1.0],
+             [1e-9, 0.0, 4.0], [3e-160, 0.0, 0.5], [1e-6, 0.0, 0.1], [1e-4, 1e-4, -2.0]]
+    ratio = 10.0 ** rng.uniform(-8.0, 12.0, 60)
+    rho = rng.uniform(0.01, 1.0, 60)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 60)
+    t = rng.choice([-1.0, 1.0], 60) * ratio * rho * rho
+    arcs = np.stack([rho * np.cos(phi), rho * np.sin(phi), t], axis=1)
+    return np.concatenate([np.array(fixed), arcs])
+
+
+def test_batched_gauge_matches_a_scalar_root_solve():
+    W = _gauge_points()
+    want = np.array([_gauge_reference(w) for w in W])
+    rho = np.hypot(W[:, 0], W[:, 1])
+    with np.errstate(all="ignore"):
+        ratio = np.abs(W[:, 2]) / (rho * rho)
+    # theta has condition about sqrt(ratio / pi) near the full circle
+    bound = 1e-13 * np.where(ratio > 1e3, 1.0 + np.sqrt(ratio), 1.0)
+    ones = [heisenberg_gauge(w) for w in W]
+    assert all(type(g) is float for g in ones)
+    assert np.all(np.abs(np.array(ones) - want) <= bound * want)
+    assert heisenberg_gauge(W[5]) == 0.0 and heisenberg_gauge(W[1]) == 0.5
+    # a chord whose square underflows to 0 takes the circle mask, not a division
+    assert heisenberg_gauge([3e-170, 0.0, 1.0]) == 2.0 * math.sqrt(math.pi)
+    # a (k, 3) and an (a, b, 3) stack: every row has the bits of its one-point call
+    got = heisenberg_gauge(W)
+    assert got.shape == (len(W),) and got.tobytes() == np.array(ones).tobytes()
+    got = heisenberg_gauge(W.reshape(8, 9, 3))
+    assert got.shape == (8, 9) and got.tobytes() == np.array(ones).reshape(8, 9).tobytes()
 
 
 def test_cc_left_invariance():
@@ -131,7 +194,7 @@ def test_sr_dilatation_without_chart_box_in_dim_4():
     X3 = polynomial_field([[], [], one, []])
     X4 = polynomial_field([[], [], [], one])
     frame = Frame(fields=(X1, X2, X3, X4), degrees=(1, 1, 1, 2))
-    ds = sr_dilatation(frame, lambda p, q: float(np.linalg.norm(p - q)), steps=32)
+    ds = sr_dilatation(frame, euclidean_distance, steps=32)
     assert ds.space.chart_box.shape == (4, 2)
     x = np.array([0.1, -0.05, 0.02, 0.03])
     y = np.array([0.2, 0.04, -0.06, 0.08])

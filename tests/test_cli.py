@@ -273,6 +273,20 @@ def test_library_error_exits_2_with_its_type(tmp_path, capsys):
     assert kept.read_text() == "earlier report\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--structure", "euclidean2", "--checks", "profile", "--eps-count", "540"],
+    ["profile", "--structure", "snowflake-0.3", "--eps-count", "300"],
+])
+def test_underflowing_profile_snapshot_exits_2(argv, capsys):
+    # squared distances below about 1e-154 underflow, and the 1/eps rescale
+    # turns the snapshot into a matrix that breaks the triangle inequality:
+    # a typed failure with exit 2, not a ValueError traceback with exit 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dilatlab: TriangleViolation: triangle inequality")
+    assert "Traceback" not in err
+
+
 def test_profile_json(capsys):
     rc = main(["profile", "--structure", "euclidean2", "--eps-count", "5"])
     assert rc == 0
@@ -306,7 +320,9 @@ def test_import_loads_no_scipy():
 
 def test_flat_runs_load_no_scipy():
     # every check, the tangent operations and the profile on a flat structure:
-    # the Halton stream is numpy's, and no solver runs
+    # the Halton stream is numpy's, and no solver runs; Heisenberg tangent and
+    # pointwise checks measure the batched gauge, which is numpy alone
+    heis = "'--structure', 'heisenberg', '--eps-start', '0.125'"
     code = "\n".join([
         "import contextlib, io, sys",
         "from dilatlab.cli import CHECK_NAMES, main",
@@ -315,10 +331,12 @@ def test_flat_runs_load_no_scipy():
         "    codes = [main(['verify', '--structure', 'euclidean2', '--checks',",
         "                   ','.join(CHECK_NAMES)]),",
         "             main(['tangent', '--structure', 'euclidean2']),",
-        "             main(['profile', '--structure', 'euclidean2'])]",
+        "             main(['profile', '--structure', 'euclidean2']),",
+        "             main(['tangent', %s, '--eps-count', '8'])," % heis,
+        "             main(['verify', %s, '--checks', 'a0a1,a2,a3,a4'])]" % heis,
         "print(codes, %s)" % SCIPY_MODULES,
     ])
-    assert _fresh_python(code).strip() == "[0, 0, 0] []"
+    assert _fresh_python(code).strip() == "[0, 0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("call, want", [
@@ -333,7 +351,9 @@ def test_flat_runs_load_no_scipy():
 def test_solvers_load_scipy_on_their_first_call(call, want):
     # each solver is the first scipy user of a fresh interpreter and gives
     # the bits it gives here; carnot.minimize is looked up when cc_distance
-    # calls it, so a wrapper set on the module sees each L-BFGS result
+    # calls it, so a wrapper set on the module sees each L-BFGS result. The
+    # gauge behind heisenberg_cc is a numpy Newton solve and loads no scipy.
+    loads_scipy = not call.startswith("heisenberg_cc")
     code = "\n".join([
         "import sys",
         "import numpy as np",
@@ -353,7 +373,7 @@ def test_solvers_load_scipy_on_their_first_call(call, want):
         "print(len(solves), min((nfev for _, nfev in solves), default=0))",
     ])
     lines = _fresh_python(code).splitlines()
-    assert lines[0] == "[] True"
+    assert lines[0] == "[] %s" % loads_scipy
     assert float(lines[1]) == float(want())
     solves, fewest_nfev = (int(v) for v in lines[2].split())
     if call.startswith("carnot.cc_distance"):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dilatlab.carnot import warped_heisenberg_structure
 from dilatlab.cli import MAX_SEED
-from dilatlab.errors import SamplingExhausted
+from dilatlab.errors import DilatlabError, SamplingExhausted, TriangleViolation
 from dilatlab.geometry import (CANDIDATE_BUDGET, FinitePointedSpace, box_handle, distances,
                                euclidean_handle, pairwise, rescale, restrict,
                                sample_ball, snowflake_distance)
@@ -26,10 +27,11 @@ def test_finite_space_validation():
         FinitePointedSpace(dmat=np.array([[0.1, 1.0], [1.0, 0.0]]), base=0)
     with pytest.raises(ValueError):
         FinitePointedSpace(dmat=d, base=5)
-    # triangle violation: d(0,2) > d(0,1) + d(1,2)
+    # triangle violation: d(0,2) > d(0,1) + d(1,2), typed and still a ValueError
     bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(TriangleViolation) as info:
         FinitePointedSpace(dmat=bad, base=0)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, DilatlabError)
 
 
 def test_radius_is_from_base():
@@ -178,13 +180,14 @@ def test_halton_matches_a_scalar_radical_inverse():
         halton(2, -1, 4)
 
 
-@pytest.mark.parametrize("name", structure_names())
+@pytest.mark.parametrize("name", structure_names() + ["heisenberg-warped"])
 def test_stacked_metric_equals_its_per_pair_calls(name):
     # the metric contract: a stacked call gives each row the bits of the call
     # on that pair alone, for one point against a stack and for stacks of
     # stacks (the Euclidean, shear, tanh and conjugate Riemannian metrics,
-    # the snowflakes and Heisenberg)
-    space = build_structure(name).space
+    # the snowflakes, and the batched gauge under Heisenberg and its warp)
+    warped = name == "heisenberg-warped"
+    space = (warped_heisenberg_structure() if warped else build_structure(name)).space
     rng = np.random.RandomState(7)
     p = rng.uniform(-0.5, 0.5, space.dim)
     Q = rng.uniform(-0.5, 0.5, (6, space.dim))
