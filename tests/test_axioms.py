@@ -294,16 +294,20 @@ def test_tangent_cone_snowflake_does_not_converge():
 
 
 def test_tangent_cone_passes_at_the_dx_error_floor():
-    # off the Heisenberg origin the exact cone leaves a flat gap of 2.34e-7,
-    # which is the d^x extrapolation error over eps[0]: it never decays to a
-    # quarter of its first value, but it lies within the d^x error bars
+    # off the Heisenberg origin the exact cone leaves a flat gap of 2.34e-7
+    # with 32-step flows, which is the d^x extrapolation error over eps[0]:
+    # it never decays to a quarter of its first value, but it lies within the
+    # d^x error bars
     from dilatlab.carnot import heisenberg_structure
 
-    est = check_tangent_cone(heisenberg_structure(), np.array([0.05, -0.1, 0.02]),
-                             halving_schedule(0.125, 8), count=3, seed=0)
+    x, sched = np.array([0.05, -0.1, 0.02]), halving_schedule(0.125, 8)
+    est = check_tangent_cone(heisenberg_structure(steps=32), x, sched, count=3, seed=0)
     assert np.all(est.values > 0.25 * est.values[0])
     assert 1e-7 < est.values[0] < 1e-6
     assert est.converged
+    # the default one-step flows are exact, and the floor falls with their rounding
+    exact = check_tangent_cone(heisenberg_structure(), x, sched, count=3, seed=0)
+    assert np.max(exact.values) < 1e-8
 
 
 def test_tangent_data_validates_point_and_schedule():

@@ -8,11 +8,13 @@ import pytest
 from dilatlab.carnot import (LIGHT_CC, CCConfig, _objective_and_grad, _rollout,
                              _seed_controls, check_normal_frame, cc_distance,
                              heisenberg_structure, sr_dilatation)
+from dilatlab.errors import ChartEscape
 from dilatlab.geometry import euclidean_distance
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenberg_cc,
                                        heisenberg_dilate, heisenberg_gauge,
                                        heisenberg_group_law, heisenberg_inverse,
-                                       vertical_cc_oracle, warped_heisenberg)
+                                       heisenberg_warp, vertical_cc_oracle,
+                                       warped_heisenberg)
 from dilatlab.vectorfields import (Frame, compose_P, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket, polynomial_field)
 
@@ -183,6 +185,47 @@ def test_sr_dilatation_matches_group_dilation():
         want = heisenberg_group_law(
             x, heisenberg_dilate(0.5, heisenberg_group_law(heisenberg_inverse(x), u)))
         assert np.allclose(got, want, atol=1e-11)
+
+
+def test_one_rk4_step_is_the_heisenberg_group_law():
+    # the combined field is constant along its own flow in exponential
+    # coordinates, so one RK4 step lands on x . a up to rounding
+    frame, law = heisenberg()
+    rng = np.random.RandomState(11)
+    for shape in ((40,), (6, 5)):
+        X = rng.uniform(-0.5, 0.5, shape + (3,))
+        A = rng.uniform(-1.0, 1.0, shape + (3,))
+        one = flow_exp(frame, A, X, steps=1)
+        scale = 1.0 + np.maximum(np.abs(X), np.abs(A)).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(one - law(X, A)) <= 4.0 * np.finfo(float).eps * scale)
+        assert np.max(np.abs(flow_exp(frame, A, X, steps=32) - one)) < 1e-14
+
+
+def test_default_heisenberg_dil_schedule_is_the_closed_form():
+    # x . delta_eps(x^-1 . y) along a (k,) schedule, with one y per scale and
+    # with one y for every scale
+    ds = heisenberg_structure()
+    eps = 0.5 ** np.arange(1, 13)
+    rng = np.random.RandomState(12)
+    for _ in range(4):
+        x = rng.uniform(-0.3, 0.3, 3)
+        Y = rng.uniform(-0.3, 0.3, (eps.size, 3))
+        for y in (Y, Y[0]):
+            want = np.array([heisenberg_group_law(
+                x, heisenberg_dilate(e, heisenberg_group_law(heisenberg_inverse(x), p)))
+                for e, p in zip(eps, np.broadcast_to(y, Y.shape))])
+            got = ds.dil(eps, x, y)
+            assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+
+
+def test_one_step_flow_leaving_the_chart_box_raises():
+    # one step tests only the endpoint; the segment and the box are convex,
+    # so that is the test of the whole path
+    frame, _ = heisenberg()
+    with pytest.raises(ChartEscape):
+        flow_exp(frame, [[0.1, 0.0, 0.0], [2.5, 0.0, 0.0]], np.zeros(3), steps=1)
+    with pytest.raises(ChartEscape):
+        flow_exp(frame, [0.0, 0.0, 0.3], np.array([1.0, 1.0, 1.9]), steps=1)
 
 
 def test_sr_dilatation_without_chart_box_in_dim_4():
@@ -375,6 +418,23 @@ def test_normal_frame_rejects_wrong_degrees():
 
 
 # === warped model ===
+
+def test_warped_combined_field_matches_the_jacobian_product():
+    # the closed-form Dphi application against dphi's matrix times the base
+    # field, on stacks of every coefficient count
+    frame, _, _ = warped_heisenberg()
+    base, _ = heisenberg()
+    warp = heisenberg_warp()
+    rng = np.random.RandomState(13)
+    for shape in ((50,), (4, 7)):
+        Z = rng.uniform(-2.5, 2.5, shape + (3,))
+        x = warp.phi_inv(Z)
+        for k in (1, 2, 3):
+            A = rng.uniform(-1.0, 1.0, shape + (k,))
+            want = np.einsum("...ij,...j->...i", warp.dphi(x), base.combined(A, x))
+            got = frame.combined(A, Z)
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want) + 1.0))
+
 
 def test_warped_flow_error_drops_with_steps():
     frame, cc, phi = warped_heisenberg()

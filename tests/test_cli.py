@@ -116,6 +116,26 @@ def test_tangent_error_bar_covers_the_oracle(capsys):
     assert max(doc["oracle"].values()) <= doc["limit_error"]
 
 
+def test_heisenberg_a0a1_passes_off_the_origin(capsys):
+    # with 32-step flows the invertibility round trip amplified the flow
+    # rounding by eps^-2 past its tolerance here (exit 1); one exact step
+    # leaves it inside
+    rc = main(["verify", "--structure", "heisenberg", "--checks", "a0a1",
+               "--eps-start", "0.125", "--point=0.05,-0.1,0.02"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["passed"]
+
+
+def test_heisenberg_tangent_cone_passes_where_the_flow_floor_sat(capsys):
+    # with 32-step flows the gap sat flat at 9.8e-9, above the d^x error
+    # bars, and the verdict was inconclusive (exit 2)
+    rc = main(["verify", "--structure", "heisenberg", "--checks", "tangent-cone",
+               "--eps-start", "0.125", "--point=0.02,0.1,0"])
+    assert rc == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["passed"] and check["converged"]
+
+
 def test_profile_csv(capsys):
     rc = main(["profile", "--structure", "euclidean2", "--eps-count", "5",
                "--samples", "4", "--format", "csv"])
