@@ -482,13 +482,15 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along DX_SCHEDULE.
     converged: the values decay (limits.decays_to_zero) to a quarter of the
     first one, or to the worst d^x error over eps[0], which is all an exact
-    cone can reach.
+    cone can reach. That floor counts only when every d^x limit converged:
+    the error bar of an unconverged limit bounds nothing.
     """
     eps = check_schedule(eps_schedule)
     td = TangentData(ds, x, DX_SCHEDULE)
     pts = sample_ball(ds.space, td.center, float(eps[0]), count, seed=seed)
     dxm, snaps, ests = _ball_snapshots(td, pts, eps / eps[0])
-    dx_error = max((float(est.error) for est in ests), default=0.0)
+    dx_error = max((float(est.error) for est in ests), default=0.0) \
+        if all(est.converged for est in ests) else 0.0
     vals = np.max(np.abs(snaps - dxm), axis=(1, 2)) / eps[0]
     est = richardson_limit(eps, vals)
     # the quantity is a sup of nonnegative gaps: converged means trending to 0

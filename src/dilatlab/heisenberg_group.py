@@ -162,10 +162,6 @@ def heisenberg_ball_box(center, radius: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Warped copy (pushforward under a chart diffeomorphism)
 
-# heisenberg_warp's constants (a, b, s, r): the shear amplitude and frequency,
-# then the two quadratic terms of the third coordinate
-_WARP = (0.4, 2.0, 0.3, 0.35)
-
 
 def heisenberg_warp() -> DiffeoPair:
     """Triangular warp of R^3 with a trigonometric shear and a closed-form
@@ -176,7 +172,7 @@ def heisenberg_warp() -> DiffeoPair:
     elementary differentials all vanish), which would make every
     discretization-order measurement on the warped structure degenerate.
     """
-    a, b, s, r = _WARP
+    a, b, s, r = 0.4, 2.0, 0.3, 0.35
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -229,18 +225,10 @@ def warped_heisenberg():
 
         return VectorField(func=func, jacobian=None, name="Y%d" % (i + 1))
 
-    a, b, s, r = _WARP
-
-    def combined(c, z):
-        # Dphi (sum c_i X_i) . phi^{-1}: one phi_inv for all fields, and
-        # dphi's nonzero entries applied to v in closed form, with no matrix
+    def combined(a, z):
+        # one phi_inv and one dphi for all fields: Dphi (sum a_i X_i) . phi^{-1}
         x = phi_inv(z)
-        v = base.combined(c, x)
-        x0, x1, v0, v1 = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
-        out = np.array(v)
-        out[..., 1] = a * b * np.cos(b * x0) * v0 + v1
-        out[..., 2] = v[..., 2] + s * x1 * v0 + (s * x0 + 2.0 * r * x1) * v1
-        return out
+        return np.einsum("...ij,...j->...i", dphi(x), base.combined(a, x))
 
     fields = tuple(push(i) for i in range(3))
     frame = Frame(fields=fields, degrees=(1, 1, 2), chart_box=symmetric_box(3, 2.5),

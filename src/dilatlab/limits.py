@@ -75,7 +75,10 @@ def richardson_limit(eps_schedule, values) -> LimitEstimate:
     is applied to the last pair; the error is then the gap to the previous
     pair's extrapolant, and agreement within tol counts as converged even
     when the raw differences are still above tol. Otherwise the last value
-    is returned as the estimate with the last difference as its error bound.
+    is returned as the estimate. Its error bound is the largest distance from
+    it to a value at or after the smallest successive difference: the last
+    difference when the differences shrink to the end, and the spread of the
+    noisy tail when they grow again after their minimum.
     """
     eps = check_schedule(eps_schedule)
     vals = np.asarray(values, dtype=float)
@@ -134,7 +137,12 @@ def richardson_limit(eps_schedule, values) -> LimitEstimate:
         note = "richardson"
     else:
         extrap = last.copy()
-        err = float(diffs[-1])
+        # the last difference, or, when the sequence got noisier after its
+        # quietest step (a floor that grows as eps shrinks), the spread from
+        # that step to the last value: the last difference alone can miss
+        # noise the last two values share
+        quiet = int(np.argmin(diffs))
+        err = float(np.max(np.abs(flat[quiet:] - last)))
         note = "fallback-last"
 
     return LimitEstimate(eps=eps, values=vals,

@@ -305,9 +305,11 @@ def test_tangent_cone_passes_at_the_dx_error_floor():
     assert np.all(est.values > 0.25 * est.values[0])
     assert 1e-7 < est.values[0] < 1e-6
     assert est.converged
-    # the default one-step flows are exact, and the floor falls with their rounding
+    # the default one-step flows are exact, and the floor falls with their
+    # rounding; the d^x error bars still cover it
     exact = check_tangent_cone(heisenberg_structure(), x, sched, count=3, seed=0)
     assert np.max(exact.values) < 1e-8
+    assert exact.converged
 
 
 def test_tangent_data_validates_point_and_schedule():

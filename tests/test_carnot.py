@@ -13,8 +13,7 @@ from dilatlab.geometry import euclidean_distance
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenberg_cc,
                                        heisenberg_dilate, heisenberg_gauge,
                                        heisenberg_group_law, heisenberg_inverse,
-                                       heisenberg_warp, vertical_cc_oracle,
-                                       warped_heisenberg)
+                                       vertical_cc_oracle, warped_heisenberg)
 from dilatlab.vectorfields import (Frame, compose_P, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket, polynomial_field)
 
@@ -418,23 +417,6 @@ def test_normal_frame_rejects_wrong_degrees():
 
 
 # === warped model ===
-
-def test_warped_combined_field_matches_the_jacobian_product():
-    # the closed-form Dphi application against dphi's matrix times the base
-    # field, on stacks of every coefficient count
-    frame, _, _ = warped_heisenberg()
-    base, _ = heisenberg()
-    warp = heisenberg_warp()
-    rng = np.random.RandomState(13)
-    for shape in ((50,), (4, 7)):
-        Z = rng.uniform(-2.5, 2.5, shape + (3,))
-        x = warp.phi_inv(Z)
-        for k in (1, 2, 3):
-            A = rng.uniform(-1.0, 1.0, shape + (k,))
-            want = np.einsum("...ij,...j->...i", warp.dphi(x), base.combined(A, x))
-            got = frame.combined(A, Z)
-            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want) + 1.0))
-
 
 def test_warped_flow_error_drops_with_steps():
     frame, cc, phi = warped_heisenberg()

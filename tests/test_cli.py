@@ -126,6 +126,16 @@ def test_heisenberg_a0a1_passes_off_the_origin(capsys):
     assert json.loads(capsys.readouterr().out)["checks"][0]["passed"]
 
 
+def test_heisenberg_tangent_cone_passes_at_the_exact_flow_floor(capsys):
+    # exact flows leave d^x sequences that are constant up to rounding growing
+    # like eps^-2; the d^x error bars cover the noisy last value, so the flat
+    # gap of 3.2e-9 lies within them
+    rc = main(["verify", "--structure", "heisenberg", "--checks", "tangent-cone",
+               "--eps-start", "0.125", "--samples", "3", "--point=0.05,-0.1,0.02"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["converged"]
+
+
 def test_heisenberg_tangent_cone_passes_where_the_flow_floor_sat(capsys):
     # with 32-step flows the gap sat flat at 9.8e-9, above the d^x error
     # bars, and the verdict was inconclusive (exit 2)

@@ -74,6 +74,27 @@ def test_second_order_falls_back_but_converges():
     assert abs(float(est.extrapolated) - 2.0) < 1e-6
 
 
+def test_fallback_error_covers_a_growing_noise_floor():
+    # a constant limit under rounding that grows like eps^-2 (dil(1/eps)
+    # amplifying the images' rounding): the last two values share most of
+    # their noise, so the last difference alone misses the truth
+    eps = halving_schedule(0.5, 12)
+    L = 0.16
+    signs = np.array([1, -1, 1, 1, -1, 1, -1, -1, 1, -1, 0.3, 1])
+    vals = L + 1e-16 * signs / eps ** 2
+    est = richardson_limit(eps, vals)
+    assert est.note == "fallback-last"
+    assert abs(vals[-1] - vals[-2]) < abs(float(est.extrapolated) - L) <= est.error
+
+
+def test_fallback_error_is_the_last_difference_while_differences_shrink():
+    eps = halving_schedule(0.5, 10)
+    vals = 2.0 + 0.3 * eps ** 2
+    est = richardson_limit(eps, vals)
+    assert est.note == "fallback-last"
+    assert est.error == abs(vals[-1] - vals[-2])
+
+
 def test_divergent_not_converged():
     eps = halving_schedule(0.5, 8)
     vals = 1.0 / np.sqrt(eps)
