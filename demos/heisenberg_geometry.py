@@ -4,7 +4,7 @@ The Heisenberg group on R^3 multiplies as
     (u . v)_3 = u_3 + v_3 + (u_1 v_2 - u_2 v_1) / 2
 with the first two coordinates adding. Only two directions are directly
 available to admissible paths; reaching the third costs the square root of
-the displacement, which is what the gauge and the variational distance
+the displacement, which is what the gauge and the shooting distance
 both measure.
 """
 
@@ -48,10 +48,11 @@ def example_vertical_cost():
               % (t, g, 2.0 * math.sqrt(math.pi * t), vertical_cc_oracle(t)))
 
 
-def example_variational_distance():
-    # cc_distance knows nothing about the group; it optimizes piecewise
-    # horizontal paths for a frame and should land on the closed form
-    # (LIGHT_CC keeps this demo fast; the default config is tighter)
+def example_shooting_distance():
+    # cc_distance knows nothing about the group: it shoots normal geodesics
+    # of the frame, polishes the shortest into a piecewise-constant path,
+    # and should land on the closed form (LIGHT_CC's 32 segments sit up to
+    # 1.6e-3 above it on the vertical target; the default config has 64)
     frame, _ = heisenberg()
     x = np.zeros(3)
     straight = np.array([0.3, 0.0, 0.0])
@@ -60,8 +61,8 @@ def example_variational_distance():
                             return_info=True)
     d2, path2 = cc_distance(frame, x, vertical, config=LIGHT_CC,
                             return_info=True)
-    print("straight target: optimized %.6f  exact %.6f" % (d1, 0.3))
-    print("vertical target: optimized %.6f  exact %.6f"
+    print("straight target: solved %.6f  exact %.6f" % (d1, 0.3))
+    print("vertical target: solved %.6f  exact %.6f"
           % (d2, vertical_cc_oracle(0.02)))
     print("path resolutions: %d and %d control segments"
           % (path1.controls.shape[0], path2.controls.shape[0]))
@@ -85,6 +86,6 @@ if __name__ == "__main__":
     print()
     example_vertical_cost()
     print()
-    example_variational_distance()
+    example_shooting_distance()
     print()
     example_graded_dilatation()

@@ -7,7 +7,7 @@ Subcommands:
   list     names accepted by --structure
 
 Structures come from the built-in registry (--structure NAME) or from a JSON
-frame manifest (--manifest FILE, variational metric). Exit codes: 0 all
+frame manifest (--manifest FILE, metric by cc_distance). Exit codes: 0 all
 checks passed, 1 a check failed, 2 at least one limit did not converge and
 nothing failed outright, 64 bad invocation or malformed manifest.
 """

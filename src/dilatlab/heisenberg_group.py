@@ -6,8 +6,8 @@ stacks (a batched Newton solve for the angle of the connecting circular
 arc), a 1-D arc-radius minimization for purely vertical targets, and the
 chart box of a CC ball. A warped copy (pushforward under a trigonometric
 triangular diffeomorphism) keeps the closed-form metric while its flows are
-no longer integrated exactly by RK4. The variational solver in carnot is
-checked against these oracles, so nothing here imports it; only the vertical
+no longer integrated exactly by RK4. The CC solver in carnot (cc_distance)
+is checked against these oracles, so nothing here imports it; only the vertical
 oracle uses scipy (minimize_scalar, imported when it is called).
 """
 

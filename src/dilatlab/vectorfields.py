@@ -522,6 +522,43 @@ def _polynomial_combined(fields: Sequence[VectorField]) -> Callable:
     return combined
 
 
+def _polynomial_hamiltonian(fields: Sequence[VectorField]) -> Callable:
+    """Closed form of the normal-geodesic system of polynomial fields X_i:
+    z = (q, p) -> (dH/dp, -dH/dq) for H = 1/2 sum_i <p, X_i(q)>^2, in
+    rk4_step's form (its coefficient argument is unused). One power table
+    for the fields' monomials and one for their derivatives, then matrix
+    products."""
+    n, m = fields[0].table[0].shape[1], len(fields)
+    E, C = _table([(row, (i, k), c)
+                   for i, fld in enumerate(fields) for row, coeffs in zip(*fld.table)
+                   for k, c in enumerate(coeffs)],
+                  n, (m, n))  # C[r, i, k]: monomial r in component k of field i
+    R = len(E)
+    unit = np.eye(n, dtype=int)
+    Ed, K = _table([(E[r] - unit[j], (r, j), float(E[r, j]))
+                    for r in range(R) for j in range(n) if E[r, j] > 0],
+                   n, (R, n))  # K[s, r, j]: monomial s in d(monomial r) / d q_j
+    Cp = C.transpose(2, 0, 1).reshape(n, R * m)
+    Cq = C.reshape(R * m, n)
+    Kf = K.reshape(len(Ed), R * n)
+    E, Ed = E.astype(float), Ed.astype(float)
+
+    def rhs(_, z):
+        q, p = z[..., :n], z[..., n:]
+        lead = q.shape[:-1]
+        mono = _monomials(q, E)
+        pc = (p @ Cp).reshape(lead + (R, m))  # <p, C[r, i]>
+        u = (mono[..., None, :] @ pc)[..., 0, :]  # u_i = <p, X_i(q)>
+        w = (pc @ u[..., None])[..., 0]  # sum_i u_i <p, C[r, i]>
+        dmono = (_monomials(q, Ed) @ Kf).reshape(lead + (R, n))
+        out = np.empty(z.shape)
+        out[..., :n] = (mono[..., :, None] * u[..., None, :]).reshape(lead + (R * m,)) @ Cq
+        out[..., n:] = -(w[..., None, :] @ dmono)[..., 0, :]
+        return out
+
+    return rhs
+
+
 MANIFEST_SCHEMA = 1
 
 

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from dilatlab.carnot import (LIGHT_CC, CCConfig, _objective_and_grad, _rollout,
-                             _seed_controls, check_normal_frame, cc_distance,
-                             heisenberg_structure, sr_dilatation)
+from dilatlab.carnot import (LIGHT_CC, CCConfig, _covector_starts, _hamiltonian, _newton,
+                             _objective_and_grad, _rollout, _shoot, check_normal_frame,
+                             cc_distance, heisenberg_structure, sr_dilatation)
 from dilatlab.errors import ChartEscape
 from dilatlab.geometry import euclidean_distance
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenberg_cc,
                                        heisenberg_dilate, heisenberg_gauge,
                                        heisenberg_group_law, heisenberg_inverse,
                                        vertical_cc_oracle, warped_heisenberg)
-from dilatlab.vectorfields import (Frame, compose_P, compose_rows, flow_exp,
+from dilatlab.vectorfields import (Frame, VectorField, compose_P, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket, polynomial_field)
 
 np.random.seed(5)
@@ -255,11 +255,40 @@ def test_heisenberg_fields_are_polynomial_with_bracket_x3():
     assert np.array_equal(lie_bracket(X1, X2)(Z), X3(Z))
 
 
-def test_cc_distance_needs_a_stage():
+def test_cc_distance_needs_a_segment():
     frame, _ = heisenberg()
-    with pytest.raises(ValueError, match="stages"):
+    with pytest.raises(ValueError, match="segments"):
         cc_distance(frame, np.zeros(3), np.array([0.3, 0.0, 0.0]),
-                    config=CCConfig(stages=0))
+                    config=CCConfig(segments=0))
+
+
+def test_cc_distance_checks_its_endpoints():
+    frame, _ = heisenberg()
+    # the straight path to (5, 0, 0) has length 5, but it leaves the chart
+    # box [-2, 2]^3, as flow_exp would say of the same path
+    for x, y in ((np.zeros(3), [5.0, 0.0, 0.0]), ([0.0, 0.0, -2.5], np.zeros(3))):
+        with pytest.raises(ChartEscape):
+            cc_distance(frame, x, y, config=LIGHT_CC)
+    with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
+        cc_distance(frame, np.zeros(3), np.array([0.3, 0.0]), config=LIGHT_CC)
+
+
+def test_shots_that_leave_the_chart_box_are_dropped():
+    # a vertical target next to the box wall: the circles that bulge out of
+    # the box are infeasible starts, and one that turns inward is solved
+    frame, _ = heisenberg()
+    x = np.array([1.9, 0.0, 0.0])
+    y = heisenberg_group_law(x, [0.0, 0.0, 0.04])
+    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+    C = _covector_starts(2, (y - x) @ Minv.T)
+    _, gap = _newton(frame, rhs, x, y, Minv, C, LIGHT_CC.segments)
+    assert np.any(np.isinf(gap)) and np.any(np.isfinite(gap))
+    assert 0 < len(_shoot(frame, rhs, x, y, Minv, LIGHT_CC.segments)) < len(C)
+    d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+    zs = _rollout(frame, x, path.controls)[0]
+    assert np.all(zs <= 2.0) and np.all(zs >= -2.0)
+    want = heisenberg_cc(x, y)
+    assert want <= d <= want * (1.0 + 2e-3)
 
 
 def test_cc_distance_straight_line():
@@ -366,17 +395,104 @@ def test_cc_distance_on_manifest_frame():
         assert abs(d - want) <= 1e-2 * want, (w, d, want)
 
 
-def test_seed_controls_are_distinct():
-    # the start family holds no copies; LIGHT_CC's four starts are all
-    # distinct on horizontal, vertical and mixed targets alike
+def test_covector_starts_solve_vertical_targets():
+    # a pure vertical target has a_h = 0: its starts are the full circles
+    # of area t, length 2 sqrt(pi t), turned by right angles, both signs
+    t = 0.03
+    starts = _covector_starts(2, np.array([0.0, 0.0, t]))
+    assert starts.shape == (8, 3)
+    assert np.allclose(np.linalg.norm(starts[:, :2], axis=1), 2.0 * math.sqrt(math.pi * t))
+    assert np.allclose(np.abs(starts[:, 2]), 2.0 * math.pi)
+    assert len(_covector_starts(2, np.array([0.1, 0.05, 0.02]))) <= 9
     frame, _ = heisenberg()
-    x = np.zeros(3)
-    for y in ([0.3, 0.0, 0.0], [0.0, 0.0, 0.04], [0.3, 0.0, 0.025]):
-        for cfg in (CCConfig(), LIGHT_CC):
-            seeds, _, _ = _seed_controls(frame, x, np.array(y), cfg)
-            flat = seeds.reshape(len(seeds), -1)
-            assert len(np.unique(flat, axis=0)) == len(seeds) <= cfg.starts, (y, cfg)
-        assert len(_seed_controls(frame, x, np.array(y), LIGHT_CC)[0]) == LIGHT_CC.starts
+    for x in (np.zeros(3), np.array([0.15, -0.1, 0.05])):
+        for t in (0.01, -0.04):
+            y = heisenberg_group_law(x, [0.0, 0.0, t])
+            d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+            end = _rollout(frame, x, path.controls)[0][-1]
+            assert np.max(np.abs(end - y)) <= LIGHT_CC.endpoint_tol
+            assert path.controls.shape == (LIGHT_CC.segments, 2)
+            assert d == pytest.approx(
+                float(np.sum(np.linalg.norm(path.controls, axis=1))) / LIGHT_CC.segments,
+                rel=1e-15)
+            # 2 sqrt(pi |t|), and the 32-gon's perimeter excess pi^2 / (6 32^2)
+            want = 2.0 * math.sqrt(math.pi * abs(t))
+            assert want <= d <= want * (1.0 + math.pi ** 2 / (6 * 32 ** 2) + 1e-5), (x, t)
+
+
+def test_far_targets_are_shot_through_halved_targets():
+    # no start's Newton lands on this target of gauge 1.7 (most leave the
+    # chart box); the halved targets' shots, scaled back up, reach it
+    frame, _ = heisenberg()
+    x = np.array([-0.15361223, -1.13777704, 0.11918995])
+    y = np.array([-0.15522626, -0.19111727, -0.40719643])
+    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+    _, gap = _newton(frame, rhs, x, y, Minv, _covector_starts(2, (y - x) @ Minv.T),
+                     LIGHT_CC.segments)
+    assert np.all(gap > 1e-3 * np.max(np.abs(y - x))) and np.any(np.isinf(gap))
+    assert len(_shoot(frame, rhs, x, y, Minv, LIGHT_CC.segments)) > 0
+    want = heisenberg_cc(x, y)
+    assert want <= cc_distance(frame, x, y, config=LIGHT_CC) <= want * (1.0 + 2e-3)
+
+
+def _heisenberg_pair(rng, kind):
+    x = rng.uniform(-0.2, 0.2, 3)
+    if kind == "mixed":
+        return x, rng.uniform(-0.2, 0.2, 3)
+    if kind == "horizontal":
+        phi, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.01, 0.2)
+        return x, heisenberg_group_law(x, [r * math.cos(phi), r * math.sin(phi), 0.0])
+    t = rng.choice([-1.0, 1.0]) * rng.uniform(0.001, 0.04)
+    return x, heisenberg_group_law(x, [0.0, 0.0, t])
+
+
+def test_cc_distance_brackets_the_gauge_on_seeded_pairs():
+    # an upper bound (never below the gauge beyond rounding), and at most
+    # the 32-gon's perimeter excess above it
+    frame, _ = heisenberg()
+    rng = np.random.RandomState(20)
+    for k in range(60):
+        kind = ("horizontal", "vertical", "mixed")[k % 3]
+        x, y = _heisenberg_pair(rng, kind)
+        d = cc_distance(frame, x, y, config=LIGHT_CC)
+        want = heisenberg_cc(x, y)
+        assert -1e-8 <= (d - want) / want <= 2e-3, (kind, x, y, d, want)
+
+
+def _engel():
+    """Engel frame (n = 4, degrees 1, 1, 2, 3): X2 carries a quadratic term."""
+    one = [[1.0, [0, 0, 0, 0]]]
+    X1 = polynomial_field([one, [], [], []])
+    X2 = polynomial_field([[], one, [[1.0, [1, 0, 0, 0]]], [[0.5, [2, 0, 0, 0]]]])
+    X3 = polynomial_field([[], [], one, [[1.0, [1, 0, 0, 0]]]])
+    X4 = polynomial_field([[], [], [], one])
+    return Frame(fields=(X1, X2, X3, X4), degrees=(1, 1, 2, 3),
+                 chart_box=[[-2.0, 2.0]] * 4)
+
+
+def test_polynomial_hamiltonian_matches_the_field_by_field_system():
+    # the monomial-table right-hand side against the one that calls each
+    # field and its jac; the table-free copies take the second path
+    rng = np.random.RandomState(21)
+    for frame in (heisenberg()[0], _engel()):
+        bare = Frame(fields=tuple(VectorField(func=f.func, jacobian=f.jacobian)
+                                  for f in frame.fields),
+                     degrees=frame.degrees, chart_box=frame.chart_box)
+        for shape in ((2 * frame.n,), (5, 7, 2 * frame.n)):
+            z = rng.uniform(-1.0, 1.0, shape)
+            got, want = _hamiltonian(frame)(None, z), _hamiltonian(bare)(None, z)
+            assert got.shape == want.shape == shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_cc_distance_on_an_engel_line():
+    # a one-parameter subgroup along X1 is length minimizing in a Carnot
+    # group; two vertical coordinates, so the vertical covector has a
+    # direction
+    frame = _engel()
+    for a in (0.2, -0.35):
+        d = cc_distance(frame, np.zeros(4), np.array([a, 0.0, 0.0, 0.0]), config=LIGHT_CC)
+        assert d == pytest.approx(abs(a), rel=1e-9)
 
 
 # === normal-frame verdicts ===
