@@ -5,17 +5,27 @@ discrete path. Normal geodesics are the projections of the Hamiltonian flow
 of H(q, p) = 1/2 sum_i <p, X_i(q)>^2 over the degree-1 frame fields
 (Agrachev, Barilari & Boscain, A Comprehensive Introduction to
 Sub-Riemannian Geometry, 2019), integrated by vectorfields.rk4_step. The
-shooting solves q(1) = y for the initial covector by Newton's method from
-up to nine starts aimed at the frame coordinates of y - x: each start and
-its central-difference probes share one batched flow per iteration, and
-the steps are truncated least squares. A target that no start reaches is
-solved at half scale first, and those shots seed it. One L-BFGS polish
-from the shortest shot then minimizes the energy of piecewise-constant
-controls under a fixed quadratic endpoint penalty, with the shot's
-multiplier and analytic adjoint gradients through the discretization. The
-L-BFGS solver is scipy's, reached through this module's minimize, which
-imports scipy.optimize on its first call, so importing carnot loads no
-scipy.
+shooting solves q(1) = y for the initial covector by Newton's method; each
+start and its central-difference probes share one batched flow per
+iteration, and the steps are truncated least squares.
+
+On a contact frame (n = 3, two degree-1 fields) Newton first runs on one
+start: the covector of the exact geodesic of the tangent cone at x, its
+nilpotent approximation (Bellaiche, The tangent space in sub-Riemannian
+geometry, 1996). That cone is the Heisenberg group whose structure
+constant c is read off [X1, X2](x) = c X3(x) + (horizontal) through the
+fields' Jacobians, and its geodesics are the circular arcs of
+heisenberg_group. Only when that shot does not
+land, or its polish misses the target, does the fallback run: a grid of up
+to nine Heisenberg arcs of fixed angles, and halved targets when none of
+those lands. Other frames go to the grid at once.
+
+One L-BFGS polish from the shortest landed shot then minimizes the energy
+of piecewise-constant controls under a fixed quadratic endpoint penalty,
+with the shot's multiplier and analytic adjoint gradients through the
+discretization. The L-BFGS solver is scipy's, reached through this module's
+minimize, which imports scipy.optimize on its first call, so importing
+carnot loads no scipy.
 
 Shooting finds normal geodesics only. A strictly abnormal minimizer
 (Montgomery 1994) is missed, and the value is then the length of a longer
@@ -38,7 +48,8 @@ import numpy as np
 from .axioms import CheckReport, DilatationStructure
 from .errors import ChartEscape, NoFeasiblePath
 from .geometry import MetricSpaceHandle
-from .heisenberg_group import heisenberg, heisenberg_ball_box, heisenberg_cc, warped_heisenberg
+from .heisenberg_group import (_geodesic_arc, heisenberg, heisenberg_ball_box, heisenberg_cc,
+                               warped_heisenberg)
 from .limits import richardson_limit
 from .util import as_point, as_points, check_schedule, halton, symmetric_box
 from .vectorfields import (FD_STEP, Frame, _polynomial_hamiltonian, chart_inverse,
@@ -67,7 +78,7 @@ POLISH_ITERS = 200
 # its endpoint gap is at most SHOOT_ACCEPT; above that, it also stops once
 # SHOOT_PATIENCE flows in a row have not improved on its best gap.
 # Singular values below SHOOT_RCOND times the largest are dropped, and a
-# step is capped at SHOOT_CAP (1 + |c|) for covector c.
+# step is capped at SHOOT_CAP (1 + |h|) for covector h.
 SHOOT_ITERS = 20
 SHOOT_PATIENCE = 3
 SHOOT_TOL = 1e-10
@@ -102,10 +113,16 @@ LIGHT_CC = CCConfig(segments=32, endpoint_tol=3e-6)
 
 @dataclass(frozen=True)
 class HorizontalPath:
-    """Piecewise-constant controls on the degree-1 fields."""
+    """Piecewise-constant controls on the degree-1 fields, with the start
+    family whose shot was polished into them ("model": the tangent cone's
+    geodesic, "grid": the fallback arcs, "halved": the grid through halved
+    targets) and the number of batched Newton flows the shooting ran; x = y
+    gives the zero path, with family "model" and no flow."""
 
     controls: np.ndarray  # (N, m)
     start: np.ndarray
+    family: str
+    flows: int
 
 
 def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
@@ -198,21 +215,60 @@ def _normal_flow(rhs: Callable, box, x, P, N: int):
     return z, lost, stages
 
 
-def _covector_starts(m: int, a: np.ndarray) -> np.ndarray:
-    """Initial covectors, as the values <p, X_i(x)> on the frame, aimed at the
-    frame coordinates a = (a_h, a_v) of y - x through the Heisenberg model:
-    there the normal geodesic with vertical covector theta is an arc whose
-    velocity turns by theta, so its chord points along the initial velocity
-    turned by theta / 2, and an arc of angle theta over the chord |a_h| has
-    length |a_h| theta / (2 sin(theta / 2)).
+def _turned(d: np.ndarray, angle: float) -> np.ndarray:
+    """d with its first two coordinates turned by angle."""
+    out = d.copy()
+    out[:2] = (math.cos(angle) * d[0] - math.sin(angle) * d[1],
+               math.sin(angle) * d[0] + math.cos(angle) * d[1])
+    return out
+
+
+def _structure_constant(frame: Frame, x, Minv) -> Optional[float]:
+    """c in [X1, X2](x) = c X3(x) + (horizontal), read in frame coordinates
+    from the fields' Jacobians at x, for a contact frame (n = 3, two degree-1
+    fields); None for any other frame, and where c is 0 or not finite."""
+    if (frame.n, frame.m) != (3, 2):
+        return None
+    X1, X2 = frame.fields[:2]
+    c = float(Minv[2] @ (X2.jac(x) @ X1(x) - X1.jac(x) @ X2(x)))
+    return c if math.isfinite(c) and c != 0.0 else None
+
+
+def _model_start(a: np.ndarray, c: float) -> np.ndarray:
+    """Covector, as the values <p, X_i(x)> on the frame, of the exact
+    geodesic of the tangent cone at x towards the frame coordinates a of
+    y - x: the Heisenberg group with [X1, X2] = c X3. There the normal
+    geodesic with vertical covector h turns its velocity by c h, and the
+    path to a is the arc of heisenberg_group._geodesic_arc over the chord
+    a_h with vertical coordinate a_v / c, of angle theta and length L. So
+    the covector is L times the chord direction turned by -s theta / 2, with
+    vertical part s theta / c, for s = sign(a_v / c); a pure vertical target
+    takes the first frame direction as its chord."""
+    t = a[2] / c
+    s = math.copysign(1.0, t)
+    rho = math.hypot(a[0], a[1])
+    theta, length = (float(v) for v in _geodesic_arc(np.array(rho), np.array(abs(t))))
+    d = a[:2] / rho if rho > 0.0 else np.array([1.0, 0.0])
+    return np.append(length * _turned(d, -0.5 * s * theta), s * theta / c)
+
+
+def _covector_starts(m: int, a: np.ndarray, c: float) -> np.ndarray:
+    """The fallback grid: initial covectors, as the values <p, X_i(x)> on the
+    frame, aimed at the frame coordinates a = (a_h, a_v) of y - x through
+    the Heisenberg model with [X1, X2] = c X3: there the normal geodesic
+    with vertical covector h is an arc whose velocity turns by theta = c h,
+    so its chord points along the initial velocity turned by theta / 2, and
+    an arc of angle theta over the chord |a_h| has length
+    |a_h| theta / (2 sin(theta / 2)).
 
     theta = 0 gives the straight start (a_h, 0). Each theta in pi/2, pi and
     3pi/2, of either sign s, gives the arc over the chord a_h, its velocity
     turned by -s theta / 2 in the first two horizontal coordinates and its
-    vertical part s theta a_v / |a_v|. theta = +-2 pi is the full circle
-    of area |a_v|, length sqrt(4 pi |a_v|), which a vertical target needs
-    (there a_h = 0, and each sign gets four circles, turned by right angles).
-    Zero-length starts are left out, so at most nine remain."""
+    vertical part s (theta / c) a_v / |a_v|. theta = +-2 pi is the full circle
+    of area |a_v / c|, length sqrt(4 pi |a_v / c|), which a vertical target
+    needs (there a_h = 0, and each sign gets four circles, turned by right
+    angles). Zero-length starts are left out, so at most nine remain. Frames
+    with more than one vertical coordinate pass c = 1."""
     ah, av = a[:m], a[m:]
     nh, nv = float(np.linalg.norm(ah)), float(np.linalg.norm(av))
     dh = ah / nh if nh > 0.0 else np.eye(m)[0]
@@ -223,18 +279,15 @@ def _covector_starts(m: int, a: np.ndarray) -> np.ndarray:
         if theta < 2.0 * math.pi:
             length = nh * theta / (2.0 * math.sin(0.5 * theta))
         else:
-            length = math.hypot(nh, math.sqrt(4.0 * math.pi * nv))
+            length = math.hypot(nh, math.sqrt(4.0 * math.pi * nv / abs(c)))
         if length == 0.0:
             continue
         # the circles of a vertical target differ only by their turn: take
         # four, so that one fits wherever the chart box is near
         turns = (0.0,) if nh > 0.0 else (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
         for sign, extra in product((1.0, -1.0), turns):
-            turn = extra - 0.5 * sign * theta
-            d = dh.copy()
-            d[:2] = (math.cos(turn) * dh[0] - math.sin(turn) * dh[1],
-                     math.sin(turn) * dh[0] + math.cos(turn) * dh[1])
-            starts.append(np.concatenate([length * d, sign * theta * dv]))
+            starts.append(np.concatenate([length * _turned(dh, extra - 0.5 * sign * theta),
+                                          sign * theta / c * dv]))
     return np.array(starts).reshape(-1, a.size)
 
 
@@ -242,15 +295,15 @@ def _newton(frame: Frame, rhs: Callable, x, y, Minv, C, N: int):
     """Newton's method for q(1) = y on the initial covectors C, one row per
     start, updated in place; the flows take N RK4 steps.
 
-    Covectors c are frame coordinates, p(0) = c Minv. Each iteration
+    Covectors are rows h in frame coordinates, p(0) = h Minv. Each iteration
     integrates every unstopped start with its 2n central-difference probes
     in one batched flow, then takes a truncated least-squares step: a
     vertical target's Jacobian is singular along its rotation family. A
     start stops on its own, when its gap drops below SHOOT_TOL, its step
     stalls, its path leaves the chart box (then its gap is inf), or it
     wanders: its gap, still above SHOOT_ACCEPT, has not improved for
-    SHOOT_PATIENCE flows. Returns the covectors and their endpoint gaps
-    (max norm).
+    SHOOT_PATIENCE flows. Returns the covectors, their endpoint gaps (max
+    norm) and the number of flows run.
     """
     n = frame.n
     scale = float(np.max(np.abs(y - x)))
@@ -295,28 +348,36 @@ def _newton(frame: Frame, rhs: Callable, x, y, Minv, C, N: int):
         active = active[size > 1e-12 * (1.0 + np.linalg.norm(C[active], axis=1))]
         if active.size == 0:
             break
-    return C, gap
+    return C, gap, it + 1
 
 
-def _shoot(frame: Frame, rhs: Callable, x, y, Minv, N: int, halvings: int = 0):
-    """Covectors whose shots land on y: endpoint gap at most SHOOT_ACCEPT
-    max|y - x|, one row each.
+def _landed(x, y, gap) -> np.ndarray:
+    """Which shots land on y: endpoint gap at most SHOOT_ACCEPT max|y - x|."""
+    return gap <= SHOOT_ACCEPT * float(np.max(np.abs(y - x)))
+
+
+def _shoot(frame: Frame, rhs: Callable, x, y, Minv, c: float, N: int, halvings: int = 0):
+    """The fallback: Newton from the grid of _covector_starts (structure
+    constant c). Returns the covectors whose shots land on y, one row each,
+    the family they came from ("grid", or "halved" when the grid's own
+    starts do not land) and the number of flows run.
 
     When no start lands, the target is halved along the frame's dilation,
     a -> (2^-deg_i a_i), and shot first; its landed covectors, scaled back
-    by c_i -> 2^(2 - deg_i) c_i (exact for a Carnot group, whose dilations
+    by h_i -> 2^(2 - deg_i) h_i (exact for a Carnot group, whose dilations
     map normal geodesics to normal geodesics), are the starts of a second
     Newton. At most SHOOT_HALVINGS nested halvings.
     """
     a = (y - x) @ Minv.T
-    accept = SHOOT_ACCEPT * float(np.max(np.abs(y - x)))
-    C, gap = _newton(frame, rhs, x, y, Minv, _covector_starts(frame.m, a), N)
-    if halvings < SHOOT_HALVINGS and not np.any(gap <= accept):
+    C, gap, flows = _newton(frame, rhs, x, y, Minv, _covector_starts(frame.m, a, c), N)
+    family = "grid"
+    if halvings < SHOOT_HALVINGS and not np.any(_landed(x, y, gap)):
         deg = np.asarray(frame.degrees, dtype=float)
         half = x + np.linalg.solve(Minv, a * 0.5 ** deg)
-        seeds = _shoot(frame, rhs, x, half, Minv, N, halvings + 1) * 2.0 ** (2.0 - deg)
-        C, gap = _newton(frame, rhs, x, y, Minv, seeds, N)
-    return C[gap <= accept]
+        seeds, _, k1 = _shoot(frame, rhs, x, half, Minv, c, N, halvings + 1)
+        C, gap, k2 = _newton(frame, rhs, x, y, Minv, seeds * 2.0 ** (2.0 - deg), N)
+        family, flows = "halved", flows + k1 + k2
+    return C[_landed(x, y, gap)], family, flows
 
 
 def _polish(frame: Frame, rhs: Callable, x, y, p0, N: int) -> np.ndarray:
@@ -340,14 +401,34 @@ def _polish(frame: Frame, rhs: Callable, x, y, p0, N: int) -> np.ndarray:
     return sol.x.reshape(N, m)
 
 
+def _polished(frame: Frame, rhs: Callable, x, y, Minv, C, cfg: CCConfig):
+    """Polish the landed covectors C, shortest shot first, until one gives a
+    path inside the chart box whose endpoint residual is at most
+    cfg.endpoint_tol. Returns its controls, or None."""
+    N = cfg.segments
+    for h in C[np.argsort(np.linalg.norm(C[:, :frame.m], axis=1), kind="stable")]:
+        U = _polish(frame, rhs, x, y, h @ Minv, N)
+        zs, _ = _rollout(frame, x, U)
+        if (np.max(np.abs(zs[-1] - y)) <= cfg.endpoint_tol
+                and not np.any(_outside(frame.chart_box, zs))):
+            return U
+    return None
+
+
 def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
                 return_info: bool = False):
     """Length of the shortest found horizontal path from x to y.
 
-    Normal-geodesic shooting from up to nine covector starts (through
-    halved targets when none lands, see _shoot), then one L-BFGS polish of
-    the shortest shot that lands (see the module docstring); should that
-    polish miss the target, the next shortest shot is polished.
+    Normal-geodesic shooting, then one L-BFGS polish of the shortest shot
+    that lands (see the module docstring); should that polish miss the
+    target, the next shortest shot is polished. On a contact frame Newton
+    first runs on the one start aimed along the tangent cone's geodesic
+    (_model_start, with the structure constant c of _structure_constant).
+    When that shot does not land or its polish misses, and on every other
+    frame, the fallback runs: up to nine grid starts, through halved
+    targets when none of them lands (see _shoot, with c = 1 off contact
+    frames). With return_info, the HorizontalPath also records which
+    family the polished shot came from and how many Newton flows ran.
     Upper-bound semantics: the value is the length of an actual
     piecewise-constant path inside the chart box whose endpoint residual is
     at most config.endpoint_tol in chart coordinates.
@@ -369,27 +450,32 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
         raise ValueError("frame has no degree-1 fields")
     if cfg.segments < 1:
         raise ValueError("config needs segments >= 1")
-    box = frame.chart_box
-    if np.any(_outside(box, np.stack([x, y]))):
+    if np.any(_outside(frame.chart_box, np.stack([x, y]))):
         raise ChartEscape("endpoint outside the chart box")
     N = cfg.segments
 
     if float(np.max(np.abs(y - x))) == 0.0:
-        path = HorizontalPath(controls=np.zeros((N, m)), start=x)
+        path = HorizontalPath(controls=np.zeros((N, m)), start=x, family="model", flows=0)
         return (0.0, path) if return_info else 0.0
 
     rhs = _hamiltonian(frame)
     Minv = np.linalg.inv(frame.eval_matrix(x))
-    C = _shoot(frame, rhs, x, y, Minv, N)
-    for c in C[np.argsort(np.linalg.norm(C[:, :m], axis=1), kind="stable")]:
-        U = _polish(frame, rhs, x, y, c @ Minv, N)
-        zs, _ = _rollout(frame, x, U)
-        if np.max(np.abs(zs[-1] - y)) <= cfg.endpoint_tol and not np.any(_outside(box, zs)):
-            length = float(np.sum(np.linalg.norm(U, axis=1))) / N
-            path = HorizontalPath(controls=U, start=x)
-            return (length, path) if return_info else length
-    raise NoFeasiblePath("%d shots landed, and none polished to a path inside the chart "
-                         "box within endpoint residual %.3g" % (len(C), cfg.endpoint_tol))
+    c = _structure_constant(frame, x, Minv)
+    U, flows = None, 0
+    if c is not None:
+        C, gap, flows = _newton(frame, rhs, x, y, Minv,
+                                _model_start((y - x) @ Minv.T, c)[None], N)
+        family = "model"
+        U = _polished(frame, rhs, x, y, Minv, C[_landed(x, y, gap)], cfg)
+    if U is None:
+        C, family, k = _shoot(frame, rhs, x, y, Minv, 1.0 if c is None else c, N)
+        U, flows = _polished(frame, rhs, x, y, Minv, C, cfg), flows + k
+    if U is None:
+        raise NoFeasiblePath("%d shots landed, and none polished to a path inside the chart "
+                             "box within endpoint residual %.3g" % (len(C), cfg.endpoint_tol))
+    length = float(np.sum(np.linalg.norm(U, axis=1))) / N
+    path = HorizontalPath(controls=U, start=x, family=family, flows=flows)
+    return (length, path) if return_info else length
 
 
 def _light_cc(frame: Frame) -> Callable:

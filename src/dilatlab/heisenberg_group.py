@@ -99,25 +99,33 @@ def _arc_angle(ratio: np.ndarray) -> np.ndarray:
     return theta
 
 
-def heisenberg_gauge(W):
-    """Exact CC distance from the origin (unit horizontal frame): a float for
-    one point, for a (..., 3) stack the (...) array of its rows' gauges.
+def _geodesic_arc(rho, t):
+    """Central angle and length of the minimizing path over horizontal chord
+    rho >= 0 and vertical coordinate t >= 0 (arrays of one shape).
 
-    The minimizing path projects to a circular arc; the central angle theta
-    has arc ratio |t| / rho^2 (see _arc_angle), rho the horizontal chord and t
-    the vertical coordinate, and the length is rho theta / (2 sin(theta/2)).
-    Masks pick the straight segment (length rho) at t = 0 or a ratio below
-    1e-8, and the full circle (2 sqrt(pi |t|)) at rho = 0 or _CIRCLE_RATIO.
+    The path projects to a circular arc; the central angle theta has arc
+    ratio t / rho^2 (see _arc_angle), and the length is
+    rho theta / (2 sin(theta/2)). Masks pick the straight segment (angle 0,
+    length rho) at t = 0 or a ratio below 1e-8, and the full circle (angle
+    2 pi, length 2 sqrt(pi t)) at rho = 0 or _CIRCLE_RATIO.
     """
-    W = as_points(W)
-    rho, t = np.hypot(W[..., 0], W[..., 1]), np.abs(W[..., 2])
     with np.errstate(all="ignore"):  # rho = 0 rows take the masks, not the ratio
         ratio = t / (rho * rho)
     circle = (t >= 1e-300) & ((rho < 1e-300) | (ratio >= _CIRCLE_RATIO))
     arc = (t >= 1e-300) & ~circle & (ratio >= 1e-8)
-    out = np.where(circle, 2.0 * np.sqrt(np.pi * t), rho)
-    theta = _arc_angle(ratio[arc])
-    out[arc] = rho[arc] * theta / (2.0 * np.sin(0.5 * theta))
+    theta = np.where(circle, 2.0 * np.pi, 0.0)
+    length = np.where(circle, 2.0 * np.sqrt(np.pi * t), rho)
+    theta[arc] = _arc_angle(ratio[arc])
+    length[arc] = rho[arc] * theta[arc] / (2.0 * np.sin(0.5 * theta[arc]))
+    return theta, length
+
+
+def heisenberg_gauge(W):
+    """Exact CC distance from the origin (unit horizontal frame): a float for
+    one point, for a (..., 3) stack the (...) array of its rows' gauges: the
+    length of _geodesic_arc over the horizontal chord and |vertical|."""
+    W = as_points(W)
+    _, out = _geodesic_arc(np.hypot(W[..., 0], W[..., 1]), np.abs(W[..., 2]))
     return float(out) if out.ndim == 0 else out
 
 

@@ -7,6 +7,7 @@ combined field sum_i a_i X_i started at w; chart_inverse solves the reverse
 problem by Newton iteration with finite-difference Jacobians.
 """
 
+import sys
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Callable, Optional, Sequence, Tuple
@@ -483,8 +484,8 @@ def polynomial_field(components: Sequence, name: str = "") -> VectorField:
     """Field from per-component monomial term lists.
 
     components[i] is a list of [coeff, [e_1, ..., e_n]] terms; component i of
-    the field value is sum coeff * prod_k x_k^e_k, and each e_k must be a
-    nonnegative integer. The terms become one monomial table (exponents and
+    the field value is sum coeff * prod_k x_k^e_k; coeff must be a finite
+    number and each e_k a nonnegative integer. The terms become one monomial table (exponents and
     coefficients), through which the value and the analytic Jacobian are
     evaluated, both batched over leading axes.
     """
@@ -493,10 +494,13 @@ def polynomial_field(components: Sequence, name: str = "") -> VectorField:
     for i, comp in enumerate(components):
         for t in comp:
             exps = list(t[1])
-            if not (_is_number(t[0]) and len(exps) == n and all(map(_is_number, exps))
-                    and all(e >= 0 and float(e).is_integer() for e in exps)):
-                raise ValueError("component %d term %r: want a number and %d nonnegative "
-                                 "integer exponents" % (i, t, n))
+            # NaN, +-inf and integers past the float range are numbers too
+            if not (_is_number(t[0]) and abs(t[0]) <= sys.float_info.max and len(exps) == n
+                    and all(map(_is_number, exps))
+                    and all(0 <= e <= sys.float_info.max and float(e).is_integer()
+                            for e in exps)):
+                raise ValueError("component %d term %r: want a finite number and %d "
+                                 "nonnegative integer exponents" % (i, t, n))
             terms.append((exps, i, float(t[0])))
     return _table_field(_table(terms, n, (n,)), name)
 

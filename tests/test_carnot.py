@@ -1,13 +1,17 @@
 """Group law, gauge, horizontal-path solver, and the frame-built structures."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from dilatlab.carnot import (LIGHT_CC, CCConfig, _covector_starts, _hamiltonian, _newton,
-                             _objective_and_grad, _rollout, _shoot, check_normal_frame,
-                             cc_distance, heisenberg_structure, sr_dilatation)
+from dilatlab import carnot
+from dilatlab.carnot import (LIGHT_CC, CCConfig, _covector_starts, _hamiltonian, _landed,
+                             _model_start, _newton, _objective_and_grad, _rollout, _shoot,
+                             _structure_constant, check_normal_frame, cc_distance,
+                             heisenberg_structure, sr_dilatation)
 from dilatlab.errors import ChartEscape
 from dilatlab.geometry import euclidean_distance
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenberg_cc,
@@ -18,6 +22,13 @@ from dilatlab.vectorfields import (Frame, VectorField, compose_P, compose_rows, 
                                    frame_from_manifest, lie_bracket, polynomial_field)
 
 np.random.seed(5)
+
+# the generator manifest of tests/test_cli.py
+HEIS_MANIFEST = {
+    "schema": 1, "name": "heis-manifest", "dim": 3, "chart_halfwidth": 2.0,
+    "generators": [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
+                   [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]],
+}
 
 
 # === group law and gauge ===
@@ -280,10 +291,10 @@ def test_shots_that_leave_the_chart_box_are_dropped():
     x = np.array([1.9, 0.0, 0.0])
     y = heisenberg_group_law(x, [0.0, 0.0, 0.04])
     rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
-    C = _covector_starts(2, (y - x) @ Minv.T)
-    _, gap = _newton(frame, rhs, x, y, Minv, C, LIGHT_CC.segments)
+    C = _covector_starts(2, (y - x) @ Minv.T, 1.0)
+    _, gap, _ = _newton(frame, rhs, x, y, Minv, C, LIGHT_CC.segments)
     assert np.any(np.isinf(gap)) and np.any(np.isfinite(gap))
-    assert 0 < len(_shoot(frame, rhs, x, y, Minv, LIGHT_CC.segments)) < len(C)
+    assert 0 < len(_shoot(frame, rhs, x, y, Minv, 1.0, LIGHT_CC.segments)[0]) < len(C)
     d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
     zs = _rollout(frame, x, path.controls)[0]
     assert np.all(zs <= 2.0) and np.all(zs >= -2.0)
@@ -359,13 +370,8 @@ def test_objective_gradient_matches_finite_differences():
 def test_rollout_and_flow_exp_share_one_integrator():
     # constant controls make the CC rollout the exponential-chart flow with a
     # zero vertical coefficient: both run rk4_step, to the same bits
-    manifest = {
-        "schema": 1, "name": "heis-manifest", "dim": 3, "chart_halfwidth": 2.0,
-        "generators": [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
-                       [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]],
-    }
     rng = np.random.RandomState(12)
-    for frame in (heisenberg()[0], warped_heisenberg()[0], frame_from_manifest(manifest)):
+    for frame in (heisenberg()[0], warped_heisenberg()[0], frame_from_manifest(HEIS_MANIFEST)):
         for N in (8, 32):
             x = rng.uniform(-0.3, 0.3, 3)
             u = rng.uniform(-0.5, 0.5, 2)
@@ -377,16 +383,7 @@ def test_rollout_and_flow_exp_share_one_integrator():
 def test_cc_distance_on_manifest_frame():
     # the manifest shape of tests/test_cli.py: the solver runs on the
     # batched analytic Jacobians of polynomial_field
-    frame = frame_from_manifest({
-        "schema": 1,
-        "name": "heis-manifest",
-        "dim": 3,
-        "chart_halfwidth": 2.0,
-        "generators": [
-            [[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
-            [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]],
-        ],
-    })
+    frame = frame_from_manifest(HEIS_MANIFEST)
     x = np.array([0.1, -0.05, 0.02])
     for w in (np.array([0.24, -0.18, 0.0]), np.array([0.1, 0.05, 0.02])):
         y = heisenberg_group_law(x, w)
@@ -395,29 +392,41 @@ def test_cc_distance_on_manifest_frame():
         assert abs(d - want) <= 1e-2 * want, (w, d, want)
 
 
-def test_covector_starts_solve_vertical_targets():
+def _grid_only(monkeypatch):
+    """Make cc_distance skip its model start: a NaN covector's flow is lost
+    at once, so every solve falls back to the grid."""
+    monkeypatch.setattr(carnot, "_model_start", lambda a, c: np.full(3, np.nan))
+
+
+def test_covector_starts_solve_vertical_targets(monkeypatch):
     # a pure vertical target has a_h = 0: its starts are the full circles
     # of area t, length 2 sqrt(pi t), turned by right angles, both signs
     t = 0.03
-    starts = _covector_starts(2, np.array([0.0, 0.0, t]))
+    starts = _covector_starts(2, np.array([0.0, 0.0, t]), 1.0)
     assert starts.shape == (8, 3)
     assert np.allclose(np.linalg.norm(starts[:, :2], axis=1), 2.0 * math.sqrt(math.pi * t))
     assert np.allclose(np.abs(starts[:, 2]), 2.0 * math.pi)
-    assert len(_covector_starts(2, np.array([0.1, 0.05, 0.02]))) <= 9
+    assert len(_covector_starts(2, np.array([0.1, 0.05, 0.02]), 1.0)) <= 9
     frame, _ = heisenberg()
-    for x in (np.zeros(3), np.array([0.15, -0.1, 0.05])):
-        for t in (0.01, -0.04):
-            y = heisenberg_group_law(x, [0.0, 0.0, t])
-            d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
-            end = _rollout(frame, x, path.controls)[0][-1]
-            assert np.max(np.abs(end - y)) <= LIGHT_CC.endpoint_tol
-            assert path.controls.shape == (LIGHT_CC.segments, 2)
-            assert d == pytest.approx(
-                float(np.sum(np.linalg.norm(path.controls, axis=1))) / LIGHT_CC.segments,
-                rel=1e-15)
-            # 2 sqrt(pi |t|), and the 32-gon's perimeter excess pi^2 / (6 32^2)
-            want = 2.0 * math.sqrt(math.pi * abs(t))
-            assert want <= d <= want * (1.0 + math.pi ** 2 / (6 * 32 ** 2) + 1e-5), (x, t)
+    for family in ("model", "grid"):
+        with monkeypatch.context() as mp:
+            if family == "grid":
+                _grid_only(mp)
+            for x in (np.zeros(3), np.array([0.15, -0.1, 0.05])):
+                for t in (0.01, -0.04):
+                    y = heisenberg_group_law(x, [0.0, 0.0, t])
+                    d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+                    assert path.family == family
+                    end = _rollout(frame, x, path.controls)[0][-1]
+                    assert np.max(np.abs(end - y)) <= LIGHT_CC.endpoint_tol
+                    assert path.controls.shape == (LIGHT_CC.segments, 2)
+                    assert d == pytest.approx(
+                        float(np.sum(np.linalg.norm(path.controls, axis=1)))
+                        / LIGHT_CC.segments, rel=1e-15)
+                    # 2 sqrt(pi |t|), and the 32-gon's perimeter excess pi^2 / (6 32^2)
+                    want = 2.0 * math.sqrt(math.pi * abs(t))
+                    assert want <= d <= want * (1.0 + math.pi ** 2 / (6 * 32 ** 2) + 1e-5), \
+                        (family, x, t)
 
 
 def test_far_targets_are_shot_through_halved_targets():
@@ -427,10 +436,11 @@ def test_far_targets_are_shot_through_halved_targets():
     x = np.array([-0.15361223, -1.13777704, 0.11918995])
     y = np.array([-0.15522626, -0.19111727, -0.40719643])
     rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
-    _, gap = _newton(frame, rhs, x, y, Minv, _covector_starts(2, (y - x) @ Minv.T),
-                     LIGHT_CC.segments)
+    _, gap, _ = _newton(frame, rhs, x, y, Minv, _covector_starts(2, (y - x) @ Minv.T, 1.0),
+                        LIGHT_CC.segments)
     assert np.all(gap > 1e-3 * np.max(np.abs(y - x))) and np.any(np.isinf(gap))
-    assert len(_shoot(frame, rhs, x, y, Minv, LIGHT_CC.segments)) > 0
+    C, family, _ = _shoot(frame, rhs, x, y, Minv, 1.0, LIGHT_CC.segments)
+    assert len(C) > 0 and family == "halved"
     want = heisenberg_cc(x, y)
     assert want <= cc_distance(frame, x, y, config=LIGHT_CC) <= want * (1.0 + 2e-3)
 
@@ -457,6 +467,113 @@ def test_cc_distance_brackets_the_gauge_on_seeded_pairs():
         d = cc_distance(frame, x, y, config=LIGHT_CC)
         want = heisenberg_cc(x, y)
         assert -1e-8 <= (d - want) / want <= 2e-3, (kind, x, y, d, want)
+
+
+def _contact_curved():
+    with open(os.path.join(os.path.dirname(__file__), "manifests", "contact-curved.json")) as f:
+        return frame_from_manifest(json.load(f))
+
+
+@pytest.mark.parametrize("c", [2.0, -1.0])
+def test_grid_starts_use_the_structure_constant(monkeypatch, c):
+    # the Heisenberg frame with X3 = (1 / c) d/dz has the same CC metric and
+    # [X1, X2] = c X3; the grid's vertical covectors and circle areas carry
+    # the 1 / c, or its arcs miss (at c = 2: 5 of these 12 pairs raised
+    # NoFeasiblePath and 2 came out 46% and 60% long)
+    one = [[1.0, [0, 0, 0]]]
+    frame = frame_from_manifest({
+        "schema": 1, "name": "heis-c", "dim": 3, "chart_halfwidth": 2.0,
+        "fields": [[one, [], [[-0.5, [0, 1, 0]]]], [[], one, [[0.5, [1, 0, 0]]]],
+                   [[], [], [[1.0 / c, [0, 0, 0]]]]],
+        "degrees": [1, 1, 2]})
+    rng = np.random.RandomState(5)
+    pairs = []
+    for _ in range(12):
+        x = rng.uniform(-0.2, 0.2, 3)
+        pairs.append((x, x + rng.uniform(-0.2, 0.2, 3) * np.array([1.0, 1.0, 0.3])))
+    assert _structure_constant(frame, pairs[0][0], np.linalg.inv(
+        frame.eval_matrix(pairs[0][0]))) == pytest.approx(c, rel=1e-14)
+    # a vertical target's circles enclose the area |a_v / c|
+    starts = _covector_starts(2, np.array([0.0, 0.0, 0.03]), c)
+    assert np.allclose(np.linalg.norm(starts[:, :2], axis=1),
+                       2.0 * math.sqrt(math.pi * 0.03 / abs(c)))
+    assert np.allclose(np.abs(starts[:, 2]), 2.0 * math.pi / abs(c))
+    for family in ("model", "grid"):
+        with monkeypatch.context() as mp:
+            if family == "grid":
+                _grid_only(mp)
+            for x, y in pairs:
+                d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+                want = heisenberg_cc(x, y)
+                assert path.family == family
+                assert -1e-8 <= (d - want) / want <= 2e-3, (family, x, y, d, want)
+
+
+def test_structure_constant_of_other_frames():
+    # the warped fields carry no Jacobian: c comes from central differences
+    # of the pushforward, whose bracket is again its X3
+    frame, _, _ = warped_heisenberg()
+    x = np.array([0.3, -0.2, 0.1])
+    Minv = np.linalg.inv(frame.eval_matrix(x))
+    assert _structure_constant(frame, x, Minv) == pytest.approx(1.0, abs=1e-8)
+    # contact-curved's X3 is the bracket itself; Engel is no contact frame
+    frame = _contact_curved()
+    assert _structure_constant(frame, x, np.linalg.inv(frame.eval_matrix(x))) == \
+        pytest.approx(1.0, rel=1e-14)
+    assert _structure_constant(_engel(), np.zeros(4), np.eye(4)) is None
+
+
+def test_model_start_is_never_worse_than_the_grid():
+    # the model shot is the tangent cone's geodesic: on the Heisenberg
+    # manifest exact, on contact-curved close enough to land on most pairs.
+    # Where it lands it is no longer than any landed grid shot.
+    N = LIGHT_CC.segments
+    rng = np.random.RandomState(3)
+    landed = {}
+    for frame, shrink in ((frame_from_manifest(HEIS_MANIFEST), 1.0), (_contact_curved(), 0.5)):
+        landed[frame.name] = 0
+        for k in range(9):
+            x, y = _heisenberg_pair(rng, ("horizontal", "vertical", "mixed")[k % 3])
+            x, y = shrink * x, shrink * y
+            rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+            c = _structure_constant(frame, x, Minv)
+            model, gap, _ = _newton(frame, rhs, x, y, Minv,
+                                    _model_start((y - x) @ Minv.T, c)[None], N)
+            grid, _, _ = _shoot(frame, rhs, x, y, Minv, c, N)
+            if _landed(x, y, gap)[0]:
+                landed[frame.name] += 1
+                assert (np.linalg.norm(model[0, :2])
+                        <= np.min(np.linalg.norm(grid[:, :2], axis=1)) * (1.0 + 1e-9)), (x, y)
+    assert landed["heis-manifest"] == 9 and landed["contact-curved"] >= 4, landed
+    # a vertical target by the chart box wall: the model's full circle
+    # bulges out of the box, and the grid's turned circles solve it
+    frame, _ = heisenberg()
+    x = np.array([-1.9, 0.3, 0.1])
+    y = heisenberg_group_law(x, [0.0, 0.0, -0.04])
+    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+    _, gap, _ = _newton(frame, rhs, x, y, Minv, _model_start((y - x) @ Minv.T, 1.0)[None], N)
+    assert np.isinf(gap[0])
+    d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+    assert path.family == "grid" and path.flows > 1
+    want = heisenberg_cc(x, y)
+    assert want <= d <= want * (1.0 + 2e-3)
+
+
+def test_cc_solve_pairs_come_from_the_model_start():
+    # the bench's horizontal and mixed pairs on the Heisenberg manifest land
+    # from the model start after one flow (RK4 integrates a straight line
+    # exactly) and within three (its flow of an arc misses the exact end by
+    # about 1e-7 of the target's size, which one or two Newton steps remove)
+    frame = frame_from_manifest(HEIS_MANIFEST)
+    rng = np.random.RandomState(21)
+    for k in range(6):
+        x, phi = rng.uniform(-0.2, 0.2, 3), rng.uniform(0.0, 2.0 * math.pi)
+        r, t = (rng.uniform(0.2, 0.4), 0.0) if k % 2 == 0 else (0.3, 0.025)
+        y = heisenberg_group_law(x, [r * math.cos(phi), r * math.sin(phi), t])
+        d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+        assert path.family == "model" and path.flows <= (1 if t == 0.0 else 3), (x, y, path)
+        want = heisenberg_cc(x, y)
+        assert want * (1.0 - 1e-8) <= d <= want * (1.0 + 2e-3)
 
 
 def _engel():

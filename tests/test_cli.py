@@ -234,9 +234,11 @@ def test_bad_manifest_exits_64(tmp_path, capsys):
     assert main(["verify", "--manifest", str(path)]) == 64
     err = capsys.readouterr().err
     assert "manifest" in err
-    # a fractional exponent would truncate and a JSON boolean pass as an int
+    # a fractional exponent would truncate and a JSON boolean pass as an int;
+    # an integer exponent past the float range is no exponent either
     gens = HEIS_MANIFEST["generators"]
     for doc in (dict(HEIS_MANIFEST, generators=[[[[1.0, [0.5, 0, 0]]], [], []], gens[1]]),
+                dict(HEIS_MANIFEST, generators=[[[[1.0, [10 ** 400, 0, 0]]], [], []], gens[1]]),
                 dict(HEIS_MANIFEST, generators=[[[[1.0, [True, 0, 0]]], [], []], gens[1]]),
                 dict(HEIS_MANIFEST, schema=True), dict(HEIS_MANIFEST, dim=True),
                 {"schema": 1, "dim": 3, "fields": gens + [[[], [], [[1.0, [0, 0, 0]]]]],
@@ -244,6 +246,20 @@ def test_bad_manifest_exits_64(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["verify", "--manifest", str(path), "--checks", "a2"]) == 64
         assert "manifest" in capsys.readouterr().err
+
+
+def test_non_finite_manifest_coefficient_exits_64(tmp_path, capsys):
+    # JSON's NaN and Infinity load as floats; the frame construction would
+    # fail later with an unrelated linear-algebra message
+    path = tmp_path / "nan.json"
+    gens = HEIS_MANIFEST["generators"]
+    for bad in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
+        doc = dict(HEIS_MANIFEST, generators=[[gens[0][0], [], [[bad, [0, 1, 0]]]], gens[1]])
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--manifest", str(path), "--checks", "a0a1"]) == 64
+        err = capsys.readouterr().err
+        assert "manifest: field 'generators' entry 0: component 2 term [" in err, err
+        assert "finite" in err, err
 
 
 def test_point_flag_is_used(capsys):
