@@ -20,12 +20,18 @@ land, or its polish misses the target, does the fallback run: a grid of up
 to nine Heisenberg arcs of fixed angles, and halved targets when none of
 those lands. Other frames go to the grid at once.
 
-One L-BFGS polish from the shortest landed shot then minimizes the energy
-of piecewise-constant controls under a fixed quadratic endpoint penalty,
-with the shot's multiplier and analytic adjoint gradients through the
-discretization. The L-BFGS solver is scipy's, reached through this module's
-minimize, which imports scipy.optimize on its first call, so importing
-carnot loads no scipy.
+Newton keeps each start's best shot: the covector of the smallest endpoint
+gap it reached, with the (q, p) stage points of that flow. The shortest
+landed shot is then polished without being flowed again. Its RK4-weighted
+controls, read off those stages, miss the target by the discretization's
+mismatch (up to about 3e-4 of the target's size); at most two
+minimum-norm Gauss-Newton steps through the linearized rollout project
+them onto it. One L-BFGS solve from that feasible start minimizes the
+energy of piecewise-constant controls under a fixed quadratic endpoint
+penalty, with the shot's multiplier -2 p(1) and analytic adjoint gradients
+through the discretization. The L-BFGS solver is scipy's, reached through
+this module's minimize, which imports scipy.optimize on its first call, so
+importing carnot loads no scipy.
 
 Shooting finds normal geodesics only. A strictly abnormal minimizer
 (Montgomery 1994) is missed, and the value is then the length of a longer
@@ -41,7 +47,7 @@ through _light_cc, the package's only per-row metric loop.
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,9 +80,10 @@ def minimize(*args, **kwargs):
 POLISH_RHO = 1e6
 POLISH_ITERS = 200
 # Shooting Newton, relative to the target's size max|y - x|: a start stops
-# below SHOOT_TOL or after SHOOT_ITERS steps, and its shot is polished when
-# its endpoint gap is at most SHOOT_ACCEPT; above that, it also stops once
-# SHOOT_PATIENCE flows in a row have not improved on its best gap.
+# below SHOOT_TOL or after SHOOT_ITERS steps, and its best shot is polished
+# when its endpoint gap is at most SHOOT_ACCEPT. Once it is, the start also
+# stops at the first flow that does not improve on that gap; before, once
+# SHOOT_PATIENCE flows in a row have not.
 # Singular values below SHOOT_RCOND times the largest are dropped, and a
 # step is capped at SHOOT_CAP (1 + |h|) for covector h.
 SHOOT_ITERS = 20
@@ -87,6 +94,10 @@ SHOOT_RCOND = 1e-3
 SHOOT_CAP = 3.0
 # Nested target halvings that _shoot tries when no start lands.
 SHOOT_HALVINGS = 3
+# Gauss-Newton steps that project a shot's controls onto the target before
+# the polish; a residual below PROJECT_ROUNDING (1 + max|y|) takes none.
+PROJECT_STEPS = 2
+PROJECT_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -141,24 +152,30 @@ def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
     return zs, stages
 
 
-def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
-    """Augmented-Lagrangian energy and its control gradient (adjoint pass)."""
-    N = U.shape[0]
-    n = x.size
-    h = 1.0 / N
+def _linearized(frame: Frame, x: np.ndarray, U: np.ndarray):
+    """RK4 rollout of the controls U (N, m) from x and its linearization:
+    the states zs (N + 1, n), and M (N, n, n) = d z_{j+1} / d z_j and
+    G (N, n, m) = d z_{j+1} / d u_j of rk4_linearization."""
     zs, stages = _rollout(frame, x, U)
-    c = zs[-1] - y
-    J = h * float(np.sum(U * U)) + float(lam @ c) + 0.5 * rho * float(c @ c)
-
     # linearize every RK4 stage of every segment at once: A = sum_i u_i DX_i
     # and B = [X_1 ... X_m] at the stage points, (N, 4, n, n) and (N, 4, n, m)
     fields = frame.fields[:frame.m]
     A = sum(U[:, i, None, None, None] * f.jac(stages) for i, f in enumerate(fields))
     B = np.stack([f(stages) for f in fields], axis=-1)
-    M, G = rk4_linearization(A, B, h)  # d z_{j+1} / d z_j and d z_{j+1} / d u_j
+    M, G = rk4_linearization(A, B, 1.0 / U.shape[0])
+    return zs, M, G
+
+
+def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
+    """Augmented-Lagrangian energy and its control gradient (adjoint pass)."""
+    N = U.shape[0]
+    h = 1.0 / N
+    zs, M, G = _linearized(frame, x, U)
+    c = zs[-1] - y
+    J = h * float(np.sum(U * U)) + float(lam @ c) + 0.5 * rho * float(c @ c)
 
     # backward multiplier recursion: lams[j] = d(penalty) / d z_{j+1}
-    lams = np.empty((N, n))
+    lams = np.empty((N, x.size))
     lam_z = lam + rho * c
     for j in range(N - 1, -1, -1):
         lams[j] = lam_z
@@ -273,6 +290,10 @@ def _covector_starts(m: int, a: np.ndarray, c: float) -> np.ndarray:
     nh, nv = float(np.linalg.norm(ah)), float(np.linalg.norm(av))
     dh = ah / nh if nh > 0.0 else np.eye(m)[0]
     dv = av / nv if nv > 0.0 else np.eye(av.size)[:1].ravel()
+    # the arcs' sign s turns them by -s theta / 2 and the Heisenberg geodesic
+    # of that turn has vertical covector s theta / c: dv keeps a nonnegative
+    # first coordinate, so that each sign pairs them so, whatever a_v's sign
+    dv = -dv if dv[0] < 0.0 else dv
     starts = [np.concatenate([ah, np.zeros(av.size)])] if nh > 0.0 else []
     for theta in ((0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi)
                   if av.size and m > 1 else ()):
@@ -291,19 +312,37 @@ def _covector_starts(m: int, a: np.ndarray, c: float) -> np.ndarray:
     return np.array(starts).reshape(-1, a.size)
 
 
+class _Shots(NamedTuple):
+    """Newton's best shot of each start, one row each: the covectors (k, n)
+    in frame coordinates, their endpoint gaps (k,) in max norm (inf for a
+    flow that left the chart box), the (q, p) stage points of each shot's
+    flow (k, N, 4, 2n) and its end (k, 2n)."""
+
+    C: np.ndarray
+    gap: np.ndarray
+    stages: np.ndarray
+    end: np.ndarray
+
+    def take(self, rows) -> "_Shots":
+        return _Shots(*(a[rows] for a in self))
+
+
 def _newton(frame: Frame, rhs: Callable, x, y, Minv, C, N: int):
     """Newton's method for q(1) = y on the initial covectors C, one row per
-    start, updated in place; the flows take N RK4 steps.
+    start; the flows take N RK4 steps.
 
     Covectors are rows h in frame coordinates, p(0) = h Minv. Each iteration
     integrates every unstopped start with its 2n central-difference probes
     in one batched flow, then takes a truncated least-squares step: a
-    vertical target's Jacobian is singular along its rotation family. A
-    start stops on its own, when its gap drops below SHOOT_TOL, its step
-    stalls, its path leaves the chart box (then its gap is inf), or it
-    wanders: its gap, still above SHOOT_ACCEPT, has not improved for
-    SHOOT_PATIENCE flows. Returns the covectors, their endpoint gaps (max
-    norm) and the number of flows run.
+    vertical target's Jacobian is singular along its rotation family. Each
+    start keeps its best shot, the covector of the smallest endpoint gap it
+    reached, with the stages of that flow (its centre row, not its probes).
+    A start stops on its own when its gap drops below SHOOT_TOL, its step
+    stalls or its path leaves the chart box; once its best gap is at most
+    SHOOT_ACCEPT, also at the first flow that does not improve on it, and
+    before that, when it wanders: SHOOT_PATIENCE flows in a row without an
+    improvement. Returns the best shots (_Shots) and the number of flows
+    run.
     """
     n = frame.n
     scale = float(np.max(np.abs(y - x)))
@@ -315,21 +354,26 @@ def _newton(frame: Frame, rhs: Callable, x, y, Minv, C, N: int):
     deg = np.asarray(frame.degrees, dtype=float)
     hom = float(np.max(np.abs((y - x) @ Minv.T) ** (1.0 / deg)))
     W = Minv / hom ** deg[:, None]
-    gap = np.full(len(C), np.inf)
-    best = np.full(len(C), np.inf)
-    stale = np.zeros(len(C), dtype=int)  # flows since the gap last improved
-    active = np.arange(len(C))
+    C = np.array(C, dtype=float)
+    k = len(C)
+    best = _Shots(C.copy(), np.full(k, np.inf), np.full((k, N, 4, 2 * n), np.nan),
+                  np.full((k, 2 * n), np.nan))
+    stale = np.zeros(k, dtype=int)  # flows since the gap last improved
+    active = np.arange(k)
     eye = np.eye(n)
     for it in range(SHOOT_ITERS + 1):
         ca = C[active, None, :]
         rows = np.concatenate([ca, ca + FD_STEP * eye, ca - FD_STEP * eye], axis=1)
-        z, lost, _ = _normal_flow(rhs, frame.chart_box, x, rows @ Minv, N)
+        z, lost, stages = _normal_flow(rhs, frame.chart_box, x, rows @ Minv, N)
         F = z[:, 0, :n] - y
         g = np.where(lost[:, 0], np.inf, np.max(np.abs(F), axis=1))
-        gap[active] = g
-        stale[active] = np.where(g < best[active], 0, stale[active] + 1)
-        best[active] = np.minimum(best[active], g)
-        go = (g > tol) & np.isfinite(g) & ((stale[active] < SHOOT_PATIENCE) | (g <= accept))
+        better = g < best.gap[active]
+        won = active[better]
+        best.C[won], best.gap[won], best.end[won] = C[won], g[better], z[better, 0]
+        best.stages[won] = np.moveaxis(np.array(stages)[:, :, better, 0], 2, 0)
+        stale[active] = np.where(better, 0, stale[active] + 1)
+        wait = np.where(best.gap[active] <= accept, better, stale[active] < SHOOT_PATIENCE)
+        go = (g > tol) & np.isfinite(g) & wait
         if it == SHOOT_ITERS or not np.any(go):
             break
         active, F, q = active[go], F[go], z[go, 1:, :n]
@@ -348,7 +392,7 @@ def _newton(frame: Frame, rhs: Callable, x, y, Minv, C, N: int):
         active = active[size > 1e-12 * (1.0 + np.linalg.norm(C[active], axis=1))]
         if active.size == 0:
             break
-    return C, gap, it + 1
+    return best, it + 1
 
 
 def _landed(x, y, gap) -> np.ndarray:
@@ -358,9 +402,9 @@ def _landed(x, y, gap) -> np.ndarray:
 
 def _shoot(frame: Frame, rhs: Callable, x, y, Minv, c: float, N: int, halvings: int = 0):
     """The fallback: Newton from the grid of _covector_starts (structure
-    constant c). Returns the covectors whose shots land on y, one row each,
-    the family they came from ("grid", or "halved" when the grid's own
-    starts do not land) and the number of flows run.
+    constant c). Returns the best shots that land on y (_Shots), the family
+    they came from ("grid", or "halved" when the grid's own starts do not
+    land) and the number of flows run.
 
     When no start lands, the target is halved along the frame's dilation,
     a -> (2^-deg_i a_i), and shot first; its landed covectors, scaled back
@@ -369,46 +413,77 @@ def _shoot(frame: Frame, rhs: Callable, x, y, Minv, c: float, N: int, halvings: 
     Newton. At most SHOOT_HALVINGS nested halvings.
     """
     a = (y - x) @ Minv.T
-    C, gap, flows = _newton(frame, rhs, x, y, Minv, _covector_starts(frame.m, a, c), N)
+    shots, flows = _newton(frame, rhs, x, y, Minv, _covector_starts(frame.m, a, c), N)
     family = "grid"
-    if halvings < SHOOT_HALVINGS and not np.any(_landed(x, y, gap)):
+    if halvings < SHOOT_HALVINGS and not np.any(_landed(x, y, shots.gap)):
         deg = np.asarray(frame.degrees, dtype=float)
         half = x + np.linalg.solve(Minv, a * 0.5 ** deg)
         seeds, _, k1 = _shoot(frame, rhs, x, half, Minv, c, N, halvings + 1)
-        C, gap, k2 = _newton(frame, rhs, x, y, Minv, seeds * 2.0 ** (2.0 - deg), N)
+        shots, k2 = _newton(frame, rhs, x, y, Minv, seeds.C * 2.0 ** (2.0 - deg), N)
         family, flows = "halved", flows + k1 + k2
-    return C[_landed(x, y, gap)], family, flows
+    return shots.take(_landed(x, y, shots.gap)), family, flows
 
 
-def _polish(frame: Frame, rhs: Callable, x, y, p0, N: int) -> np.ndarray:
-    """L-BFGS on the penalized path energy, from the shot of covector p0:
-    its RK4-weighted controls, and the multiplier lam = -2 p(1) that makes
-    the shot stationary for the energy sum h |u_j|^2."""
+def _project(frame: Frame, x, y, U) -> np.ndarray:
+    """Up to PROJECT_STEPS minimum-norm Gauss-Newton steps of the controls U
+    (N, m) onto the target, dU = -J^T (J J^T)^-1 c for the endpoint residual
+    c and J = d z_N / d U, the backward products
+    d z_N / d u_j = M_(N-1) ... M_(j+1) G_j of _linearized. Stops once c is
+    at rounding level."""
+    N, n = U.shape[0], x.size
+    floor = PROJECT_ROUNDING * (1.0 + float(np.max(np.abs(y))))
+    for _ in range(PROJECT_STEPS):
+        zs, M, G = _linearized(frame, x, U)
+        c = zs[-1] - y
+        if np.max(np.abs(c)) <= floor:
+            break
+        P = np.empty((N, n, n))  # P[j] = d z_N / d z_{j+1}
+        P[-1] = np.eye(n)
+        for j in range(N - 1, 0, -1):
+            P[j - 1] = P[j] @ M[j]
+        Jb = P @ G  # (N, n, m): d z_N / d u_j
+        w = np.linalg.lstsq(np.einsum("jnm,jkm->nk", Jb, Jb), c, rcond=None)[0]
+        U = U - np.einsum("jnm,n->jm", Jb, w)
+    return U
+
+
+def _polish(frame: Frame, x, y, stages, end) -> np.ndarray:
+    """L-BFGS on the penalized path energy, from the shot whose flow has the
+    (q, p) stage points stages (N, 4, 2n) and end (2n,): its RK4-weighted
+    controls, projected onto y (_project), and the multiplier lam = -2 p(1)
+    that makes the shot stationary for the energy sum h |u_j|^2."""
     n, m = frame.n, frame.m
-    z, _, stages = _normal_flow(rhs, frame.chart_box, x, p0, N)
-    S = np.array(stages)  # (N, 4, 2n)
+    N = stages.shape[0]
     u = np.einsum("...in,...n->...i",
-                  np.stack([f(S[..., :n]) for f in frame.fields[:m]], axis=-2), S[..., n:])
+                  np.stack([f(stages[..., :n]) for f in frame.fields[:m]], axis=-2),
+                  stages[..., n:])
     U0 = (u[:, 0] + 2.0 * u[:, 1] + 2.0 * u[:, 2] + u[:, 3]) / 6.0
-    lam = -2.0 * z[n:]
+    lam = -2.0 * end[n:]
 
     def fun(uflat):
         J, grad, _ = _objective_and_grad(frame, x, y, uflat.reshape(N, m), lam, POLISH_RHO)
         return J, grad.ravel()
 
-    sol = minimize(fun, U0.ravel(), jac=True, method="L-BFGS-B",
+    sol = minimize(fun, _project(frame, x, y, U0).ravel(), jac=True, method="L-BFGS-B",
                    options={"maxiter": POLISH_ITERS, "ftol": 1e-10, "gtol": 1e-7})
     return sol.x.reshape(N, m)
 
 
-def _polished(frame: Frame, rhs: Callable, x, y, Minv, C, cfg: CCConfig):
-    """Polish the landed covectors C, shortest shot first, until one gives a
-    path inside the chart box whose endpoint residual is at most
-    cfg.endpoint_tol. Returns its controls, or None."""
-    N = cfg.segments
-    for h in C[np.argsort(np.linalg.norm(C[:, :frame.m], axis=1), kind="stable")]:
-        U = _polish(frame, rhs, x, y, h @ Minv, N)
+def _polished(frame: Frame, x, y, shots: _Shots, cfg: CCConfig):
+    """Polish the landed shots, shortest first, until one gives a path
+    inside the chart box whose endpoint residual is at most
+    cfg.endpoint_tol. Returns its controls, or None.
+
+    A shot past its first conjugate point is no local minimum of the
+    energy, and L-BFGS can leave it for a shorter path whose endpoint the
+    shot's multiplier does not hold; such a result is projected onto y
+    (_project) before it is tested."""
+    for k in np.argsort(np.linalg.norm(shots.C[:, :frame.m], axis=1), kind="stable"):
+        U = _polish(frame, x, y, shots.stages[k], shots.end[k])
         zs, _ = _rollout(frame, x, U)
+        if np.max(np.abs(zs[-1] - y)) > cfg.endpoint_tol:
+            U = _project(frame, x, y, U)
+            zs, _ = _rollout(frame, x, U)
         if (np.max(np.abs(zs[-1] - y)) <= cfg.endpoint_tol
                 and not np.any(_outside(frame.chart_box, zs))):
             return U
@@ -419,11 +494,13 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
                 return_info: bool = False):
     """Length of the shortest found horizontal path from x to y.
 
-    Normal-geodesic shooting, then one L-BFGS polish of the shortest shot
-    that lands (see the module docstring); should that polish miss the
-    target, the next shortest shot is polished. On a contact frame Newton
-    first runs on the one start aimed along the tangent cone's geodesic
-    (_model_start, with the structure constant c of _structure_constant).
+    Normal-geodesic shooting, then one polish of the shortest shot that
+    lands: its controls, read off Newton's kept stages and projected onto
+    y, start one L-BFGS solve (see the module docstring); should that
+    polish miss the target, the next shortest shot is polished. On a
+    contact frame Newton first runs on the one start aimed along the
+    tangent cone's geodesic (_model_start, with the structure constant c
+    of _structure_constant).
     When that shot does not land or its polish misses, and on every other
     frame, the fallback runs: up to nine grid starts, through halved
     targets when none of them lands (see _shoot, with c = 1 off contact
@@ -463,16 +540,17 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     c = _structure_constant(frame, x, Minv)
     U, flows = None, 0
     if c is not None:
-        C, gap, flows = _newton(frame, rhs, x, y, Minv,
-                                _model_start((y - x) @ Minv.T, c)[None], N)
+        shots, flows = _newton(frame, rhs, x, y, Minv,
+                               _model_start((y - x) @ Minv.T, c)[None], N)
         family = "model"
-        U = _polished(frame, rhs, x, y, Minv, C[_landed(x, y, gap)], cfg)
+        U = _polished(frame, x, y, shots.take(_landed(x, y, shots.gap)), cfg)
     if U is None:
-        C, family, k = _shoot(frame, rhs, x, y, Minv, 1.0 if c is None else c, N)
-        U, flows = _polished(frame, rhs, x, y, Minv, C, cfg), flows + k
+        shots, family, k = _shoot(frame, rhs, x, y, Minv, 1.0 if c is None else c, N)
+        U, flows = _polished(frame, x, y, shots, cfg), flows + k
     if U is None:
         raise NoFeasiblePath("%d shots landed, and none polished to a path inside the chart "
-                             "box within endpoint residual %.3g" % (len(C), cfg.endpoint_tol))
+                             "box within endpoint residual %.3g"
+                             % (len(shots.C), cfg.endpoint_tol))
     length = float(np.sum(np.linalg.norm(U, axis=1))) / N
     path = HorizontalPath(controls=U, start=x, family=family, flows=flows)
     return (length, path) if return_info else length

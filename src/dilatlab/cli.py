@@ -13,6 +13,7 @@ nothing failed outright, 64 bad invocation or malformed manifest.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -360,7 +361,11 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The command line's parser, built on the first call and reused: a
+    parse leaves it as it was, and an in-process caller may run main many
+    times."""
     parser = _Parser(prog="dilatlab",
                      description="axiom checks for dilatation structures")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -377,9 +382,12 @@ def main(argv=None) -> int:
     p_list = sub.add_parser("list", help="known structure names")
     p_list.add_argument("--format", choices=("json", "text"), default="text")
     p_list.add_argument("--out")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(_join_point(sys.argv[1:] if argv is None else list(argv)))
+        args = _parser().parse_args(_join_point(sys.argv[1:] if argv is None else list(argv)))
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "tangent":

@@ -574,8 +574,9 @@ def frame_from_manifest(doc: dict) -> Frame:
        "generators": [field, ...],        # bracket-generating fields
        "fields": [field, ...],            # OR: the full frame, with
        "degrees": [int, ...],             #     explicit degrees
-       "probes": [[...], ...],            # probe points (default: small grid)
-       "chart_halfwidth": float}          # optional chart box
+       "probes": [[...], ...],            # probe points of dim finite numbers
+                                          # (default: 4 seeded normal draws)
+       "chart_halfwidth": float}          # chart box half-width, finite, > 0 (default 3)
 
     field := list of dim components; component := list of [coeff, exponents]
     monomial terms. Raises ValueError naming the offending entry on parse
@@ -592,7 +593,13 @@ def frame_from_manifest(doc: dict) -> Frame:
         raise ValueError("manifest: field 'dim' must be positive")
     name = str(doc.get("name", "manifest"))
 
-    box = symmetric_box(dim, doc.get("chart_halfwidth", 3.0))
+    half = doc.get("chart_halfwidth", 3.0)
+    # NaN compares false with every point, and NaN, inf and integers past
+    # the float range would reach the chart box unchecked
+    if not (_is_number(half) and 0.0 < half <= sys.float_info.max):
+        raise ValueError("manifest: field 'chart_halfwidth' must be a finite positive "
+                         "number, got %r" % (half,))
+    box = symmetric_box(dim, half)
 
     def parse_fields(key):
         raw = doc[key]
@@ -631,6 +638,11 @@ def frame_from_manifest(doc: dict) -> Frame:
     else:
         if not isinstance(probes, list) or not probes:
             raise ValueError("manifest: field 'probes' must be a nonempty list")
+        for idx, p in enumerate(probes):
+            if not (isinstance(p, list) and len(p) == dim and all(map(_is_number, p))
+                    and all(abs(v) <= sys.float_info.max for v in p)):
+                raise ValueError("manifest: field 'probes' entry %d must be %d finite numbers, "
+                                 "got %r" % (idx, dim, p))
         probes = [as_point(p) for p in probes]
     frame = build_adapted_frame(gens, probes, chart_box=box, name=name)
     # brackets of polynomial fields are polynomial: the whole frame shares one table

@@ -292,9 +292,9 @@ def test_shots_that_leave_the_chart_box_are_dropped():
     y = heisenberg_group_law(x, [0.0, 0.0, 0.04])
     rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
     C = _covector_starts(2, (y - x) @ Minv.T, 1.0)
-    _, gap, _ = _newton(frame, rhs, x, y, Minv, C, LIGHT_CC.segments)
+    gap = _newton(frame, rhs, x, y, Minv, C, LIGHT_CC.segments)[0].gap
     assert np.any(np.isinf(gap)) and np.any(np.isfinite(gap))
-    assert 0 < len(_shoot(frame, rhs, x, y, Minv, 1.0, LIGHT_CC.segments)[0]) < len(C)
+    assert 0 < len(_shoot(frame, rhs, x, y, Minv, 1.0, LIGHT_CC.segments)[0].C) < len(C)
     d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
     zs = _rollout(frame, x, path.controls)[0]
     assert np.all(zs <= 2.0) and np.all(zs >= -2.0)
@@ -430,19 +430,54 @@ def test_covector_starts_solve_vertical_targets(monkeypatch):
 
 
 def test_far_targets_are_shot_through_halved_targets():
-    # no start's Newton lands on this target of gauge 1.7 (most leave the
-    # chart box); the halved targets' shots, scaled back up, reach it
+    # no grid start's Newton lands on this target (most leave the chart
+    # box); the halved targets' shots, scaled back up, reach it
+    frame, _ = heisenberg()
+    x = np.array([1.43, 1.13, -0.49])
+    y = np.array([1.38, -0.8, 1.35])
+    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+    gap = _newton(frame, rhs, x, y, Minv, _covector_starts(2, (y - x) @ Minv.T, 1.0),
+                  LIGHT_CC.segments)[0].gap
+    assert np.all(gap > 1e-3 * np.max(np.abs(y - x))) and np.any(np.isinf(gap))
+    shots, family, _ = _shoot(frame, rhs, x, y, Minv, 1.0, LIGHT_CC.segments)
+    assert len(shots.C) > 0 and family == "halved"
+    want = heisenberg_cc(x, y)
+    assert want <= cc_distance(frame, x, y, config=LIGHT_CC) <= want * (1.0 + 2e-3)
+
+
+def _heis_c(c):
+    """The Heisenberg frame with X3 = (1 / c) d/dz: the same CC metric, and
+    [X1, X2] = c X3."""
+    one = [[1.0, [0, 0, 0]]]
+    return frame_from_manifest({
+        "schema": 1, "name": "heis-c", "dim": 3, "chart_halfwidth": 2.0,
+        "fields": [[one, [], [[-0.5, [0, 1, 0]]]], [[], one, [[0.5, [1, 0, 0]]]],
+                   [[], [], [[1.0 / c, [0, 0, 0]]]]],
+        "degrees": [1, 1, 2]})
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 2.0])
+def test_grid_arcs_bend_towards_either_vertical_sign(c):
+    # each arc's turn -s theta / 2 goes with the vertical covector
+    # s theta / c, whatever the sign of a_v / c: flowed once, without
+    # Newton, the best arc ends near the target on both sides (the grid's
+    # angles are a quarter turn apart), where a mispaired grid bends every
+    # arc away from it (misses of 0.2 to 0.4)
+    frame = _heis_c(c)
+    rhs, x = _hamiltonian(frame), np.zeros(3)
+    Minv = np.linalg.inv(frame.eval_matrix(x))
+    for t in (0.03, -0.03):
+        y = np.array([0.2, 0.1, t])
+        C = _covector_starts(2, (y - x) @ Minv.T, c)
+        z, _, _ = carnot._normal_flow(rhs, frame.chart_box, x, C[1:] @ Minv, 64)
+        assert np.min(np.max(np.abs(z[:, :3] - y), axis=1)) < 0.02, (c, t)
+    # the target the far-target test used to need halvings for is now shot
+    # through the grid's own starts
     frame, _ = heisenberg()
     x = np.array([-0.15361223, -1.13777704, 0.11918995])
     y = np.array([-0.15522626, -0.19111727, -0.40719643])
-    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
-    _, gap, _ = _newton(frame, rhs, x, y, Minv, _covector_starts(2, (y - x) @ Minv.T, 1.0),
-                        LIGHT_CC.segments)
-    assert np.all(gap > 1e-3 * np.max(np.abs(y - x))) and np.any(np.isinf(gap))
-    C, family, _ = _shoot(frame, rhs, x, y, Minv, 1.0, LIGHT_CC.segments)
-    assert len(C) > 0 and family == "halved"
-    want = heisenberg_cc(x, y)
-    assert want <= cc_distance(frame, x, y, config=LIGHT_CC) <= want * (1.0 + 2e-3)
+    Minv = np.linalg.inv(frame.eval_matrix(x))
+    assert _shoot(frame, _hamiltonian(frame), x, y, Minv, 1.0, LIGHT_CC.segments)[1] == "grid"
 
 
 def _heisenberg_pair(rng, kind):
@@ -480,12 +515,7 @@ def test_grid_starts_use_the_structure_constant(monkeypatch, c):
     # [X1, X2] = c X3; the grid's vertical covectors and circle areas carry
     # the 1 / c, or its arcs miss (at c = 2: 5 of these 12 pairs raised
     # NoFeasiblePath and 2 came out 46% and 60% long)
-    one = [[1.0, [0, 0, 0]]]
-    frame = frame_from_manifest({
-        "schema": 1, "name": "heis-c", "dim": 3, "chart_halfwidth": 2.0,
-        "fields": [[one, [], [[-0.5, [0, 1, 0]]]], [[], one, [[0.5, [1, 0, 0]]]],
-                   [[], [], [[1.0 / c, [0, 0, 0]]]]],
-        "degrees": [1, 1, 2]})
+    frame = _heis_c(c)
     rng = np.random.RandomState(5)
     pairs = []
     for _ in range(12):
@@ -537,13 +567,12 @@ def test_model_start_is_never_worse_than_the_grid():
             x, y = shrink * x, shrink * y
             rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
             c = _structure_constant(frame, x, Minv)
-            model, gap, _ = _newton(frame, rhs, x, y, Minv,
-                                    _model_start((y - x) @ Minv.T, c)[None], N)
+            model, _ = _newton(frame, rhs, x, y, Minv, _model_start((y - x) @ Minv.T, c)[None], N)
             grid, _, _ = _shoot(frame, rhs, x, y, Minv, c, N)
-            if _landed(x, y, gap)[0]:
+            if _landed(x, y, model.gap)[0]:
                 landed[frame.name] += 1
-                assert (np.linalg.norm(model[0, :2])
-                        <= np.min(np.linalg.norm(grid[:, :2], axis=1)) * (1.0 + 1e-9)), (x, y)
+                assert (np.linalg.norm(model.C[0, :2])
+                        <= np.min(np.linalg.norm(grid.C[:, :2], axis=1)) * (1.0 + 1e-9)), (x, y)
     assert landed["heis-manifest"] == 9 and landed["contact-curved"] >= 4, landed
     # a vertical target by the chart box wall: the model's full circle
     # bulges out of the box, and the grid's turned circles solve it
@@ -551,8 +580,8 @@ def test_model_start_is_never_worse_than_the_grid():
     x = np.array([-1.9, 0.3, 0.1])
     y = heisenberg_group_law(x, [0.0, 0.0, -0.04])
     rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
-    _, gap, _ = _newton(frame, rhs, x, y, Minv, _model_start((y - x) @ Minv.T, 1.0)[None], N)
-    assert np.isinf(gap[0])
+    model, _ = _newton(frame, rhs, x, y, Minv, _model_start((y - x) @ Minv.T, 1.0)[None], N)
+    assert np.isinf(model.gap[0])
     d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
     assert path.family == "grid" and path.flows > 1
     want = heisenberg_cc(x, y)
@@ -574,6 +603,99 @@ def test_cc_solve_pairs_come_from_the_model_start():
         assert path.family == "model" and path.flows <= (1 if t == 0.0 else 3), (x, y, path)
         want = heisenberg_cc(x, y)
         assert want * (1.0 - 1e-8) <= d <= want * (1.0 + 2e-3)
+
+
+def test_vertical_model_shots_keep_their_best_flow(monkeypatch):
+    # a vertical target's full-circle model start lands at its first flow,
+    # and the first truncated Newton step raises the gap: the row stops at
+    # that second flow and returns the first one, covector, gap and stages
+    frame = frame_from_manifest(HEIS_MANIFEST)
+    rhs, N = _hamiltonian(frame), LIGHT_CC.segments
+    gaps = []  # the start's gap at each flow
+    real = carnot._normal_flow
+
+    def recorded(rhs, box, x, P, N):
+        z, lost, stages = real(rhs, box, x, P, N)
+        gaps.append(np.inf if lost[0, 0] else float(np.max(np.abs(z[0, 0, :3] - y))))
+        return z, lost, stages
+
+    for x in (np.zeros(3), np.array([0.1, -0.05, 0.02])):
+        for t in (0.01, 0.025, 0.04):
+            y = heisenberg_group_law(x, [0.0, 0.0, t])
+            Minv = np.linalg.inv(frame.eval_matrix(x))
+            start = _model_start((y - x) @ Minv.T, _structure_constant(frame, x, Minv))[None]
+            del gaps[:]
+            with monkeypatch.context() as mp:
+                mp.setattr(carnot, "_normal_flow", recorded)
+                shots, flows = _newton(frame, rhs, x, y, Minv, start, N)
+            assert flows == len(gaps) <= 2 and _landed(x, y, shots.gap)[0], (x, t, gaps)
+            assert shots.gap[0] == min(gaps), (x, t, gaps)
+            # the kept stages are the best flow's own: the polish reads from
+            # them the controls a fresh flow of the covector would give
+            z, _, stages = real(rhs, frame.chart_box, x, shots.C[0] @ Minv, N)
+            assert np.array_equal(shots.stages[0], np.array(stages))
+            assert np.array_equal(shots.end[0], z)
+
+
+def test_polish_starts_on_the_target(monkeypatch):
+    # cc-solve-shaped pairs: the shot's controls, projected by Gauss-Newton
+    # steps, reach the target before L-BFGS starts, which then takes at most
+    # two iterations
+    frame = frame_from_manifest(HEIS_MANIFEST)
+    starts = []
+    real = carnot.minimize
+
+    def counted(fun, x0, **kwargs):
+        sol = real(fun, x0, **kwargs)
+        starts.append((x0.copy(), sol.nit))
+        return sol
+
+    monkeypatch.setattr(carnot, "minimize", counted)
+    rng = np.random.RandomState(22)
+    for kind in ("horizontal", "vertical", "mixed") * 3:
+        x, phi = rng.uniform(-0.2, 0.2, 3), rng.uniform(0.0, 2.0 * math.pi)
+        if kind == "horizontal":
+            r, t = rng.uniform(0.2, 0.4), 0.0
+        elif kind == "vertical":
+            r, t = 0.0, rng.uniform(0.01, 0.04)
+        else:
+            r, t = 0.3, 0.025
+        y = heisenberg_group_law(x, [r * math.cos(phi), r * math.sin(phi), t])
+        del starts[:]
+        d = cc_distance(frame, x, y, config=LIGHT_CC)
+        ((U0, nit),) = starts
+        end = _rollout(frame, x, U0.reshape(LIGHT_CC.segments, 2))[0][-1]
+        assert np.max(np.abs(end - y)) <= 1e-10 * np.max(np.abs(y - x)), kind
+        assert nit <= 2, kind
+        want = heisenberg_cc(x, y)
+        assert want * (1.0 - 1e-8) <= d <= want * (1.0 + 2e-3)
+
+
+def test_a_polish_that_leaves_its_shot_is_projected_onto_the_target(monkeypatch):
+    # contact-curved pairs whose landed shots run past a conjugate point:
+    # L-BFGS leaves each for a shorter path and stops 1e-5 off the target,
+    # where the shot's multiplier no longer holds the endpoint. Projected
+    # onto y, that path is feasible: the first pair raised NoFeasiblePath,
+    # and the second took the 0.867-long shot itself
+    frame = _contact_curved()
+    projections = []
+    real = carnot._project
+
+    def counted(frame, x, y, U):
+        projections.append(1)
+        return real(frame, x, y, U)
+
+    monkeypatch.setattr(carnot, "_project", counted)
+    for x, y, longest in (([0.105, -0.287, -0.239], [0.06, -0.182, -0.317], 1.1),
+                          ([0.19, 0.247, -0.134], [0.136, 0.198, -0.109], 0.7)):
+        x, y = np.array(x), np.array(y)
+        del projections[:]
+        d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+        assert len(projections) == 2 and d < longest, (x, d, len(projections))
+        zs = _rollout(frame, x, path.controls)[0]
+        assert np.max(np.abs(zs[-1] - y)) <= LIGHT_CC.endpoint_tol
+        assert np.all(np.abs(zs) <= 0.4)
+        assert d == float(np.sum(np.linalg.norm(path.controls, axis=1))) / LIGHT_CC.segments
 
 
 def _engel():

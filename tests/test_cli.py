@@ -262,6 +262,26 @@ def test_non_finite_manifest_coefficient_exits_64(tmp_path, capsys):
         assert "finite" in err, err
 
 
+def test_bad_chart_halfwidth_or_probe_exits_64(tmp_path, capsys):
+    # a NaN half-width compared false with every point and was reported as
+    # the base point lying outside the chart; a string or a boolean passed
+    # as a number
+    path = tmp_path / "box.json"
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 10 ** 400, "2", True,
+                None, [2.0]):
+        path.write_text(json.dumps(dict(HEIS_MANIFEST, chart_halfwidth=bad)))
+        assert main(["verify", "--manifest", str(path), "--checks", "a0a1"]) == 64, bad
+        err = capsys.readouterr().err
+        assert "manifest: field 'chart_halfwidth' must be a finite positive number" in err, err
+    for bad in ([float("nan"), 0.0, 0.0], [float("inf"), 0.0, 0.0], [10 ** 400, 0.0, 0.0],
+                ["a", 0.0, 0.0], [1.0, 2.0], [True, 0.0, 0.0], 1.0):
+        doc = dict(HEIS_MANIFEST, probes=[[0.1, 0.2, 0.3], bad])
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--manifest", str(path), "--checks", "a0a1"]) == 64, bad
+        err = capsys.readouterr().err
+        assert "manifest: field 'probes' entry 1 must be 3 finite numbers" in err, err
+
+
 def test_point_flag_is_used(capsys):
     rc = main(["verify", "--structure", "euclidean3", "--checks", "a2",
                "--point", "0.1,-0.2,0.3", "--samples", "2",
@@ -357,6 +377,29 @@ def _fresh_python(code: str) -> str:
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_successive_main_calls_match_fresh_runs(capsys):
+    # main reuses one parser: flags and defaults of one call must not leak
+    # into the next, so each call prints what it prints in a new process
+    runs = [["verify", "--structure", "euclidean2", "--checks", "a2", "--samples", "2",
+             "--seed", "7", "--eps-count", "4", "--format", "csv"],
+            ["verify", "--structure", "euclidean2", "--checks", "a2"],
+            ["tangent", "--structure", "euclidean2", "--point", "-0.1,0.2", "--eps-count", "5"],
+            ["verify", "--structure", "euclidean2", "--checks", "bogus"],
+            ["profile", "--structure", "euclidean2", "--samples", "2", "--eps-count", "4"],
+            ["list", "--format", "json"]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    capsys.readouterr()
+    for argv in runs:
+        code = main(argv)
+        got = capsys.readouterr()
+        # bytes, so that the CSV writer's \r\n line ends come through as written
+        fresh = subprocess.run([sys.executable, "-m", "dilatlab.cli"] + argv, env=env,
+                               capture_output=True)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout.decode(),
+                                            fresh.stderr.decode()), argv
 
 
 def test_import_loads_no_scipy():
