@@ -33,6 +33,18 @@ through the discretization. The L-BFGS solver is scipy's, reached through
 this module's minimize, which imports scipy.optimize on its first call, so
 importing carnot loads no scipy.
 
+Every polish evaluation rolls the piecewise-constant controls out by one
+RK4 step per segment. Where the horizontal fields read only coordinates
+that move at constant speed along them (Frame.affine_coords: Bellaiche's
+graded coordinates, as on heisenberg() and the Heisenberg, contact and
+Engel manifests), _rollout needs no step loop and keeps the loop's bits:
+  - those coordinates' field components do not depend on the point (their
+    non-constant terms have exact zero coefficients), so their states are
+    one add.accumulate of constant increments;
+  - combined gives a row the same bits alone as in a batch, so one batched
+    call at every segment's stage points gives the four RK4 slopes;
+  - add.accumulate adds in index order, as the loop does.
+
 Shooting finds normal geodesics only. A strictly abnormal minimizer
 (Montgomery 1994) is missed, and the value is then the length of a longer
 normal path: still an upper bound. Step-2 distributions, such as the
@@ -137,7 +149,18 @@ class HorizontalPath:
 
 
 def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
-    """RK4 trajectory (one step per segment); returns (states, stage inputs)."""
+    """RK4 trajectory of the controls U (N, m) from x, one step per segment:
+    the states (N + 1, n) and the stage points (N, 4, n) of rk4_step's loop.
+
+    On a frame with affine_coords the rollout runs without a step loop and
+    gives the loop's bits (_affine_rollout); on any other frame, and where
+    that rollout declines, the loop runs.
+    """
+    cols = frame.affine_coords
+    if cols is not None:
+        out = _affine_rollout(frame.combined, x, U, np.array(cols, dtype=int))
+        if out is not None:
+            return out
     N = U.shape[0]
     h = 1.0 / N
     zs = np.empty((N + 1, x.size))
@@ -150,6 +173,44 @@ def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
         zs[j + 1], (stages[j, 0], stages[j, 1], stages[j, 2], stages[j, 3]) = \
             rk4_step(combined, U[j], zs[j], h)
     return zs, stages
+
+
+def _affine_rollout(combined: Callable, x, U, cols):
+    """_rollout without a step loop, where the horizontal fields read only
+    the coordinates cols, and those move at constant speed along each field
+    (Frame.affine_coords). Three passes:
+
+    1. Along segment j, cols' components of combined(U_j, .) are one
+       constant K_j: their non-constant terms have exact zero coefficients.
+       So cols' states are one add.accumulate of (h/6)(K + 2K + 2K + K),
+       and so are their stage points.
+    2. combined reads nothing outside cols and gives a row the same bits
+       alone as in a batch, so one batched call at those stage points gives
+       every segment's k1, k2 and k4 (k3 = k2, since the second and third
+       stages agree on cols).
+    3. One more add.accumulate, which adds in index order as the loop does,
+       gives all the states, and from them the stages.
+
+    Returns None, for the loop to run, unless every state is finite and
+    cols' stage components equal K bit for bit (a sum that is exactly zero
+    could differ in its sign)."""
+    N, n = U.shape[0], x.size
+    h = 1.0 / N
+    # an overflow here is redone, and reported, by the loop
+    with np.errstate(all="ignore"):
+        K = combined(U, x)[:, cols]
+        zc = np.add.accumulate(np.concatenate([x[None, cols],
+                                               (h / 6.0) * (K + 2.0 * K + 2.0 * K + K)]))[:-1]
+        at = np.zeros((3, N, n))  # the coordinates outside cols are never read
+        at[:, :, cols] = (zc, zc + 0.5 * h * K, zc + h * K)
+        k1, k2, k4 = k = combined(U, at)
+        zs = np.add.accumulate(np.concatenate([x[None],
+                                               (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k2 + k4)]))
+    if not (np.all(np.isfinite(zs))
+            and np.all(k[:, :, cols].view(np.int64) == K.view(np.int64))):
+        return None
+    z = zs[:-1]
+    return zs, np.stack([z, z + 0.5 * h * k1, z + 0.5 * h * k2, z + h * k2], axis=1)
 
 
 def _linearized(frame: Frame, x: np.ndarray, U: np.ndarray):
@@ -447,11 +508,12 @@ def _project(frame: Frame, x, y, U) -> np.ndarray:
     return U
 
 
-def _polish(frame: Frame, x, y, stages, end) -> np.ndarray:
+def _polish(frame: Frame, x, y, stages, end):
     """L-BFGS on the penalized path energy, from the shot whose flow has the
     (q, p) stage points stages (N, 4, 2n) and end (2n,): its RK4-weighted
     controls, projected onto y (_project), and the multiplier lam = -2 p(1)
-    that makes the shot stationary for the energy sum h |u_j|^2."""
+    that makes the shot stationary for the energy sum h |u_j|^2. Returns
+    the polished controls and that projected start."""
     n, m = frame.n, frame.m
     N = stages.shape[0]
     u = np.einsum("...in,...n->...i",
@@ -464,9 +526,17 @@ def _polish(frame: Frame, x, y, stages, end) -> np.ndarray:
         J, grad, _ = _objective_and_grad(frame, x, y, uflat.reshape(N, m), lam, POLISH_RHO)
         return J, grad.ravel()
 
-    sol = minimize(fun, _project(frame, x, y, U0).ravel(), jac=True, method="L-BFGS-B",
+    start = _project(frame, x, y, U0)
+    sol = minimize(fun, start.ravel(), jac=True, method="L-BFGS-B",
                    options={"maxiter": POLISH_ITERS, "ftol": 1e-10, "gtol": 1e-7})
-    return sol.x.reshape(N, m)
+    return sol.x.reshape(N, m), start
+
+
+def _fits(frame: Frame, y, zs, cfg: CCConfig) -> bool:
+    """Whether the path of states zs stays inside the chart box and ends
+    within cfg.endpoint_tol of y."""
+    return bool(np.max(np.abs(zs[-1] - y)) <= cfg.endpoint_tol
+                and not np.any(_outside(frame.chart_box, zs)))
 
 
 def _polished(frame: Frame, x, y, shots: _Shots, cfg: CCConfig):
@@ -477,17 +547,21 @@ def _polished(frame: Frame, x, y, shots: _Shots, cfg: CCConfig):
     A shot past its first conjugate point is no local minimum of the
     energy, and L-BFGS can leave it for a shorter path whose endpoint the
     shot's multiplier does not hold; such a result is projected onto y
-    (_project) before it is tested."""
+    (_project) before it is tested. L-BFGS can also leave the chart box
+    from a start inside it: when every polish fails, the shortest
+    projected start that fits is returned."""
+    starts = []
     for k in np.argsort(np.linalg.norm(shots.C[:, :frame.m], axis=1), kind="stable"):
-        U = _polish(frame, x, y, shots.stages[k], shots.end[k])
+        U, start = _polish(frame, x, y, shots.stages[k], shots.end[k])
         zs, _ = _rollout(frame, x, U)
         if np.max(np.abs(zs[-1] - y)) > cfg.endpoint_tol:
             U = _project(frame, x, y, U)
             zs, _ = _rollout(frame, x, U)
-        if (np.max(np.abs(zs[-1] - y)) <= cfg.endpoint_tol
-                and not np.any(_outside(frame.chart_box, zs))):
+        if _fits(frame, y, zs, cfg):
             return U
-    return None
+        starts.append(start)
+    starts.sort(key=lambda U: float(np.sum(np.linalg.norm(U, axis=1))))
+    return next((U for U in starts if _fits(frame, y, _rollout(frame, x, U)[0], cfg)), None)
 
 
 def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,

@@ -9,6 +9,7 @@ problem by Newton iteration with finite-difference Jacobians.
 
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from numbers import Real
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -154,6 +155,29 @@ class Frame:
         """Columns X_1(x) ... X_n(x)."""
         x = as_point(x)
         return np.stack([f(x) for f in self.fields], axis=1)
+
+    @cached_property
+    def affine_coords(self) -> Optional[Tuple[int, ...]]:
+        """The coordinates that some horizontal field reads, when each of
+        them moves at constant speed along every horizontal field (its
+        component in each is a constant), else None.
+
+        Read off the monomial tables of the degree-1 fields, with no
+        numeric probe; None as well when one of them has no table. Along a
+        control path these coordinates then move affinely on each segment,
+        and the horizontal fields depend on nothing else (see
+        carnot._rollout).
+        """
+        tables = [f.table for f in self.fields[:self.m]]
+        if not tables or any(t is None for t in tables):
+            return None
+        read = np.zeros(self.n, dtype=bool)
+        for E, _ in tables:
+            read |= np.any(E > 0, axis=0)
+        for E, C in tables:
+            if np.any(C[np.any(E > 0, axis=1)][:, read] != 0.0):
+                return None
+        return tuple(int(i) for i in np.flatnonzero(read))
 
 
 def _rank_of(rows: np.ndarray) -> int:
@@ -507,21 +531,26 @@ def polynomial_field(components: Sequence, name: str = "") -> VectorField:
 
 def _polynomial_combined(fields: Sequence[VectorField]) -> Callable:
     """Closed form of sum_i a_i X_i(z) for polynomial fields: one power table
-    over the union of their monomials and one coefficient contraction."""
+    over the union of the first k fields' monomials and one coefficient
+    contraction. Only those monomials are evaluated, so the sum reads no
+    coordinate that the first k fields do not read."""
     n = fields[0].table[0].shape[1]
     E, C = _table([(row, (f, i), c)
                    for f, fld in enumerate(fields) for Ef, Cf in [fld.table]
                    for row, coeffs in zip(Ef, Cf) for i, c in enumerate(coeffs)],
                   n, (len(fields), n))  # C[r, f, i]: monomial r in component i of field f
-    M = len(E)
     E = E.astype(float)
-    # per coefficient count k: the first k fields' coefficients, field-major
-    blocks = [C[:, :k].transpose(1, 0, 2).reshape(k * M, n) for k in range(len(fields) + 1)]
+    # per coefficient count k: the first k fields' monomials, with their
+    # coefficients field-major
+    blocks = []
+    for k in range(len(fields) + 1):
+        rows = np.any(C[:, :k] != 0.0, axis=(1, 2))
+        blocks.append((E[rows], C[rows, :k].transpose(1, 0, 2).reshape(k * int(rows.sum()), n)))
 
     def combined(a, z):
-        k = a.shape[-1]
-        w = a[..., :, None] * _monomials(z, E)[..., None, :]  # (..., k, M): a_f x^E_r
-        return np.add.reduce(w.reshape(w.shape[:-2] + (k * M, 1)) * blocks[k], axis=-2)
+        Ek, Ck = blocks[a.shape[-1]]
+        w = a[..., :, None] * _monomials(z, Ek)[..., None, :]  # (..., k, M): a_f x^E_r
+        return np.add.reduce(w.reshape(w.shape[:-2] + (len(Ck), 1)) * Ck, axis=-2)
 
     return combined
 

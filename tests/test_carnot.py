@@ -19,7 +19,7 @@ from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenbe
                                        heisenberg_group_law, heisenberg_inverse,
                                        vertical_cc_oracle, warped_heisenberg)
 from dilatlab.vectorfields import (Frame, VectorField, compose_P, compose_rows, flow_exp,
-                                   frame_from_manifest, lie_bracket, polynomial_field)
+                                   frame_from_manifest, lie_bracket, polynomial_field, rk4_step)
 
 np.random.seed(5)
 
@@ -380,6 +380,78 @@ def test_rollout_and_flow_exp_share_one_integrator():
                 (frame.name, N)
 
 
+def _loop_rollout(frame, x, U):
+    """The per-segment rk4_step loop that _rollout reproduces."""
+    N = U.shape[0]
+    zs, stages = np.empty((N + 1, x.size)), np.empty((N, 4, x.size))
+    zs[0] = x
+    for j in range(N):
+        zs[j + 1], st = rk4_step(frame.combined, U[j], zs[j], 1.0 / N)
+        stages[j] = np.array(st)
+    return zs, stages
+
+
+def _manifest(name):
+    with open(os.path.join(os.path.dirname(__file__), "manifests", name + ".json")) as f:
+        return frame_from_manifest(json.load(f))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_rollout_runs_without_a_step_loop_to_the_loops_bits(monkeypatch):
+    # the horizontal fields of these frames read only coordinates that move
+    # at constant speed: the rollout takes two prefix sums and batched field
+    # calls, and no rk4_step, for the states and stages of the loop
+    frames = [(heisenberg()[0], (0, 1)), (frame_from_manifest(HEIS_MANIFEST), (0, 1)),
+              (_contact_curved(), (0,)), (_manifest("engel"), (0,))]
+    rng = np.random.RandomState(31)
+    for frame, cols in frames:
+        assert frame.affine_coords == cols, frame.name
+        half = float(frame.chart_box[0, 1])
+        for N in (1, 7, 32, 64):
+            x = rng.uniform(-0.5 * half, 0.5 * half, frame.n)
+            for U in (rng.standard_normal((N, frame.m)), np.zeros((N, frame.m)),
+                      rng.standard_normal((N, frame.m)) * 10.0 * half):
+                want = _loop_rollout(frame, x, U)
+                with monkeypatch.context() as mp:
+                    mp.setattr(carnot, "rk4_step", None)
+                    got = _rollout(frame, x, U)
+                assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), \
+                    (frame.name, N)
+        # the large controls leave the box, and the value test sees it
+        assert np.any(carnot._outside(frame.chart_box, got[0])), frame.name
+        # a rollout that overflows is redone by the loop
+        U = np.full((4, frame.m), 1e300)
+        cols = np.array(cols)
+        assert carnot._affine_rollout(frame.combined, x, U, cols) is None
+        with np.errstate(all="ignore"):
+            got, want = _rollout(frame, x, U), _loop_rollout(frame, x, U)
+        assert not np.all(np.isfinite(got[0]))
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), frame.name
+
+
+def test_rollout_keeps_the_loop_where_a_field_reads_a_moving_coordinate(monkeypatch):
+    # warped fields have no monomial tables; here X2 reads x2 and moves x1
+    # at a speed 0.3 x2 that X2 itself changes. Both go through the loop.
+    X1 = polynomial_field([[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]])
+    X2 = polynomial_field([[[0.3, [0, 1, 0]]], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]])
+    X3 = polynomial_field([[], [], [[1.0, [0, 0, 0]]]])
+    moving = Frame(fields=(X1, X2, X3), degrees=(1, 1, 2), chart_box=[[-2.0, 2.0]] * 3)
+    rng = np.random.RandomState(32)
+    # the loop-free rollout checks the slopes it assumed: given x1 and x2
+    # as the moving frame's mask, it declines
+    x, U = rng.uniform(-0.3, 0.3, 3), rng.standard_normal((7, 2))
+    assert carnot._affine_rollout(moving.combined, x, U, np.array([0, 1])) is None
+    monkeypatch.setattr(carnot, "_affine_rollout", None)
+    for frame in (warped_heisenberg()[0], moving):
+        assert frame.affine_coords is None
+        x, U = rng.uniform(-0.3, 0.3, 3), rng.standard_normal((7, 2))
+        got, want = _rollout(frame, x, U), _loop_rollout(frame, x, U)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
 def test_cc_distance_on_manifest_frame():
     # the manifest shape of tests/test_cli.py: the solver runs on the
     # batched analytic Jacobians of polynomial_field
@@ -505,8 +577,7 @@ def test_cc_distance_brackets_the_gauge_on_seeded_pairs():
 
 
 def _contact_curved():
-    with open(os.path.join(os.path.dirname(__file__), "manifests", "contact-curved.json")) as f:
-        return frame_from_manifest(json.load(f))
+    return _manifest("contact-curved")
 
 
 @pytest.mark.parametrize("c", [2.0, -1.0])
@@ -696,6 +767,20 @@ def test_a_polish_that_leaves_its_shot_is_projected_onto_the_target(monkeypatch)
         assert np.max(np.abs(zs[-1] - y)) <= LIGHT_CC.endpoint_tol
         assert np.all(np.abs(zs) <= 0.4)
         assert d == float(np.sum(np.linalg.norm(path.controls, axis=1))) / LIGHT_CC.segments
+
+
+def test_a_polish_that_leaves_the_chart_box_falls_back_to_its_start():
+    # a landed shot's projected start ends 3.2e-7 off the target inside
+    # the box (max |z| 1.69), and L-BFGS moves the path out to max |z|
+    # 2.52: that start is returned, where NoFeasiblePath was raised
+    frame, _ = heisenberg()
+    x, y = np.array([0.92, 0.61, -1.2]), np.array([1.26, 0.64, 1.5])
+    d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
+    assert d >= heisenberg_cc(x, y)
+    zs = _rollout(frame, x, path.controls)[0]
+    assert np.max(np.abs(zs[-1] - y)) <= LIGHT_CC.endpoint_tol
+    assert not np.any(carnot._outside(frame.chart_box, zs))
+    assert d == float(np.sum(np.linalg.norm(path.controls, axis=1))) / LIGHT_CC.segments
 
 
 def _engel():

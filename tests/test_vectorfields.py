@@ -324,6 +324,27 @@ def test_frame_combined_rows_are_batch_independent():
             assert np.array_equal(got[r], frame.combined(A[r], Z[r])), frame.name
 
 
+def test_affine_coords_read_the_horizontal_tables_only():
+    # a degree-2 field may read the coordinate it moves: the mask, and the
+    # sum over the two horizontal fields, look at those fields only, so
+    # that sum takes the same bits whatever x3 holds
+    heis = [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
+            [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]]
+    doc = {"schema": 1, "name": "cubic-x3", "dim": 3, "degrees": [1, 1, 2],
+           "fields": heis + [[[], [], [[1.0, [0, 0, 0]], [2.0, [0, 0, 3]]]]]}
+    frame = frame_from_manifest(doc)
+    assert frame.affine_coords == (0, 1)
+    a, z = np.array([0.7, -0.4]), np.array([0.3, -0.2, 0.0])
+    want = frame.combined(a, z)
+    for x3 in (-1.5, 1e300, np.inf, np.nan):
+        with np.errstate(all="ignore"):
+            got = frame.combined(a, np.array([0.3, -0.2, x3]))
+        assert got.tobytes() == want.tobytes(), x3
+    # no tables, or no horizontal field: no mask
+    assert warped_heisenberg()[0].affine_coords is None
+    assert Frame(fields=frame.fields[2:], degrees=(2,)).affine_coords is None
+
+
 def test_polynomial_bracket_matches_generic_formula():
     X = polynomial_field([[[1.0, [0, 0, 0]], [0.3, [1, 2, 0]]], [[0.7, [0, 0, 1]]],
                           [[-0.5, [0, 1, 0]], [0.2, [2, 0, 1]]]], name="X")
