@@ -25,13 +25,14 @@ gap it reached, with the (q, p) stage points of that flow. The shortest
 landed shot is then polished without being flowed again. Its RK4-weighted
 controls, read off those stages, miss the target by the discretization's
 mismatch (up to about 3e-4 of the target's size); at most two
-minimum-norm Gauss-Newton steps through the linearized rollout project
-them onto it. One L-BFGS solve from that feasible start minimizes the
-energy of piecewise-constant controls under a fixed quadratic endpoint
-penalty, with the shot's multiplier -2 p(1) and analytic adjoint gradients
-through the discretization. The L-BFGS solver is scipy's, reached through
-this module's minimize, which imports scipy.optimize on its first call, so
-importing carnot loads no scipy.
+minimum-norm Gauss-Newton steps project them onto it. One L-BFGS solve
+from that feasible start minimizes the energy of piecewise-constant
+controls under a fixed quadratic endpoint penalty, with the shot's
+multiplier -2 p(1). The projection and the L-BFGS gradient read one
+derivative of the RK4 rollout, the Jacobian of its endpoint with respect
+to the controls (_endpoint_jacobian). The L-BFGS solver is scipy's,
+reached through this module's minimize, which imports scipy.optimize on
+its first call, so importing carnot loads no scipy.
 
 Every polish evaluation rolls the piecewise-constant controls out by one
 RK4 step per segment. Where the horizontal fields read only coordinates
@@ -143,7 +144,6 @@ class HorizontalPath:
     gives the zero path, with family "model" and no flow."""
 
     controls: np.ndarray  # (N, m)
-    start: np.ndarray
     family: str
     flows: int
 
@@ -213,10 +213,11 @@ def _affine_rollout(combined: Callable, x, U, cols):
     return zs, np.stack([z, z + 0.5 * h * k1, z + 0.5 * h * k2, z + h * k2], axis=1)
 
 
-def _linearized(frame: Frame, x: np.ndarray, U: np.ndarray):
-    """RK4 rollout of the controls U (N, m) from x and its linearization:
-    the states zs (N + 1, n), and M (N, n, n) = d z_{j+1} / d z_j and
-    G (N, n, m) = d z_{j+1} / d u_j of rk4_linearization."""
+def _endpoint_jacobian(frame: Frame, x: np.ndarray, U: np.ndarray):
+    """RK4 rollout of the controls U (N, m) from x and the derivative of its
+    endpoint: the states zs (N + 1, n) and Jb (N, n, m) = d z_N / d u_j, the
+    backward products M_(N-1) ... M_(j+1) G_j of rk4_linearization's
+    M (N, n, n) = d z_{j+1} / d z_j and G (N, n, m) = d z_{j+1} / d u_j."""
     zs, stages = _rollout(frame, x, U)
     # linearize every RK4 stage of every segment at once: A = sum_i u_i DX_i
     # and B = [X_1 ... X_m] at the stage points, (N, 4, n, n) and (N, 4, n, m)
@@ -224,25 +225,22 @@ def _linearized(frame: Frame, x: np.ndarray, U: np.ndarray):
     A = sum(U[:, i, None, None, None] * f.jac(stages) for i, f in enumerate(fields))
     B = np.stack([f(stages) for f in fields], axis=-1)
     M, G = rk4_linearization(A, B, 1.0 / U.shape[0])
-    return zs, M, G
+    P = np.empty_like(M)  # P[j] = d z_N / d z_{j+1}
+    P[-1] = np.eye(x.size)
+    for j in range(U.shape[0] - 1, 0, -1):
+        P[j - 1] = P[j] @ M[j]
+    return zs, P @ G
 
 
 def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
-    """Augmented-Lagrangian energy and its control gradient (adjoint pass)."""
-    N = U.shape[0]
-    h = 1.0 / N
-    zs, M, G = _linearized(frame, x, U)
+    """Augmented-Lagrangian energy h sum |u_j|^2 + lam . c + rho/2 |c|^2 of
+    the endpoint residual c, and its control gradient
+    2 h U + Jb^T (lam + rho c) through the endpoint Jacobian Jb."""
+    h = 1.0 / U.shape[0]
+    zs, Jb = _endpoint_jacobian(frame, x, U)
     c = zs[-1] - y
     J = h * float(np.sum(U * U)) + float(lam @ c) + 0.5 * rho * float(c @ c)
-
-    # backward multiplier recursion: lams[j] = d(penalty) / d z_{j+1}
-    lams = np.empty((N, x.size))
-    lam_z = lam + rho * c
-    for j in range(N - 1, -1, -1):
-        lams[j] = lam_z
-        lam_z = M[j].T @ lam_z
-    grad = 2.0 * h * U + np.einsum("jnm,jn->jm", G, lams)
-    return J, grad, c
+    return J, 2.0 * h * U + np.einsum("jnm,n->jm", Jb, lam + rho * c), c
 
 
 def _outside(box, q) -> np.ndarray:
@@ -488,21 +486,14 @@ def _shoot(frame: Frame, rhs: Callable, x, y, Minv, c: float, N: int, halvings: 
 def _project(frame: Frame, x, y, U) -> np.ndarray:
     """Up to PROJECT_STEPS minimum-norm Gauss-Newton steps of the controls U
     (N, m) onto the target, dU = -J^T (J J^T)^-1 c for the endpoint residual
-    c and J = d z_N / d U, the backward products
-    d z_N / d u_j = M_(N-1) ... M_(j+1) G_j of _linearized. Stops once c is
-    at rounding level."""
-    N, n = U.shape[0], x.size
+    c and J = d z_N / d U of _endpoint_jacobian. Stops once c is at rounding
+    level."""
     floor = PROJECT_ROUNDING * (1.0 + float(np.max(np.abs(y))))
     for _ in range(PROJECT_STEPS):
-        zs, M, G = _linearized(frame, x, U)
+        zs, Jb = _endpoint_jacobian(frame, x, U)
         c = zs[-1] - y
         if np.max(np.abs(c)) <= floor:
             break
-        P = np.empty((N, n, n))  # P[j] = d z_N / d z_{j+1}
-        P[-1] = np.eye(n)
-        for j in range(N - 1, 0, -1):
-            P[j - 1] = P[j] @ M[j]
-        Jb = P @ G  # (N, n, m): d z_N / d u_j
         w = np.linalg.lstsq(np.einsum("jnm,jkm->nk", Jb, Jb), c, rcond=None)[0]
         U = U - np.einsum("jnm,n->jm", Jb, w)
     return U
@@ -606,7 +597,7 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
     N = cfg.segments
 
     if float(np.max(np.abs(y - x))) == 0.0:
-        path = HorizontalPath(controls=np.zeros((N, m)), start=x, family="model", flows=0)
+        path = HorizontalPath(controls=np.zeros((N, m)), family="model", flows=0)
         return (0.0, path) if return_info else 0.0
 
     rhs = _hamiltonian(frame)
@@ -626,7 +617,7 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
                              "box within endpoint residual %.3g"
                              % (len(shots.C), cfg.endpoint_tol))
     length = float(np.sum(np.linalg.norm(U, axis=1))) / N
-    path = HorizontalPath(controls=U, start=x, family=family, flows=flows)
+    path = HorizontalPath(controls=U, family=family, flows=flows)
     return (length, path) if return_info else length
 
 

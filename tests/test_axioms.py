@@ -51,6 +51,48 @@ def test_a0_a1_catches_broken_inverse():
     assert "invertibility" in kinds
 
 
+def _scaled(eps, x, y):
+    """The Euclidean dilatation x + eps (y - x), eps (k,) as a (k, 1) column."""
+    e = np.asarray(eps, dtype=float)[..., None]
+    return np.asarray(x) + e * (np.asarray(y) - np.asarray(x))
+
+
+def _off_at_1(eps, x, y):
+    # moves every point by 1e-3 at eps = 1, and only there
+    return _scaled(eps, x, y) + 1e-3 * (np.asarray(eps) == 1.0)[..., None]
+
+
+def _moved_base(eps, x, y):
+    # invertible, with the identity at 1, but dil(eps, x, x) = x + (1 - eps) 1e-6
+    return _scaled(eps, x, y) + (1.0 - np.asarray(eps, dtype=float)[..., None]) * 1e-6
+
+
+def _no_contraction(eps, x, y):
+    # the identity map at every scale
+    return np.broadcast_to(np.asarray(y, dtype=float), np.shape(_scaled(eps, x, y))).copy()
+
+
+def _sawtooth(eps, x, y):
+    # a sawtooth of period 1 / 3.3e6 in y's first coordinate, weighed by
+    # eps (1 - eps) below 1: the continuity probe's move of 1e-6 shifts it by
+    # 0.3 or 0.7 of its height
+    e = np.asarray(eps, dtype=float)[..., None]
+    d = np.asarray(y) - np.asarray(x)
+    return _scaled(eps, x, y) + np.where(e < 1.0, e * (1.0 - e), 0.0) * 1e-2 * (
+        3.3e6 * d[..., :1] % 1.0)
+
+
+@pytest.mark.parametrize("dil, kind", [(_off_at_1, "identity-at-1"),
+                                       (_moved_base, "fixed-point"),
+                                       (_no_contraction, "contraction-trend"),
+                                       (_sawtooth, "continuity-probe")])
+def test_a0_a1_catches_each_known_defect(dil, kind):
+    ds = replace(euclidean(2), dil=dil)
+    rep = check_A0_A1(ds, euclid_samples(2, 3, np.random.RandomState(1)), SCHED, tol=1e-9)
+    assert rep.passed is False
+    assert kind in {f["kind"] for f in rep.failures}
+
+
 def _merged_reports(check, ds, samples, *args, **kwargs):
     """The verdict, failures, max_residual and table of check on samples,
     merged from one call per sample: failures in sample order with "sample"

@@ -12,7 +12,7 @@ from dilatlab.carnot import (LIGHT_CC, CCConfig, _covector_starts, _hamiltonian,
                              _model_start, _newton, _objective_and_grad, _rollout, _shoot,
                              _structure_constant, check_normal_frame, cc_distance,
                              heisenberg_structure, sr_dilatation)
-from dilatlab.errors import ChartEscape
+from dilatlab.errors import ChartEscape, DilatlabError, NoFeasiblePath
 from dilatlab.geometry import euclidean_distance
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenberg_cc,
                                        heisenberg_dilate, heisenberg_gauge,
@@ -282,6 +282,29 @@ def test_cc_distance_checks_its_endpoints():
             cc_distance(frame, x, y, config=LIGHT_CC)
     with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
         cc_distance(frame, np.zeros(3), np.array([0.3, 0.0]), config=LIGHT_CC)
+
+
+def test_cc_distance_raises_where_no_horizontal_path_fits_the_box():
+    # the z-displacement of a horizontal Heisenberg path is the area it
+    # encloses, and no loop inside [-0.2, 0.2]^2 encloses more than 0.16:
+    # no horizontal path inside the box reaches these targets
+    frame = frame_from_manifest(dict(HEIS_MANIFEST, chart_halfwidth=0.2))
+    for cfg in (LIGHT_CC, CCConfig()):
+        for y in ((0.0, 0.0, 0.19), (0.0, 0.0, -0.19), (0.05, 0.0, 0.19)):
+            with pytest.raises(NoFeasiblePath) as err:
+                cc_distance(frame, np.zeros(3), np.array(y), config=cfg)
+            assert isinstance(err.value, DilatlabError)
+
+
+def test_cc_distance_from_a_point_to_itself_is_the_zero_path():
+    # Engel is no contact frame: the zero path comes before any start
+    for frame in (heisenberg()[0], _manifest("engel")):
+        x = np.linspace(0.1, -0.1, frame.n)
+        assert cc_distance(frame, x, x) == 0.0
+        d, path = cc_distance(frame, x, x, config=LIGHT_CC, return_info=True)
+        assert d == 0.0
+        assert np.array_equal(path.controls, np.zeros((LIGHT_CC.segments, frame.m)))
+        assert (path.family, path.flows) == ("model", 0)
 
 
 def test_shots_that_leave_the_chart_box_are_dropped():
@@ -854,6 +877,32 @@ def test_normal_frame_rejects_wrong_degrees():
                              [0.5, 0.25, 0.125], coeff_box=0.4,
                              cc=heisenberg_cc)
     assert not rep.passed
+
+
+def _zero_metric(p, q):
+    return np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q))[:-1])
+
+
+def _probe_weighted_gauge(p, q):
+    # the gauge weighed by 1 + 100 |q_1|: the rescaled limits at the probes
+    # (0, 0, 0) and (0.1, -0.05, 0.02) are the gauge's and 11 times it
+    return heisenberg_cc(p, q) * (1.0 + 100.0 * np.abs(np.asarray(q)[..., 0]))
+
+
+@pytest.mark.parametrize("degrees, cc, failure", [
+    ((1, 1, 2), _zero_metric, ("a", "degenerate-limit")),
+    ((1, 1, 2), _probe_weighted_gauge, ("a", "uniformity")),
+    # with degree 3 on the bracket field, the composition's vertical
+    # coefficient, of order eps^2, grows like 1 / eps once divided by eps^3
+    ((1, 1, 3), heisenberg_cc, ("b", "no-limit")),
+])
+def test_normal_frame_catches_each_known_defect(degrees, cc, failure):
+    frame, _ = heisenberg()
+    frame = Frame(fields=frame.fields, degrees=degrees, chart_box=frame.chart_box)
+    rep = check_normal_frame(frame, [np.zeros(3), np.array([0.1, -0.05, 0.02])],
+                             [0.5, 0.25, 0.125], coeff_box=0.4, cc=cc)
+    assert rep.passed is False
+    assert failure in {(f["part"], f["kind"]) for f in rep.failures}
 
 
 # === warped model ===

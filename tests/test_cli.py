@@ -163,6 +163,10 @@ def test_usage_errors_exit_64(capsys):
                  "--checks", "bogus"]) == 64
     assert main(["verify", "--structure", "euclidean2",
                  "--point", "1,oops"]) == 64
+    assert main(["verify", "--structure", "euclidean2",
+                 "--point", "1,2,3"]) == 64  # three coordinates in the plane
+    assert main(["verify", "--structure", "euclidean2",
+                 "--checks", ","]) == 64  # no check named
     assert main(["verify", "--manifest", "/does/not/exist.json"]) == 64
     assert main(["profile", "--structure", "euclidean2",
                  "--eps-start", "2.0"]) == 64  # schedule must start below 1

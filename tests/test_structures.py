@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from dilatlab import structures
+from dilatlab.cli import main
 from dilatlab.structures import (build_structure, complex_dilatation,
-                                 euclidean, identity_diffeo, riemannian_diffeo,
-                                 shear_quadratic, snowflake_structure,
-                                 structure_names, tanh_shear)
+                                 euclidean, identity_diffeo, register_structure,
+                                 riemannian_diffeo, shear_quadratic,
+                                 snowflake_structure, structure_names, tanh_shear)
 from dilatlab.axioms import check_A2, estimate_dx
 from dilatlab.carnot import structure_from_manifest, warped_heisenberg_structure
 from dilatlab.heisenberg_group import heisenberg_warp
@@ -23,6 +25,16 @@ def test_registry_builds_everything():
         y = ds.dil(0.5, x, 0.1 * np.ones(n))
         assert np.all(np.isfinite(y))
         assert ds.space.distance(x, y) >= 0.0
+
+
+def test_registered_structure_reaches_the_command_line(monkeypatch, capsys):
+    # the registry is restored when the test ends
+    monkeypatch.setitem(structures._REGISTRY, "custom-euclidean3", None)
+    register_structure("custom-euclidean3", lambda: euclidean(3))
+    assert "custom-euclidean3" in structure_names()
+    assert build_structure("custom-euclidean3").space.dim == 3
+    assert main(["verify", "--structure", "custom-euclidean3", "--checks", "a0a1,a2"]) == 0
+    assert "custom-euclidean3" in capsys.readouterr().out
 
 
 def test_unknown_structure_name():

@@ -201,6 +201,26 @@ def test_manifest_roundtrip(tmp_path):
     assert np.allclose(fr.fields[0](p), [1.0, 0.0, -0.15])
 
 
+def test_manifest_probes_choose_the_brackets():
+    # X2 = d/dy + x^2 d/dz: [X1, X2] = 2x d/dz vanishes on x = 0, so the
+    # manifest's probes decide whether its layers are regular
+    doc = {
+        "schema": 1,
+        "name": "martinet",
+        "dim": 3,
+        "chart_halfwidth": 1.0,
+        "generators": [
+            [[[1.0, [0, 0, 0]]], [], []],
+            [[], [[1.0, [0, 0, 0]]], [[1.0, [2, 0, 0]]]],
+        ],
+    }
+    fr = frame_from_manifest(dict(doc, probes=[[0.3, 0.0, 0.0], [-0.2, 0.1, 0.4]]))
+    assert fr.degrees == (1, 1, 2)
+    assert np.allclose(fr.fields[2](np.array([0.3, 0.0, 0.0])), [0.0, 0.0, 0.6])
+    with pytest.raises(NonRegular):
+        frame_from_manifest(dict(doc, probes=[[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]))
+
+
 def test_manifest_explicit_fields_and_degrees():
     doc = {
         "schema": 1,
