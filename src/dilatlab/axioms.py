@@ -146,6 +146,10 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
     ball points y_eps.
 
     samples: list of (x, y) point pairs with y in the working ball of x.
+    Each failing (sample, kind) gives one failure record, the first 20 in
+    sample order; a per-scale kind (fixed-point, invertibility,
+    domain-witness) reports its worst scale eps and the number of scales
+    that fail it.
     """
     eps = check_schedule(eps_schedule)
     X, Y, sc = _sample_stacks(samples)
@@ -173,20 +177,18 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
              & (decay[:, -1] <= np.maximum(50.0 * d0 * eps[-1] / eps[0], floor)))
     stalled, decay = ((d0 > floor) & ~trend).tolist(), decay.tolist()
 
-    failures = []
+    failures, eps_list, radius = [], eps.tolist(), ds.domain_radius * (1.0 + 1e-9)
     for i, lim in enumerate((tol * sc).tolist()):
         if r_id[i] > floor[i]:
             failures.append({"sample": i, "kind": "identity-at-1", "residual": r_id[i]})
-        for s, e in enumerate(eps.tolist()):
-            if r_fix[i][s] > lim:
-                failures.append({"sample": i, "kind": "fixed-point", "eps": e,
-                                 "residual": r_fix[i][s]})
-            if r_inv[i][s] > lim:
-                failures.append({"sample": i, "kind": "invertibility", "eps": e,
-                                 "residual": r_inv[i][s]})
-            if d_back[i][s] > ds.domain_radius * (1.0 + 1e-9):
-                failures.append({"sample": i, "kind": "domain-witness", "eps": e,
-                                 "distance": d_back[i][s]})
+        for kind, key, vals, bound in (("fixed-point", "residual", r_fix[i], lim),
+                                       ("invertibility", "residual", r_inv[i], lim),
+                                       ("domain-witness", "distance", d_back[i], radius)):
+            bad = [s for s, v in enumerate(vals) if v > bound]
+            if bad:
+                s = max(bad, key=vals.__getitem__)
+                failures.append({"sample": i, "kind": kind, "eps": eps_list[s], key: vals[s],
+                                 "scales": len(bad)})
         if stalled[i]:
             failures.append({"sample": i, "kind": "contraction-trend", "decay": decay[i]})
         # continuity probe at a fixed small perturbation of y
@@ -194,7 +196,7 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
             failures.append({"sample": i, "kind": "continuity-probe", "residual": r_cont[i]})
 
     table = [_table_row(e, decay[0][k], diff="" if k == 0 else decay[0][k] - decay[0][k - 1])
-             for k, e in enumerate(eps.tolist())]
+             for k, e in enumerate(eps_list)]
     return CheckReport(check="a0a1", passed=not failures,
                        max_residual=max(map(max, [r_id] + r_fix + r_inv)),
                        tolerance=tol, failures=failures[:20], table=table,

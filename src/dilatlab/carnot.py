@@ -4,7 +4,7 @@ cc_distance shoots a normal geodesic and polishes it into a feasible
 discrete path. Normal geodesics are the projections of the Hamiltonian flow
 of H(q, p) = 1/2 sum_i <p, X_i(q)>^2 over the degree-1 frame fields
 (Agrachev, Barilari & Boscain, A Comprehensive Introduction to
-Sub-Riemannian Geometry, 2019), integrated by vectorfields.rk4_step. The
+Sub-Riemannian Geometry, 2019), integrated by vectorfields.rk4_flow. The
 shooting solves q(1) = y for the initial covector by Newton's method; each
 start and its central-difference probes share one batched flow per
 iteration, and the steps are truncated least squares.
@@ -71,9 +71,9 @@ from .heisenberg_group import (_geodesic_arc, heisenberg, heisenberg_ball_box, h
                                warped_heisenberg)
 from .limits import richardson_limit
 from .util import as_point, as_points, check_schedule, halton, symmetric_box
-from .vectorfields import (FD_STEP, Frame, _polynomial_hamiltonian, chart_inverse,
-                           compose_rows, flow_exp, frame_from_manifest, rk4_linearization,
-                           rk4_step)
+from .vectorfields import (FD_STEP, Frame, _outside, _polynomial_hamiltonian, chart_inverse,
+                           compose_rows, flow_exp, frame_from_manifest, rk4_flow,
+                           rk4_linearization)
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +150,20 @@ class HorizontalPath:
 
 def _rollout(frame: Frame, x: np.ndarray, U: np.ndarray):
     """RK4 trajectory of the controls U (N, m) from x, one step per segment:
-    the states (N + 1, n) and the stage points (N, 4, n) of rk4_step's loop.
+    the states (N + 1, n) and the stage points (N, 4, n) of rk4_flow.
 
     On a frame with affine_coords the rollout runs without a step loop and
-    gives the loop's bits (_affine_rollout); on any other frame, and where
-    that rollout declines, the loop runs.
+    gives rk4_flow's bits (_affine_rollout); on any other frame, and where
+    that rollout declines, rk4_flow runs.
     """
     cols = frame.affine_coords
     if cols is not None:
         out = _affine_rollout(frame.combined, x, U, np.array(cols, dtype=int))
         if out is not None:
             return out
-    N = U.shape[0]
-    h = 1.0 / N
-    zs = np.empty((N + 1, x.size))
-    zs[0] = x
-    stages = np.empty((N, 4, x.size))
-    combined = frame.combined  # U[j] holds the m horizontal coefficients
-    for j in range(N):
-        # one row per stage: assigning the tuple to stages[j] would convert it
-        # to an array on every step
-        zs[j + 1], (stages[j, 0], stages[j, 1], stages[j, 2], stages[j, 3]) = \
-            rk4_step(combined, U[j], zs[j], h)
-    return zs, stages
+    # U[j] holds the m horizontal coefficients of segment j
+    ends, stages = zip(*rk4_flow(frame.combined, U, x))
+    return np.array((x,) + ends), np.array(stages)
 
 
 def _affine_rollout(combined: Callable, x, U, cols):
@@ -243,17 +234,10 @@ def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
     return J, 2.0 * h * U + np.einsum("jnm,n->jm", Jb, lam + rho * c), c
 
 
-def _outside(box, q) -> np.ndarray:
-    """Rows of q (..., n) outside the chart box (all False without a box)."""
-    if box is None:
-        return np.zeros(q.shape[:-1], dtype=bool)
-    return np.any((q < box[:, 0]) | (q > box[:, 1]), axis=-1)
-
-
 def _hamiltonian(frame: Frame) -> Callable:
     """Right-hand side of the normal-geodesic system on z = (q, p), (..., 2n):
     q' = sum_i u_i X_i(q), p' = -sum_i u_i DX_i(q)^T p with u_i = <p, X_i(q)>
-    over the degree-1 fields, in rk4_step's form (its coefficient argument
+    over the degree-1 fields, in rk4_flow's form (its coefficient argument
     is unused). Polynomial fields use their monomial tables; other fields
     are evaluated one by one, with DX_i from their jac."""
     n = frame.n
@@ -276,19 +260,15 @@ def _normal_flow(rhs: Callable, box, x, P, N: int):
     """N RK4 steps of the normal-geodesic system rhs (see _hamiltonian) from
     q = x with initial covectors P (..., n). Returns the final (q, p) rows
     (..., 2n), which rows left the chart box (or overflowed) at a step, and
-    the stage points of every step. A row that leaves stays where it left,
-    so no field is evaluated outside the chart."""
-    n = x.size
+    the stage points of every step. Lost rows integrate on to the end, so
+    their overflows are silenced: lost reports them."""
     z = np.concatenate([np.broadcast_to(x, P.shape), P], axis=-1)
-    lost = np.zeros(P.shape[:-1], dtype=bool)
-    h = 1.0 / N
-    stages = []
-    for _ in range(N):
-        nxt, st = rk4_step(rhs, None, z, h)
-        stages.append(st)
-        lost |= _outside(box, nxt[..., :n]) | ~np.all(np.isfinite(nxt), axis=-1)
-        z = np.where(lost[..., None], z, nxt)
-    return z, lost, stages
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends, stages = zip(*rk4_flow(rhs, (None,) * N, z))
+    ends = np.array(ends)
+    lost = np.any(_outside(box, ends[..., :x.size]) | ~np.all(np.isfinite(ends), axis=-1),
+                  axis=0)
+    return ends[-1], lost, stages
 
 
 def _turned(d: np.ndarray, angle: float) -> np.ndarray:

@@ -269,9 +269,10 @@ def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequenc
 def rk4_step(combined: Callable, a, z, h: float):
     """One classical RK4 step of z' = combined(a, z), a held fixed.
 
-    combined is a Frame.combined; a and z broadcast as it allows. Returns
-    the next point and the four stage points (z, s2, s3, s4) at which the
-    field was evaluated; rk4_linearization differentiates the step there.
+    combined is a Frame.combined or a normal-geodesic right-hand side; a and
+    z broadcast as it allows. Returns the next point and the four stage
+    points (z, s2, s3, s4) at which the field was evaluated;
+    rk4_linearization differentiates the step there.
     """
     k1 = combined(a, z)
     s2 = z + 0.5 * h * k1
@@ -304,23 +305,35 @@ def rk4_linearization(A: np.ndarray, B: np.ndarray, h: float):
     return M, G
 
 
+def rk4_flow(f: Callable, A, z):
+    """The one loop over RK4 steps: for each a in A, one rk4_step of
+    z' = f(a, z) of length 1 / len(A). Yields each step's next point and
+    its stage points; flow_exp, the control rollout and the normal-geodesic
+    flow each keep what they need of them."""
+    h = 1.0 / len(A)
+    for a in A:
+        z, stages = rk4_step(f, a, z, h)
+        yield z, stages
+
+
+def _outside(box, q) -> np.ndarray:
+    """Rows of q (..., n) outside the chart box (all False without a box)."""
+    if box is None:
+        return np.zeros(q.shape[:-1], dtype=bool)
+    return np.any((q < box[:, 0]) | (q > box[:, 1]), axis=-1)
+
+
 def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
     """Time-1 flow of the combined field sum a_i X_i from x (RK4, fixed grid).
 
     Batched over leading dimensions of a and x. Raises ChartEscape when the
-    frame declares a chart box and the trajectory leaves it.
+    frame declares a chart box and the trajectory leaves it at a step.
     """
-    a = np.asarray(a, dtype=float)
-    z = np.asarray(x, dtype=float)
-    a, z = np.broadcast_arrays(a, z)
-    z = z.astype(float).copy()
-    h = 1.0 / int(steps)
-    combined = frame.combined
+    a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     box = frame.chart_box
     if box is not None:
         lo, hi = box[:, 0], box[:, 1]
-    for _ in range(int(steps)):
-        z, _ = rk4_step(combined, a, z, h)
+    for z, _ in rk4_flow(frame.combined, [a] * int(steps), z):
         if box is not None and (np.any(z < lo) or np.any(z > hi)):
             raise ChartEscape("flow left the chart box")
     return z
@@ -558,7 +571,7 @@ def _polynomial_combined(fields: Sequence[VectorField]) -> Callable:
 def _polynomial_hamiltonian(fields: Sequence[VectorField]) -> Callable:
     """Closed form of the normal-geodesic system of polynomial fields X_i:
     z = (q, p) -> (dH/dp, -dH/dq) for H = 1/2 sum_i <p, X_i(q)>^2, in
-    rk4_step's form (its coefficient argument is unused). One power table
+    rk4_flow's form (its coefficient argument is unused). One power table
     for the fields' monomials and one for their derivatives, then matrix
     products."""
     n, m = fields[0].table[0].shape[1], len(fields)

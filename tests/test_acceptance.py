@@ -19,9 +19,9 @@ from dilatlab.carnot import (CCConfig, cc_distance, check_normal_frame,
 from dilatlab.geometry import FinitePointedSpace, rescale
 from dilatlab.gromov import (gh_pointed_exact, metric_profile,
                              profile_continuity_at_zero)
-from dilatlab.heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_group_law,
-                                       heisenberg_inverse, vertical_cc_oracle,
-                                       warped_heisenberg)
+from dilatlab.heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_dilate,
+                                       heisenberg_group_law, heisenberg_inverse,
+                                       heisenberg_warp, vertical_cc_oracle)
 from dilatlab.structures import (complex_dilatation, euclidean,
                                  riemannian_diffeo, shear_quadratic,
                                  snowflake_structure)
@@ -328,12 +328,19 @@ def test_criterion_09_group_tangent_structure():
     assert cone.passed
 
     # integrator-order scaling, visible on the warped copy where the flows
-    # are not polynomial
-    _, _, phi = warped_heisenberg()
-    ref = warped_heisenberg_structure(steps=512)
+    # are not polynomial. The reference is exact: the warped structure is
+    # the pushforward of Heisenberg's under phi, so its dilatation is
+    # phi(x' (e m . (x'^-1 u'))) for x' = phi^-1(x), u' = phi^-1(u)
+    warp = heisenberg_warp()
+    phi, phi_inv = warp.phi, warp.phi_inv
     tuples = [(phi(rng.uniform(-0.45, 0.45, 3)), phi(rng.uniform(-0.45, 0.45, 3)))
               for _ in range(3)]
     scale_pairs = [(0.5, 0.5), (0.5, 0.25)]
+
+    def exact_dil(e, x, u):
+        xw, uw = phi_inv(x), phi_inv(u)
+        return phi(heisenberg_group_law(
+            xw, heisenberg_dilate(e, heisenberg_group_law(heisenberg_inverse(xw), uw))))
 
     def residual(steps):
         dsn = warped_heisenberg_structure(steps=steps)
@@ -341,8 +348,7 @@ def test_criterion_09_group_tangent_structure():
         for x, u in tuples:
             for e, m in scale_pairs:
                 got = dsn.dil(e, x, dsn.dil(m, x, u))
-                want = ref.dil(e * m, x, u)
-                r = max(r, float(np.max(np.abs(got - want))))
+                r = max(r, float(np.max(np.abs(got - exact_dil(e * m, x, u)))))
         return r
 
     r8, r16, r32 = residual(8), residual(16), residual(32)

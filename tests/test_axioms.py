@@ -93,6 +93,23 @@ def test_a0_a1_catches_each_known_defect(dil, kind):
     assert kind in {f["kind"] for f in rep.failures}
 
 
+def test_a0_a1_reports_each_failing_sample_and_kind_once():
+    # the sawtooth fails invertibility and the domain witness at several
+    # scales of one sample: those kinds take one record each, at their worst
+    # scale, so every sample's continuity-probe record fits in the report
+    ds = replace(euclidean(2), dil=_sawtooth)
+    samples = euclid_samples(2, 3, np.random.RandomState(3))
+    rep = check_A0_A1(ds, samples, SCHED, tol=1e-9)
+    keys = [(f["sample"], f["kind"]) for f in rep.failures]
+    assert len(keys) == len(set(keys)) < 20
+    assert {i for i, kind in keys if kind == "continuity-probe"} == {0, 1, 2}
+    for f in rep.failures:
+        alone = check_A0_A1(ds, [samples[f["sample"]]], SCHED, tol=1e-9)
+        assert dict(f, sample=0) in alone.failures
+        if "scales" in f:
+            assert 1 <= f["scales"] <= len(SCHED) and f["eps"] in SCHED.tolist(), f
+
+
 def _merged_reports(check, ds, samples, *args, **kwargs):
     """The verdict, failures, max_residual and table of check on samples,
     merged from one call per sample: failures in sample order with "sample"

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -426,7 +427,7 @@ def _same_bits(a, b):
 def test_rollout_runs_without_a_step_loop_to_the_loops_bits(monkeypatch):
     # the horizontal fields of these frames read only coordinates that move
     # at constant speed: the rollout takes two prefix sums and batched field
-    # calls, and no rk4_step, for the states and stages of the loop
+    # calls, and no rk4_flow, for the states and stages of the loop
     frames = [(heisenberg()[0], (0, 1)), (frame_from_manifest(HEIS_MANIFEST), (0, 1)),
               (_contact_curved(), (0,)), (_manifest("engel"), (0,))]
     rng = np.random.RandomState(31)
@@ -439,7 +440,7 @@ def test_rollout_runs_without_a_step_loop_to_the_loops_bits(monkeypatch):
                       rng.standard_normal((N, frame.m)) * 10.0 * half):
                 want = _loop_rollout(frame, x, U)
                 with monkeypatch.context() as mp:
-                    mp.setattr(carnot, "rk4_step", None)
+                    mp.setattr(carnot, "rk4_flow", None)
                     got = _rollout(frame, x, U)
                 assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), \
                     (frame.name, N)
@@ -601,6 +602,35 @@ def test_cc_distance_brackets_the_gauge_on_seeded_pairs():
 
 def _contact_curved():
     return _manifest("contact-curved")
+
+
+def test_near_box_shots_that_find_no_path_warn_nothing():
+    # draws 39 and 52 of this stream find no path, and some shooting rows
+    # overflow after they leave the 0.4 box: lost reports those rows, and
+    # they print no warning
+    frame, rng = _contact_curved(), np.random.RandomState(1)
+    draws = [(x, x + rng.uniform(-0.3, 0.3, 3))
+             for x in (rng.uniform(-0.3, 0.3, 3) for _ in range(53))]
+    for k in (39, 52):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NoFeasiblePath):
+                cc_distance(frame, *draws[k], config=LIGHT_CC)
+        assert not caught, (k, [str(w.message) for w in caught])
+
+
+def test_normal_flow_marks_a_row_that_leaves_the_box_on_the_way():
+    # q turns through a full circle and ends where it starts; from (1.5, 0)
+    # the circle leaves the box [-2, 2] x [-1, 1] on the way
+    def rhs(_, z):
+        return 2.0 * np.pi * np.stack([-z[..., 1], z[..., 0], 0.0 * z[..., 2],
+                                       0.0 * z[..., 3]], axis=-1)
+
+    box = np.array([[-2.0, 2.0], [-1.0, 1.0]])
+    for start, lost in (((1.5, 0.0), True), ((0.5, 0.0), False)):
+        z, got, _ = carnot._normal_flow(rhs, box, np.array(start), np.zeros((1, 2)), 64)
+        assert got.tolist() == [lost], start
+    assert np.allclose(z[0], [0.5, 0.0, 0.0, 0.0], atol=1e-5)
 
 
 @pytest.mark.parametrize("c", [2.0, -1.0])

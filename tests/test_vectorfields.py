@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dilatlab.heisenberg_group import heisenberg, warped_heisenberg
-from dilatlab.errors import NoConvergence, NonRegular, NotBracketGenerating
+from dilatlab.errors import ChartEscape, NoConvergence, NonRegular, NotBracketGenerating
 from dilatlab.vectorfields import (Frame, VectorField, build_adapted_frame,
                                    chart_inverse, compose_P, flow_exp,
                                    frame_from_manifest, lie_bracket,
@@ -19,6 +19,24 @@ def heis_generators():
     X1 = polynomial_field([[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]], name="X1")
     X2 = polynomial_field([[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]], name="X2")
     return X1, X2
+
+
+def rotation_frame():
+    """X1 = (-y, x) turns the plane about the origin and X2 = (1, 0); the
+    chart box [-2, 2] x [-1, 1] holds (1.5, 0) but not its circle."""
+    X1 = polynomial_field([[[-1.0, [0, 1]]], [[1.0, [1, 0]]]], name="X1")
+    X2 = polynomial_field([[[1.0, [0, 0]]], []], name="X2")
+    return Frame(fields=(X1, X2), degrees=(1, 1), chart_box=[[-2.0, 2.0], [-1.0, 1.0]])
+
+
+def test_flow_exp_tests_the_chart_box_at_every_step():
+    # a full turn ends where it starts, inside the box, but the circle of
+    # radius 1.5 leaves the box on the way
+    frame = rotation_frame()
+    with pytest.raises(ChartEscape):
+        flow_exp(frame, [2.0 * np.pi, 0.0], [1.5, 0.0], steps=64)
+    end = flow_exp(frame, [2.0 * np.pi, 0.0], [0.5, 0.0], steps=64)
+    assert np.allclose(end, [0.5, 0.0], atol=1e-5)
 
 
 def test_polynomial_field_values_and_jacobian():
