@@ -4,7 +4,8 @@ A frame is an ordered tuple of vector fields spanning R^n at every probe
 point, each tagged with a degree (the bracket word length that produced it).
 The exponential chart at w sends coefficients a to the time-1 flow of the
 combined field sum_i a_i X_i started at w; chart_inverse solves the reverse
-problem by Newton iteration with finite-difference Jacobians.
+problem by Newton iteration: an exact first step through the frame matrix at
+w, then finite-difference Jacobians of the flow.
 """
 
 import sys
@@ -343,24 +344,40 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
                   injectivity_radius: float, steps: int):
     """Newton core for flow_exp(frame, y_r, w_r) = z_r over the rows of z.
 
-    w and z are (k, n) stacks (w may be one (n,) point). Each row keeps its
-    own threshold tol * (1 + max|z_r|) and stops iterating once it meets it,
-    so a row's result does not depend on the other rows. One flow_exp call
-    per iteration integrates the base point and the +/- finite-difference
-    probes of every unconverged row. Returns (y, residual, iterations), one
-    entry per row; a singular Jacobian, an iterate leaving the injectivity
+    w and z are (k, n) stacks (w may be one (n,) point). The first step is
+    exact: the derivative in a of the RK4 time-1 flow at a = 0 is the frame
+    matrix B(w) = (X_1(w) ... X_n(w)) for any step count, because every stage
+    sits at w when the field is 0, so the iteration starts from
+    y = B(w)^-1 (z - w), one batched solve and no flow. On a chart that is
+    affine in a (the Heisenberg group's) that start is the solution. Each row
+    keeps its own threshold tol * (1 + max|z_r|) and stops iterating once it
+    meets it, so a row's result does not depend on the other rows. One
+    flow_exp call per iteration integrates the base point and the +/-
+    finite-difference probes of every unconverged row. Returns (y, residual,
+    iterations), one entry per row; iterations counts Newton updates, the
+    exact first step included. A singular B(w) raises NonRegular naming the
+    row's w; a later singular Jacobian, an iterate leaving the injectivity
     ball, or a row still above its threshold after NEWTON_MAX_ITER raises
     NoConvergence for the whole call.
     """
     k, n = z.shape
     w = np.broadcast_to(w, z.shape)
-    y = np.zeros((k, n))
+    B = np.swapaxes(frame.combined(np.eye(n), w[:, None, :]), 1, 2)  # columns X_i(w)
+    try:
+        y = np.linalg.solve(B, (z - w)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        r = int(np.argmin(np.linalg.matrix_rank(B)))
+        raise NonRegular("the frame's fields are linearly dependent at w = (%s): "
+                         "singular chart Jacobian at iteration 0"
+                         % ", ".join(repr(float(v)) for v in w[r]))
     thresh = tol * (1.0 + np.max(np.abs(z), axis=1))
     res = np.full(k, np.inf)
     iters = np.zeros(k, dtype=int)
     eye = np.eye(n)
     active = np.arange(k)
-    for it in range(NEWTON_MAX_ITER):
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if np.any(np.linalg.norm(y[active], axis=1) > 1.5 * injectivity_radius):
+            raise NoConvergence("Newton iterate left the injectivity ball")
         # per row: base point first, then +/- perturbations per coefficient
         ya = y[active, None, :]
         probes = np.concatenate([ya, ya + FD_STEP * eye, ya - FD_STEP * eye], axis=1)
@@ -378,8 +395,6 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
             y[active] = y[active] + np.linalg.solve(J, -F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             raise NoConvergence("singular chart Jacobian at iteration %d" % it)
-        if np.any(np.linalg.norm(y[active], axis=1) > 1.5 * injectivity_radius):
-            raise NoConvergence("Newton iterate left the injectivity ball")
     worst = active[np.argmax(res[active] / thresh[active])]
     raise NoConvergence("chart residual %.3g above %.3g after %d iterations"
                         % (res[worst], thresh[worst], NEWTON_MAX_ITER))
@@ -391,11 +406,15 @@ def chart_inverse(frame: Frame, w, z, tol: float = 1e-12,
 
     Batched: w and z are points (n,) or stacks (k, n), and the result has
     their broadcast shape; all rows are solved together, each to the same
-    bits as a solve on its own. Converged when the chart residual drops
-    below tol * (1 + |z|); iterates that leave the injectivity ball
-    (coefficient norm cap) or fail to settle raise NoConvergence for the
-    whole call. The Jacobian uses central differences of the flow, all
-    probes integrated as one batch.
+    bits as a solve on its own. The first Newton step is exact and costs no
+    flow: B(w)^-1 (z - w), B(w) the frame matrix at w. On the one-step
+    Heisenberg chart it is the answer, and the call runs one flow to check
+    it. Later Jacobians use central differences of the flow, all probes
+    integrated as one batch. Converged when the chart residual drops below
+    tol * (1 + |z|). A frame whose fields are linearly dependent at some w
+    raises NonRegular naming that w; iterates that leave the injectivity
+    ball (coefficient norm cap) or fail to settle raise NoConvergence for
+    the whole call.
     """
     w = as_points(w)
     z = as_points(z)
@@ -431,6 +450,8 @@ def compose_P(frame: Frame, a, b, x, steps: int = 256) -> CompositionResult:
 
     Returns the coefficients P with the final chart residual and Newton
     iteration count (chart_inverse's default tolerance and injectivity ball).
+    The count is of Newton updates, the exact first step through the frame
+    matrix at exp(sum b_i X_i)(x) included, so it is at least 1.
     """
     y, res, it = compose_rows(frame, as_point(a)[None], as_point(b)[None], as_point(x),
                               steps=steps)

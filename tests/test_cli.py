@@ -146,6 +146,39 @@ def test_heisenberg_tangent_cone_passes_where_the_flow_floor_sat(capsys):
     assert check["passed"] and check["converged"]
 
 
+@pytest.mark.parametrize("point, extra", [("0.05,-0.1,0.02", ["--eps-start", "0.125"]),
+                                          ("0.1,0.2,-0.1", []), ("-0.12,0.03,0.08", [])])
+def test_heisenberg_a2_sits_at_rounding(point, extra, capsys):
+    # the exact first Newton step solves the affine one-step chart to
+    # rounding; stopping at the first iterate under tol left the coefficients
+    # about 1e-13 off, and a2 read 1.9e-14, 4.7e-14 and 2.9e-14 here
+    rc = main(["verify", "--structure", "heisenberg", "--checks", "a2",
+               "--point=" + point] + extra)
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["max_residual"] <= 1e-15
+
+
+MARTINET = str(Path(__file__).parent / "manifests" / "martinet.json")
+MARTINET_A2 = ["verify", "--manifest", MARTINET, "--checks", "a2", "--samples", "2",
+               "--eps-count", "3", "--eps-start", "0.25"]
+
+
+@pytest.mark.parametrize("point", ["0.3,0,0", "-0.2,0.1,0.4"])
+def test_martinet_a2_passes_at_regular_points(point, capsys):
+    assert main(MARTINET_A2 + ["--point=" + point]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["passed"]
+
+
+@pytest.mark.parametrize("point, named", [("0,0,0", "(0.0, 0.0, 0.0)"),
+                                          ("0,0.1,0", "(0.0, 0.1, 0.0)")])
+def test_martinet_a2_names_the_singular_point(point, named, capsys):
+    # on x = 0 the frame's bracket field vanishes: the chart inverse says
+    # so and names the point, where it used to report a Newton failure
+    assert main(MARTINET_A2 + ["--point=" + point]) == 2
+    err = capsys.readouterr().err
+    assert "NonRegular" in err and named in err, err
+
+
 def test_profile_csv(capsys):
     rc = main(["profile", "--structure", "euclidean2", "--eps-count", "5",
                "--samples", "4", "--format", "csv"])

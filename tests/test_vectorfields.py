@@ -1,11 +1,13 @@
 """Vector fields, adapted frames, the exponential chart, and manifests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from dilatlab.heisenberg_group import heisenberg, warped_heisenberg
+from dilatlab import vectorfields
+from dilatlab.heisenberg_group import heisenberg, heisenberg_inverse, warped_heisenberg
 from dilatlab.errors import ChartEscape, NoConvergence, NonRegular, NotBracketGenerating
 from dilatlab.vectorfields import (Frame, VectorField, build_adapted_frame,
                                    chart_inverse, compose_P, flow_exp,
@@ -185,6 +187,42 @@ def test_chart_inverse_batched_matches_single_rows():
         Z = flow_exp(frame, A, W, steps=steps)
         with pytest.raises(NoConvergence):
             chart_inverse(frame, W, Z, steps=steps)
+
+
+def test_heisenberg_chart_inverse_takes_one_flow(monkeypatch):
+    # the one-step Heisenberg flow is x . a, affine in a, so the exact first
+    # Newton step B(w)^-1 (z - w) is the solution: every row meets its
+    # threshold at the first check (one update), and a chart_inverse call
+    # runs one flow. From a = 0 with a difference Jacobian these rows took
+    # one or two updates, and each call two or three flows.
+    frame, law = heisenberg()
+    rng = np.random.RandomState(0)
+    W = rng.uniform(-0.3, 0.3, (400, 3))
+    Z = law(W, rng.uniform(-0.3, 0.3, (400, 3)))
+    y, _, iters = vectorfields._newton_chart(frame, W, Z, 1e-13, 2.0, 1)
+    assert np.all(iters == 1)
+    want = law(heisenberg_inverse(W), Z)
+    scale = 1.0 + np.maximum(np.abs(W), np.abs(Z)).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(y - want) <= 4.0 * np.finfo(float).eps * scale)
+    flows = []
+    real = vectorfields.flow_exp
+    monkeypatch.setattr(vectorfields, "flow_exp",
+                        lambda *a, **kw: flows.append(1) or real(*a, **kw))
+    for w, z in zip(W[:5], Z[:5]):
+        chart_inverse(frame, w, z, tol=1e-13, injectivity_radius=2.0, steps=1)
+    assert len(flows) == 5
+
+
+def test_chart_inverse_names_the_point_where_the_frame_degenerates():
+    # Martinet: X3 = [X1, X2] = 2x d/dz vanishes on x = 0, so the frame
+    # matrix there is singular and the chart has no inverse
+    with open(os.path.join(os.path.dirname(__file__), "manifests", "martinet.json")) as f:
+        frame = frame_from_manifest(json.load(f))
+    w = np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    with pytest.raises(NonRegular, match=r"linearly dependent at w = \(0\.0, 0\.1, 0\.0\)"):
+        chart_inverse(frame, w, w + 0.01, steps=8)
+    a = chart_inverse(frame, w[0], w[0] + 0.01, steps=8)  # a regular point
+    assert np.allclose(flow_exp(frame, a, w[0], steps=8), w[0] + 0.01, atol=1e-11)
 
 
 def test_compose_commuting_constant_fields():
