@@ -723,8 +723,7 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
 
 
 def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
-                  newton_tol: float = 1e-12, injectivity_radius: float = 0.5,
-                  ball_box=None, name: str = "",
+                  injectivity_radius: float = 0.5, ball_box=None,
                   working_radius: float = 0.3) -> DilatationStructure:
     """Dilatation structure of an adapted frame under a CC-type metric:
 
@@ -734,7 +733,8 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     is the handle's metric on point stacks (see geometry.MetricSpaceHandle),
     used as it is: heisenberg_cc, or _light_cc(frame) row by row. The chart
     is the frame's box, or [-3, 3]^n when it declares none; the domain
-    radius is 1.2.
+    radius is 1.2. The structure takes the frame's name, and its chart
+    inverse runs to chart_inverse's default tolerance.
     """
     n = frame.n
     if frame.chart_box is not None:
@@ -752,14 +752,14 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
         # distinct by exact bytes, so -0.0 and 0.0 stay apart
         keys = rows.view(np.dtype((np.void, rows.itemsize * 2 * n))).ravel()
         _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-        a = chart_inverse(frame, rows[first, :n], rows[first, n:], tol=newton_tol,
-                          steps=steps, injectivity_radius=injectivity_radius)
+        a = chart_inverse(frame, rows[first, :n], rows[first, n:], steps=steps,
+                          injectivity_radius=injectivity_radius)
         return flow_exp(frame, frame.scale_coeffs(eps, a[back.ravel()].reshape(shape)), x,
                         steps=steps)
 
     space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box,
-                              ball_box=ball_box, name=name or frame.name)
-    return DilatationStructure(space=space, dil=dil, name=name or frame.name,
+                              ball_box=ball_box, name=frame.name)
+    return DilatationStructure(space=space, dil=dil, name=frame.name,
                                domain_radius=1.2, working_radius=working_radius)
 
 
@@ -774,14 +774,15 @@ def heisenberg_structure(steps: int = 1) -> DilatationStructure:
     line to the group product x . a, and RK4 integrates a constant field
     without error. More steps walk the same line and only add rounding. The chart
     box is convex, so flow_exp's test of the one endpoint is the test of the
-    whole segment.
+    whole segment. The chart is affine in the coefficients, so the chart
+    inverse's exact first Newton step is the answer, and every row leaves
+    Newton at rounding under the default tolerance.
     """
     frame, _ = heisenberg()
     # the exponential chart of this group is a global diffeomorphism, so the
     # Newton guard can extend to the chart box
-    return sr_dilatation(frame, heisenberg_cc, steps=steps, newton_tol=1e-13,
-                         injectivity_radius=2.0,
-                         ball_box=heisenberg_ball_box, name="heisenberg")
+    return sr_dilatation(frame, heisenberg_cc, steps=steps, injectivity_radius=2.0,
+                         ball_box=heisenberg_ball_box)
 
 
 def warped_heisenberg_structure(steps: int = 256) -> DilatationStructure:
@@ -789,11 +790,11 @@ def warped_heisenberg_structure(steps: int = 256) -> DilatationStructure:
     # the warp is a global triangular diffeomorphism, so the chart stays
     # injective across the box
     return sr_dilatation(frame, cc, steps=steps, injectivity_radius=2.0,
-                         name="heisenberg-warped", working_radius=0.25)
+                         working_radius=0.25)
 
 
 def structure_from_manifest(doc: dict, steps: int = 256) -> DilatationStructure:
     """Dilatation structure from a JSON frame manifest (metric: cc_distance
     with LIGHT_CC)."""
     frame = frame_from_manifest(doc)
-    return sr_dilatation(frame, _light_cc(frame), steps=steps, name=frame.name)
+    return sr_dilatation(frame, _light_cc(frame), steps=steps)

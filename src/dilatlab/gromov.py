@@ -59,59 +59,41 @@ def gh_pointed_exact(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
     Raises SizeLimitExceeded above SIZE_LIMIT points. The base pair is forced into
     every correspondence considered.
     """
-    nA, nB = A.size, B.size
-    if nA > SIZE_LIMIT or nB > SIZE_LIMIT:
+    if max(A.size, B.size) > SIZE_LIMIT:
         raise SizeLimitExceeded("sizes (%d, %d) above exact-search limit %d"
-                                % (nA, nB, SIZE_LIMIT))
-    dA, dB = A.dmat, B.dmat
-    bA, bB = A.base, B.base
-
+                                % (A.size, B.size, SIZE_LIMIT))
+    dm = (A.dmat, B.dmat)
+    cols = ([A.base], [B.base])  # the pairs so far, as A and B index columns
     best = [_greedy_upper_bound(A, B) + 1e-30]
 
-    # Branch order: large-eccentricity points first (stronger pruning).
-    eccA = dA.max(axis=1)
-    slotsA = [int(i) for i in np.argsort(-eccA, kind="stable") if i != bA]
-    eccB = dB.max(axis=1)
+    # One slot per branching point, large eccentricity first (stronger
+    # pruning): each non-base A point takes a B partner, then each B point
+    # those pairs miss takes an A partner. Which B points are missed depends
+    # on the branch, so the B slots are set each time the A slots run out.
+    order = [np.argsort(-d.max(axis=1), kind="stable").tolist() for d in dm]
+    slots = [(0, i) for i in order[0] if i != A.base]
+    nA_slots = len(slots)
 
-    ia = [bA]
-    jb = [bB]
-
-    def descend_B(slotsB, t, cur):
-        if t == len(slotsB):
+    def descend(t, cur):
+        if t == nA_slots:
+            slots[t:] = [(1, j) for j in order[1] if j not in cols[1]]
+        if t == len(slots):
             best[0] = cur
             return
-        j = slotsB[t]
-        incs = np.max(np.abs(dA[:, ia] - dB[j, jb][None, :]), axis=1)
-        for i in np.argsort(incs, kind="stable"):
-            nxt = max(cur, float(incs[i]))
+        s, p = slots[t]
+        # the new pair's distortion against every pair so far, per partner q
+        incs = np.max(np.abs(dm[s][p, cols[s]] - dm[1 - s][:, cols[1 - s]]), axis=1)
+        for q in np.argsort(incs, kind="stable"):
+            nxt = max(cur, float(incs[q]))
             if nxt >= best[0]:
                 break
-            ia.append(int(i))
-            jb.append(j)
-            descend_B(slotsB, t + 1, nxt)
-            ia.pop()
-            jb.pop()
+            cols[s].append(p)
+            cols[1 - s].append(int(q))
+            descend(t + 1, nxt)
+            cols[s].pop()
+            cols[1 - s].pop()
 
-    def descend_A(t, cur):
-        if t == len(slotsA):
-            covered = set(jb)
-            rest = [j for j in range(nB) if j not in covered]
-            rest.sort(key=lambda j: -eccB[j])
-            descend_B(rest, 0, cur)
-            return
-        i = slotsA[t]
-        incs = np.max(np.abs(dA[i, ia][None, :] - dB[:, jb]), axis=1)
-        for j in np.argsort(incs, kind="stable"):
-            nxt = max(cur, float(incs[j]))
-            if nxt >= best[0]:
-                break
-            ia.append(i)
-            jb.append(int(j))
-            descend_A(t + 1, nxt)
-            ia.pop()
-            jb.pop()
-
-    descend_A(0, float(np.abs(dA[bA, bA] - dB[bB, bB])))  # = 0.0, seeds the base pair
+    descend(0, 0.0)  # the base pair's distortion |dA(bA, bA) - dB(bB, bB)| is 0
     return 0.5 * best[0]
 
 

@@ -357,8 +357,8 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
     iterations), one entry per row; iterations counts Newton updates, the
     exact first step included. A singular B(w) raises NonRegular naming the
     row's w; a later singular Jacobian, an iterate leaving the injectivity
-    ball, or a row still above its threshold after NEWTON_MAX_ITER raises
-    NoConvergence for the whole call.
+    ball (named with its norm and its row's w), or a row still above its
+    threshold after NEWTON_MAX_ITER raises NoConvergence for the whole call.
     """
     k, n = z.shape
     w = np.broadcast_to(w, z.shape)
@@ -376,8 +376,14 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
     eye = np.eye(n)
     active = np.arange(k)
     for it in range(1, NEWTON_MAX_ITER + 1):
-        if np.any(np.linalg.norm(y[active], axis=1) > 1.5 * injectivity_radius):
-            raise NoConvergence("Newton iterate left the injectivity ball")
+        norms = np.linalg.norm(y[active], axis=1)
+        if np.any(norms > 1.5 * injectivity_radius):
+            r = active[np.argmax(norms)]
+            raise NoConvergence(
+                "Newton iterate left the injectivity ball at iteration %d: |a| = %.6g above "
+                "1.5 x injectivity_radius = %.6g for w = (%s)"
+                % (it, norms.max(), 1.5 * injectivity_radius,
+                   ", ".join(repr(float(v)) for v in w[r])))
         # per row: base point first, then +/- perturbations per coefficient
         ya = y[active, None, :]
         probes = np.concatenate([ya, ya + FD_STEP * eye, ya - FD_STEP * eye], axis=1)

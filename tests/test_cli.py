@@ -179,6 +179,18 @@ def test_martinet_a2_names_the_singular_point(point, named, capsys):
     assert "NonRegular" in err and named in err, err
 
 
+@pytest.mark.parametrize("x", ["0.01", "0.001"])
+def test_martinet_a2_names_the_point_near_the_singular_set(x, capsys):
+    # off x = 0 the frame matrix is invertible, but the bracket field 2x d/dz
+    # is so short that the exact first Newton step leaves the injectivity
+    # ball: the error gives the step's norm, the ball's radius and the row
+    assert main(MARTINET_A2 + ["--point=%s,0.1,0" % x]) == 2
+    err = capsys.readouterr().err
+    assert "NoConvergence: Newton iterate left the injectivity ball" in err, err
+    assert "|a| = " in err and "= 0.75 " in err, err
+    assert "w = (%s, 0.1, 0.0)" % x in err, err
+
+
 def test_profile_csv(capsys):
     rc = main(["profile", "--structure", "euclidean2", "--eps-count", "5",
                "--samples", "4", "--format", "csv"])
@@ -283,6 +295,27 @@ def test_bad_manifest_exits_64(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["verify", "--manifest", str(path), "--checks", "a2"]) == 64
         assert "manifest" in capsys.readouterr().err
+
+
+_GENS = HEIS_MANIFEST["generators"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([HEIS_MANIFEST], "manifest: top level must be an object"),
+    (dict(HEIS_MANIFEST, dim=0), "manifest: field 'dim' must be positive"),
+    (dict(HEIS_MANIFEST, generators=[]), "manifest: field 'generators' must be a nonempty list"),
+    (dict(HEIS_MANIFEST, generators=[_GENS[0], _GENS[1][:2]]),
+     "manifest: field 'generators' entry 1 must have 3 components"),
+    ({"schema": 1, "dim": 3, "fields": _GENS + [[[], [], [[1.0, [0, 0, 0]]]]]},
+     "manifest: field 'degrees' required alongside 'fields'"),
+    ({"schema": 1, "dim": 3}, "manifest: need either 'generators' or 'fields'"),
+    (dict(HEIS_MANIFEST, probes=[]), "manifest: field 'probes' must be a nonempty list"),
+])
+def test_manifest_shape_errors_exit_64_naming_the_field(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(path), "--checks", "a2"]) == 64
+    assert message in capsys.readouterr().err
 
 
 def test_non_finite_manifest_coefficient_exits_64(tmp_path, capsys):

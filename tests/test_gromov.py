@@ -68,6 +68,46 @@ def test_matches_bruteforce_oracle():
         assert got == pytest.approx(want, abs=1e-12), (A.dmat, B.dmat)
 
 
+# === second oracle: a map each way ==========================================
+# Every covering relation that holds the base pair contains graph(f) and the
+# transpose of graph(g) for some base-preserving maps f: A -> B, g: B -> A
+# (pick one partner per point), and distortion only grows with the relation,
+# so the least distortion over those unions is exact. At most 4^3 * 4^3 =
+# 4096 unions per pair of spaces of up to 4 points.
+
+def oracle_maps(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
+    restA = [i for i in range(A.size) if i != A.base]
+    restB = [j for j in range(B.size) if j != B.base]
+    best = np.inf
+    for f in itertools.product(range(B.size), repeat=len(restA)):
+        for g in itertools.product(range(A.size), repeat=len(restB)):
+            pairs = {(A.base, B.base)} | set(zip(restA, f)) | set(zip(g, restB))
+            best = min(best, distortion(Correspondence(pairs=tuple(sorted(pairs))), A, B))
+    return best / 2.0
+
+
+def l1_int_space(n, rng):
+    # small-integer points under l1: few distinct distances, many ties
+    pts = rng.randint(0, 3, size=(n, 2)).astype(float)
+    return FinitePointedSpace(dmat=np.abs(pts[:, None] - pts[None]).sum(axis=2),
+                              base=rng.randint(n))
+
+
+def euclidean_space(n, rng):
+    pts = rng.uniform(0.3, 3.0) * rng.standard_normal((n, rng.randint(1, 4)))
+    return FinitePointedSpace(dmat=np.linalg.norm(pts[:, None] - pts[None], axis=2),
+                              base=rng.randint(n))
+
+
+@pytest.mark.parametrize("make", [euclidean_space, l1_int_space])
+def test_equals_the_map_pair_oracle_up_to_size_4(make):
+    rng = np.random.RandomState(29)
+    sizes = list(itertools.product(range(1, 5), repeat=2))
+    for nA, nB in sizes + [sizes[k] for k in rng.randint(len(sizes), size=64)]:
+        A, B = make(nA, rng), make(nB, rng)
+        assert gh_pointed_exact(A, B) == oracle_maps(A, B), (A.dmat, A.base, B.dmat, B.base)
+
+
 def test_lower_bound_is_lower():
     rng = np.random.RandomState(11)
     for trial in range(30):

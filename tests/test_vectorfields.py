@@ -189,6 +189,15 @@ def test_chart_inverse_batched_matches_single_rows():
             chart_inverse(frame, W, Z, steps=steps)
 
 
+def test_chart_inverse_names_the_row_that_leaves_the_injectivity_ball():
+    frame = heisenberg()[0]
+    W = np.array([[0.1, 0.0, 0.0], [0.0, -0.2, 0.05]])
+    A = np.array([[0.1, 0.1, 0.1], [0.9, -0.6, 0.5]])  # |A[1]| = 1.19 > 1.5 * 0.5
+    with pytest.raises(NoConvergence, match=r"\|a\| = 1\.19\d* above 1\.5 x "
+                       r"injectivity_radius = 0\.75 for w = \(0\.0, -0\.2, 0\.05\)"):
+        chart_inverse(frame, W, flow_exp(frame, A, W, steps=1), steps=1)
+
+
 def test_heisenberg_chart_inverse_takes_one_flow(monkeypatch):
     # the one-step Heisenberg flow is x . a, affine in a, so the exact first
     # Newton step B(w)^-1 (z - w) is the solution: every row meets its
