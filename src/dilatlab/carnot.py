@@ -4,10 +4,13 @@ cc_distance shoots a normal geodesic and polishes it into a feasible
 discrete path. Normal geodesics are the projections of the Hamiltonian flow
 of H(q, p) = 1/2 sum_i <p, X_i(q)>^2 over the degree-1 frame fields
 (Agrachev, Barilari & Boscain, A Comprehensive Introduction to
-Sub-Riemannian Geometry, 2019), integrated by vectorfields.rk4_flow. The
-shooting solves q(1) = y for the initial covector by Newton's method; each
-start and its central-difference probes share one batched flow per
-iteration, and the steps are truncated least squares.
+Sub-Riemannian Geometry, 2019), integrated by vectorfields.rk4_flow. For
+polynomial fields that system is one quadratic form in p with coefficients
+polynomial in q, built at a frame's first cc_distance and kept on it
+(Frame.hamiltonian), never at import or frame construction. The shooting
+solves q(1) = y for the initial covector by Newton's method; each start and
+its central-difference probes share one batched flow per iteration, and the
+steps are truncated least squares.
 
 On a contact frame (n = 3, two degree-1 fields) Newton first runs on one
 start: the covector of the exact geodesic of the tangent cone at x, its
@@ -71,9 +74,8 @@ from .heisenberg_group import (_geodesic_arc, heisenberg, heisenberg_ball_box, h
                                warped_heisenberg)
 from .limits import richardson_limit
 from .util import as_point, as_points, check_schedule, halton, symmetric_box
-from .vectorfields import (FD_STEP, Frame, _outside, _polynomial_hamiltonian, chart_inverse,
-                           compose_rows, flow_exp, frame_from_manifest, rk4_flow,
-                           rk4_linearization)
+from .vectorfields import (FD_STEP, Frame, _outside, chart_inverse, compose_rows, flow_exp,
+                           frame_from_manifest, rk4_flow, rk4_linearization)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +240,8 @@ def _hamiltonian(frame: Frame) -> Callable:
     """Right-hand side of the normal-geodesic system on z = (q, p), (..., 2n):
     q' = sum_i u_i X_i(q), p' = -sum_i u_i DX_i(q)^T p with u_i = <p, X_i(q)>
     over the degree-1 fields, in rk4_flow's form (its coefficient argument
-    is unused). Polynomial fields use their monomial tables; other fields
-    are evaluated one by one, with DX_i from their jac."""
-    n = frame.n
-    fields = frame.fields[:frame.m]
-    if all(f.table is not None for f in fields):
-        return _polynomial_hamiltonian(fields)
-
-    def rhs(_, z):
-        q, p = z[..., :n], z[..., n:]
-        B = np.stack([f(q) for f in fields], axis=-2)  # (..., m, n): X_i(q)
-        u = np.einsum("...in,...n->...i", B, p)
-        A = sum(u[..., i, None, None] * f.jac(q) for i, f in enumerate(fields))
-        return np.concatenate([np.einsum("...i,...in->...n", u, B),
-                               -np.einsum("...kn,...k->...n", A, p)], axis=-1)
-
-    return rhs
+    is unused), built at the frame's first call and kept (Frame.hamiltonian)."""
+    return frame.hamiltonian
 
 
 def _normal_flow(rhs: Callable, box, x, P, N: int):

@@ -11,6 +11,7 @@ w, then finite-difference Jacobians of the flow.
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import product
 from numbers import Real
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -180,6 +181,24 @@ class Frame:
                 return None
         return tuple(int(i) for i in np.flatnonzero(read))
 
+    @cached_property
+    def hamiltonian(self) -> Callable:
+        """carnot._hamiltonian's system, built at the first call and kept:
+        _polynomial_hamiltonian, or field by field with DX_i from jac."""
+        n, fields = self.n, self.fields[:self.m]
+        if all(f.table is not None for f in fields):
+            return _polynomial_hamiltonian(fields)
+
+        def rhs(_, z):
+            q, p = z[..., :n], z[..., n:]
+            B = np.stack([f(q) for f in fields], axis=-2)  # (..., m, n): X_i(q)
+            u = np.einsum("...in,...n->...i", B, p)
+            A = sum(u[..., i, None, None] * f.jac(q) for i, f in enumerate(fields))
+            return np.concatenate([np.einsum("...i,...in->...n", u, B),
+                                   -np.einsum("...kn,...k->...n", A, p)], axis=-1)
+
+        return rhs
+
 
 def _rank_of(rows: np.ndarray) -> int:
     if rows.size == 0:
@@ -207,8 +226,6 @@ def build_adapted_frame(generators: Sequence[VectorField], probe_points: Sequenc
     point-dependent: NonRegular. If the span never reaches full dimension by
     MAX_WORD_LEN, the generators are NotBracketGenerating (within the cap).
     """
-    from itertools import product
-
     probes = [as_point(p) for p in probe_points]
     if not probes:
         raise ValueError("need at least one probe point")
@@ -557,10 +574,12 @@ def polynomial_field(components: Sequence, name: str = "") -> VectorField:
     terms = []
     for i, comp in enumerate(components):
         for t in comp:
-            exps = list(t[1])
-            # NaN, +-inf and integers past the float range are numbers too
-            if not (_is_number(t[0]) and abs(t[0]) <= sys.float_info.max and len(exps) == n
-                    and all(map(_is_number, exps))
+            # a term is [coeff, exponents]; NaN, +-inf and integers past the
+            # float range are numbers too
+            term = isinstance(t, (list, tuple)) and len(t) == 2
+            exps = list(t[1]) if term and isinstance(t[1], (list, tuple)) else [None]
+            if not (term and _is_number(t[0]) and abs(t[0]) <= sys.float_info.max
+                    and len(exps) == n and all(map(_is_number, exps))
                     and all(0 <= e <= sys.float_info.max and float(e).is_integer()
                             for e in exps)):
                 raise ValueError("component %d term %r: want a finite number and %d "
@@ -598,36 +617,37 @@ def _polynomial_combined(fields: Sequence[VectorField]) -> Callable:
 def _polynomial_hamiltonian(fields: Sequence[VectorField]) -> Callable:
     """Closed form of the normal-geodesic system of polynomial fields X_i:
     z = (q, p) -> (dH/dp, -dH/dq) for H = 1/2 sum_i <p, X_i(q)>^2, in
-    rk4_flow's form (its coefficient argument is unused). One power table
-    for the fields' monomials and one for their derivatives, then matrix
-    products."""
-    n, m = fields[0].table[0].shape[1], len(fields)
+    rk4_flow's form (its coefficient argument is unused).
+
+    With u_i = <p, X_i(q)>, dH/dp = sum_i u_i X_i(q) is linear in p and
+    -dH/dq = -sum_i u_i d_q u_i quadratic, with coefficients polynomial in
+    q: one table T, a row per pair of a q-monomial and a p-feature (p_l or
+    p_l p_k) and a column per component of (q', p'). Monomials E_r, E_s of
+    the fields' table C[r, i, k], with Q[l, k] = sum_i C[s, i, l] C[r, i, k],
+    add Q at (q^(E_r + E_s), p_l) to q'_k and -E_rj Q at
+    (q^(E_r + E_s - e_j), p_l p_k) to p'_j. One power table, one outer
+    product with the features and one dot product per component evaluate
+    it, each row on its own: a point gets the same bits alone as in a batch."""
+    n = fields[0].table[0].shape[1]
     E, C = _table([(row, (i, k), c)
                    for i, fld in enumerate(fields) for row, coeffs in zip(*fld.table)
                    for k, c in enumerate(coeffs)],
-                  n, (m, n))  # C[r, i, k]: monomial r in component k of field i
-    R = len(E)
+                  n, (len(fields), n))  # C[r, i, k]: monomial r in component k of field i
     unit = np.eye(n, dtype=int)
-    Ed, K = _table([(E[r] - unit[j], (r, j), float(E[r, j]))
-                    for r in range(R) for j in range(n) if E[r, j] > 0],
-                   n, (R, n))  # K[s, r, j]: monomial s in d(monomial r) / d q_j
-    Cp = C.transpose(2, 0, 1).reshape(n, R * m)
-    Cq = C.reshape(R * m, n)
-    Kf = K.reshape(len(Ed), R * n)
-    E, Ed = E.astype(float), Ed.astype(float)
+    terms = []
+    for r, s in product(range(len(E)), repeat=2):
+        Q = C[s].T @ C[r]
+        terms.append((E[r] + E[s], (slice(0, n), slice(0, n)), Q))
+        terms += [(E[r] + E[s] - unit[j], (slice(n, None), n + j), -E[r, j] * Q.ravel())
+                  for j in np.flatnonzero(E[r])]
+    Eq, T = _table(terms, n, (n + n * n, 2 * n))  # T[t, f, c]: feature f of monomial t in c
+    Eq, T = Eq.astype(float), np.ascontiguousarray(T.reshape(-1, 2 * n).T)[:, :, None]
 
     def rhs(_, z):
         q, p = z[..., :n], z[..., n:]
-        lead = q.shape[:-1]
-        mono = _monomials(q, E)
-        pc = (p @ Cp).reshape(lead + (R, m))  # <p, C[r, i]>
-        u = (mono[..., None, :] @ pc)[..., 0, :]  # u_i = <p, X_i(q)>
-        w = (pc @ u[..., None])[..., 0]  # sum_i u_i <p, C[r, i]>
-        dmono = (_monomials(q, Ed) @ Kf).reshape(lead + (R, n))
-        out = np.empty(z.shape)
-        out[..., :n] = (mono[..., :, None] * u[..., None, :]).reshape(lead + (R * m,)) @ Cq
-        out[..., n:] = -(w[..., None, :] @ dmono)[..., 0, :]
-        return out
+        pp = (p[..., :, None] * p[..., None, :]).reshape(p.shape[:-1] + (n * n,))
+        w = _monomials(q, Eq)[..., :, None] * np.concatenate([p, pp], axis=-1)[..., None, :]
+        return (w.reshape(z.shape[:-1] + (1, 1, T.shape[1])) @ T)[..., 0, 0]
 
     return rhs
 
@@ -668,7 +688,6 @@ def frame_from_manifest(doc: dict) -> Frame:
     if not (_is_number(half) and 0.0 < half <= sys.float_info.max):
         raise ValueError("manifest: field 'chart_halfwidth' must be a finite positive "
                          "number, got %r" % (half,))
-    box = symmetric_box(dim, half)
 
     def parse_fields(key):
         raw = doc[key]
@@ -687,6 +706,8 @@ def frame_from_manifest(doc: dict) -> Frame:
 
     if "fields" in doc:
         fields = parse_fields("fields")
+        if len(fields) != dim:
+            raise ValueError("manifest: field 'fields' must list %d fields, one per axis" % dim)
         if "degrees" not in doc:
             raise ValueError("manifest: field 'degrees' required alongside 'fields'")
         degrees = doc["degrees"]
@@ -694,8 +715,8 @@ def frame_from_manifest(doc: dict) -> Frame:
                 or any(not _is_int(d) or d < 1 for d in degrees)):
             raise ValueError("manifest: field 'degrees' must list one positive "
                              "integer per field")
-        return Frame(fields=tuple(fields), degrees=tuple(degrees), chart_box=box,
-                     name=name, closed_form=_polynomial_combined(fields))
+        return Frame(tuple(fields), tuple(degrees), symmetric_box(dim, half), name,
+                     closed_form=_polynomial_combined(fields))
 
     if "generators" not in doc:
         raise ValueError("manifest: need either 'generators' or 'fields'")
@@ -713,6 +734,6 @@ def frame_from_manifest(doc: dict) -> Frame:
                 raise ValueError("manifest: field 'probes' entry %d must be %d finite numbers, "
                                  "got %r" % (idx, dim, p))
         probes = [as_point(p) for p in probes]
-    frame = build_adapted_frame(gens, probes, chart_box=box, name=name)
+    frame = build_adapted_frame(gens, probes, chart_box=symmetric_box(dim, half), name=name)
     # brackets of polynomial fields are polynomial: the whole frame shares one table
     return replace(frame, closed_form=_polynomial_combined(frame.fields))

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dilatlab import carnot
+from dilatlab import carnot, vectorfields
 from dilatlab.carnot import (LIGHT_CC, CCConfig, _covector_starts, _hamiltonian, _landed,
                              _model_start, _newton, _objective_and_grad, _rollout, _shoot,
                              _structure_constant, check_normal_frame, cc_distance,
@@ -848,18 +848,49 @@ def _engel():
 
 
 def test_polynomial_hamiltonian_matches_the_field_by_field_system():
-    # the monomial-table right-hand side against the one that calls each
-    # field and its jac; the table-free copies take the second path
+    # the quadratic form against the right-hand side that calls each field
+    # and its jac, on every manifest (contact-curved and Martinet carry x^2
+    # terms); the table-free copies take the second path. A row gets the
+    # same bits alone as inside a batch: _newton keeps a row's stages out of
+    # a batched flow, and the polish reads them as that covector's own flow
     rng = np.random.RandomState(21)
-    for frame in (heisenberg()[0], _engel()):
+    folder = os.path.join(os.path.dirname(__file__), "manifests")
+    frames = [heisenberg()[0], _engel(), frame_from_manifest(HEIS_MANIFEST)]
+    frames += [_manifest(name[:-len(".json")]) for name in sorted(os.listdir(folder))]
+    assert len(frames) == 6
+    for frame in frames:
         bare = Frame(fields=tuple(VectorField(func=f.func, jacobian=f.jacobian)
                                   for f in frame.fields),
                      degrees=frame.degrees, chart_box=frame.chart_box)
+        rhs = _hamiltonian(frame)
         for shape in ((2 * frame.n,), (5, 7, 2 * frame.n)):
             z = rng.uniform(-1.0, 1.0, shape)
-            got, want = _hamiltonian(frame)(None, z), _hamiltonian(bare)(None, z)
+            got, want = rhs(None, z), _hamiltonian(bare)(None, z)
             assert got.shape == want.shape == shape
-            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14), frame.name
+        assert all(_same_bits(rhs(None, z[i, j]), got[i, j])
+                   for i in range(5) for j in range(7)), frame.name
+        assert _same_bits(rhs(None, z[3:4]), got[3:4]), frame.name
+
+
+def test_the_normal_system_is_built_once_per_frame(monkeypatch):
+    # frame_from_manifest builds no system (the bench times that build as
+    # set-up); the first cc_distance builds it from the monomial tables and
+    # keeps it on the frame, and a second call builds no table
+    frame = frame_from_manifest(HEIS_MANIFEST)
+    assert "hamiltonian" not in vars(frame)
+    built = []
+    real = vectorfields._table
+    monkeypatch.setattr(vectorfields, "_table", lambda *a: built.append(a) or real(*a))
+    x, y = np.array([0.1, -0.05, 0.02]), np.array([0.2, 0.1, -0.03])
+    d = cc_distance(frame, x, y, config=LIGHT_CC)
+    assert built and "hamiltonian" in vars(frame)
+    del built[:]
+    assert cc_distance(frame, x, y, config=LIGHT_CC) == d
+    assert not built
+    # the field-by-field system of a frame without tables is kept the same way
+    for f in (frame, warped_heisenberg()[0]):
+        assert _hamiltonian(f) is _hamiltonian(f)
 
 
 def test_cc_distance_on_an_engel_line():

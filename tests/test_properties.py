@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import random
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from dilatlab.axioms import (TangentData, check_conical_group, check_tangent_cone,
                              derive_sigma_inv, estimate_dx)
 from dilatlab.cli import CHECK_NAMES, main
+from dilatlab.errors import DilatlabError
 from dilatlab.geometry import FinitePointedSpace, euclidean_handle, pairwise, rescale
 from dilatlab.gromov import gh_lower_bound, gh_pointed_exact
 from dilatlab.structures import build_structure, complex_dilatation, euclidean, structure_names
 from dilatlab.util import halving_schedule
+from dilatlab.vectorfields import Frame, frame_from_manifest
 
 # euclidean(2), or the spiralling plane structure at a drawn theta: both have
 # the Euclidean metric as tangent cone at every point, with exact cones
@@ -132,3 +135,62 @@ def test_gh_pointed_exact_symmetric_equivariant_and_above_lower_bound(a, b, base
     scaled = gh_pointed_exact(rescale(A, factor), rescale(B, factor))
     assert abs(scaled - factor * gh) <= 1e-12 * factor * gh
     assert gh_lower_bound(A, B) <= gh
+
+
+# JSON values that no manifest entry takes where it wants a count, an
+# exponent, a coefficient or a list
+BAD_JSON = st.sampled_from([None, "1", "", True, False, float("nan"), float("inf"), -1,
+                            -0.5, 0.5, [], [[1]], {}])
+
+
+@st.composite
+def manifests(draw):
+    """Small manifest documents: dim 1 to 3, at most 2 generators (or 3
+    explicit fields), exponents 0 to 2; about one count in ten is off by
+    one and one entry in twenty a bad JSON value."""
+    dim = draw(st.integers(1, 3))
+    # uniform draws for where the faults go; hypothesis leans towards 0
+    faults = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def pick(valid):
+        return draw(BAD_JSON) if faults.random() < 0.05 else draw(valid)
+
+    def vector(entry):  # dim entries, or one more or one fewer
+        k = dim if faults.random() < 0.9 else dim + faults.choice((-1, 1))
+        return [entry() for _ in range(k)]
+
+    def term():
+        return pick(st.builds(lambda c: [c, vector(lambda: pick(st.integers(0, 2)))],
+                              st.integers(-2, 2) | st.floats(-2.0, 2.0)))
+
+    def field():
+        return vector(lambda: [term() for _ in range(faults.randrange(3))])
+
+    doc = {"schema": pick(st.just(1)),
+           "dim": pick(st.just(dim) if faults.random() < 0.9
+                       else st.integers(1, 3) | st.just(10**6))}
+    if draw(st.booleans()):
+        doc["chart_halfwidth"] = pick(st.floats(0.1, 3.0))
+    if draw(st.booleans()):
+        doc["generators"] = pick(st.builds(lambda k: [field() for _ in range(k)],
+                                           st.sampled_from((0, 1, 2, 2))))
+        if draw(st.booleans()):
+            doc["probes"] = [vector(lambda: pick(st.floats(-1.0, 1.0)))
+                             for _ in range(faults.randrange(3))]
+    else:
+        doc["fields"] = [field() for _ in range(1 + faults.randrange(3))]
+        k = len(doc["fields"]) if faults.random() < 0.9 else faults.randrange(4)
+        doc["degrees"] = [pick(st.just(d)) for d in sorted(faults.randint(1, 3) for _ in range(k))]
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=manifests())
+def test_the_manifest_parser_returns_a_frame_or_names_the_fault(doc):
+    # the CLI exits 64 on a ValueError and 2 on a DilatlabError; any other
+    # exception, or a frame whose field count is not dim, is a parser fault
+    try:
+        frame = frame_from_manifest(doc)
+    except (ValueError, DilatlabError):
+        return
+    assert isinstance(frame, Frame) and frame.n == doc["dim"]

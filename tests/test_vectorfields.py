@@ -343,6 +343,44 @@ def test_manifest_rejects_fractional_exponents_and_booleans():
             frame_from_manifest(doc)
 
 
+def test_manifest_terms_must_be_coefficient_exponent_pairs():
+    # a JSON object as a term once raised KeyError, and a number as the
+    # exponents TypeError: each is a malformed term, named as such
+    for term in ({}, {"1": 2}, 3.0, "ab", [1.0], [1.0, 5], [1.0, [0, 0, 0], 2]):
+        with pytest.raises(ValueError, match="term"):
+            polynomial_field([[term], [], []])
+
+
+def test_manifest_fields_list_one_field_per_axis():
+    # an explicit frame spans R^dim with dim fields: two fields on a line
+    # were once taken as a frame of two fields in one dimension
+    one = [[1.0, [0]]]
+    with pytest.raises(ValueError, match="'fields' must list 1 fields"):
+        frame_from_manifest({"schema": 1, "dim": 1, "fields": [[one], [[]]], "degrees": [2, 3]})
+
+
+def test_a_huge_manifest_dim_allocates_nothing_before_the_fields_are_checked():
+    # the chart box and the default probes hold dim entries each: they are
+    # built only once the fields have dim components, so a wrong dim is
+    # named at once, on either path
+    import tracemalloc
+
+    gens = [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
+            [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]]
+    docs = ({"schema": 1, "dim": 10**6, "generators": gens},
+            {"schema": 1, "dim": 10**6, "fields": gens, "degrees": [1, 1]})
+    for doc, key in zip(docs, ("generators", "fields")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="'%s' entry 0 must have 1000000 components"
+                               % key):
+                frame_from_manifest(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
 # === Frame.combined ===
 
 def _stacked(frame, a, z):
