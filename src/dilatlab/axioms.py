@@ -74,6 +74,15 @@ class CheckReport:
     table: List[dict] = field(default_factory=list)
     notes: str = ""
 
+    @property
+    def verdict(self) -> str:
+        """"pass", "FAIL" (a definite failure) or "inconclusive" (a limit
+        behind the check did not converge, so its residual certifies
+        nothing either way)."""
+        if self.converged is False:
+            return "inconclusive"
+        return "pass" if self.passed else "FAIL"
+
     def to_jsonable(self) -> dict:
         out = {
             "check": self.check,
@@ -284,7 +293,7 @@ class TangentData:
         self.center = as_point(x)
         self.limit_error = 0.0
         self.converged = True
-        self.degenerate = False
+        self.collapsed = 0
         self._memo = {}
 
     def limits(self, tag, U, V, seqs=None) -> list:
@@ -309,6 +318,11 @@ class TangentData:
             ests = {r: richardson_limit(self.eps, s) for r, s in zip(rows, seqs)}
             self._memo.update((key, ests[r]) for key, r in todo.items())
         return [self._memo[key] for key in keys]
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether some pair that estimate_dx checked collapsed under d^x."""
+        return self.collapsed > 0
 
     def limit(self, tag, u, v) -> LimitEstimate:
         return self.limits(tag, [as_point(u)], [as_point(v)])[0]
@@ -352,9 +366,9 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     """Rescaled-limit distance d^x on all pairs from sample.
 
     Returns (TangentData, worst LimitEstimate). The TangentData's operations
-    extrapolate fresh pairs on demand (results memoised); its degenerate flag
-    is set when some pair collapses (dx below 1e-6 while the original
-    distance exceeds 1e-2).
+    extrapolate fresh pairs on demand (results memoised); its collapsed count
+    holds the pairs that collapse (dx below 1e-6 while the original distance
+    exceeds 1e-2), and its degenerate flag is set when there is one.
     """
     td = TangentData(ds, x, eps_schedule)
     pts = np.array([as_point(p) for p in sample])
@@ -364,8 +378,23 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     worst = max(ests, key=lambda est: est.error)
     td.limit_error = float(worst.error)
     td.converged = all(est.converged for est in ests)
-    td.degenerate = bool(np.any((dxm < 1e-6) & (pairwise(ds.space, pts) > 1e-2)))
+    td.collapsed = int(np.sum(np.triu((dxm < 1e-6) & (pairwise(ds.space, pts) > 1e-2))))
     return td, worst
+
+
+def check_A3(ds: DilatationStructure, x, sample: Sequence, eps_schedule,
+             tol: float = 1e-5) -> CheckReport:
+    """A3: the rescaled distances on all pairs from sample converge to a
+    distance d^x. The worst limit's error bar is held against tol; a limit
+    that did not converge makes the report inconclusive, and pairs that
+    collapse under d^x (estimate_dx's degenerate flag) fail it with one
+    "degenerate" record, since d^x is then no distance."""
+    td, worst = estimate_dx(ds, x, sample, eps_schedule)
+    failures = [{"kind": "degenerate", "pairs": td.collapsed}] if td.degenerate else []
+    passed = bool(worst.converged and worst.error <= tol) and not failures
+    return CheckReport(check="a3", passed=passed, max_residual=float(worst.error), tolerance=tol,
+                       converged=bool(worst.converged), failures=failures,
+                       table=worst.table_rows(), notes=worst.note)
 
 
 def estimate_delta(ds: DilatationStructure, x, u, v, eps_schedule) -> LimitEstimate:
@@ -401,6 +430,16 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule) -> TangentData:
         float(np.max(np.abs(d_uu.extrapolated - x)))])
     td.converged = all(est.converged for est in ests)
     return td
+
+
+def check_A4(td: TangentData, tol: float = 1e-5) -> CheckReport:
+    """A4: the tangent sum and difference exist as limits. td comes from
+    derive_sigma_inv, whose error bar covers them at its probe pair; a limit
+    there that did not converge makes the report inconclusive."""
+    return CheckReport(check="a4", passed=bool(td.converged and td.limit_error <= tol),
+                       max_residual=float(td.limit_error), tolerance=tol,
+                       converged=bool(td.converged),
+                       notes="sum/difference limits with consistency probes")
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +537,17 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
     est.converged = decays_to_zero(vals, max(0.25 * vals[0], dx_error / eps[0], 1e-10))
     return est
+
+
+def tangent_cone_report(ds: DilatationStructure, x, eps_schedule, count: int,
+                        seed: int = 0) -> CheckReport:
+    """check_tangent_cone as a report: it passes when the gaps converge and
+    is inconclusive when they do not. No tolerance decides it; the report
+    prints 1e-3, or the gap's error bar when that is larger."""
+    est = check_tangent_cone(ds, x, eps_schedule, count, seed=seed)
+    return CheckReport(check="tangent-cone", passed=bool(est.converged),
+                       max_residual=float(est.error), tolerance=max(1e-3, float(est.error)),
+                       converged=bool(est.converged), table=est.table_rows(), notes=est.note)
 
 
 def check_profile_theorem(ds: DilatationStructure, x, mu_schedule, count: int,

@@ -17,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,18 +27,39 @@ from .errors import DilatlabError
 from .structures import build_structure, structure_names
 from .util import halton, halving_schedule
 
-CHECK_NAMES = ("a0a1", "a2", "a3", "a4", "cone", "tangent-cone", "profile")
-# checks that take a tolerance; each key gets a --tol.<name> flag
-DEFAULT_TOLS = {"a0a1": 1e-9, "a2": 1e-9, "a3": 1e-5, "a4": 1e-5, "cone": 1e-9}
-# the tolerance a tangent-cone report prints; its verdict is the limit's own
-# convergence, so no flag sets it
-TANGENT_CONE_TOL = 1e-3
+
+class _Check(NamedTuple):
+    run: Callable  # (the run's shared inputs, tolerance) -> CheckReport
+    tol: Optional[float] = None  # the default of the check's --tol.<name> flag
+    fewest_samples: int = 0
+
+
+# the verify checks in report order. Each runner looks its axioms function up
+# when it runs, so a wrapper installed on the module is the one called.
+# tangent-cone needs one ball point, profile the base point plus two; their
+# verdicts are the convergence of their own gaps, so they take no tolerance.
+CHECKS = {
+    "a0a1": _Check(lambda r, tol: axioms.check_A0_A1(r.ds, r.pairs, r.eps, tol=tol), 1e-9),
+    "a2": _Check(lambda r, tol: axioms.check_A2(
+        r.ds, r.pairs, [(0.5, 0.5), (0.5, 0.25), (0.8, 0.4), (0.25, 0.25)], tol=tol), 1e-9),
+    "a3": _Check(lambda r, tol: axioms.check_A3(r.ds, r.x, r.pts, r.eps, tol), 1e-5),
+    "a4": _Check(lambda r, tol: axioms.check_A4(r.td(), tol), 1e-5),
+    "cone": _Check(lambda r, tol: axioms.check_conical_group(
+        r.td(), r.ds, r.pts, mus=(0.5, 0.25), tol_floor=tol), 1e-9),
+    "tangent-cone": _Check(lambda r, tol: axioms.tangent_cone_report(
+        r.ds, r.x, r.eps, count=min(r.samples, 5), seed=r.seed), fewest_samples=1),
+    "profile": _Check(lambda r, tol: axioms.check_profile_theorem(
+        r.ds, r.x, r.eps, count=min(r.samples + 1, 6), seed=r.seed), fewest_samples=2),
+}
+CHECK_NAMES = tuple(CHECKS)
 # the largest --seed: the CLI's documented seed range is 0 to MAX_SEED, and
 # the seed is the Halton index its streams start from
 MAX_SEED = 1000000
-# the fewest --samples a check runs with: tangent-cone needs one ball point,
-# profile needs the base point plus two
-MIN_SAMPLES = {"tangent-cone": 1, "profile": 2}
+# the largest --samples: the documented range is 0 to MAX_SAMPLES. a3 holds
+# the (eps-count, P, P) stack of rescaled distances between P points and
+# extrapolates P (P - 1) / 2 limits: at the default schedule and P = 256 the
+# stack takes 4 MB, and an a3 run about 1 s and 70 MB on a 2-vCPU VM
+MAX_SAMPLES = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +87,10 @@ def _add_common(p, with_checks=False):
     if with_checks:
         p.add_argument("--checks", default="a0a1,a2,a3",
                        help="comma list from: %s" % ",".join(CHECK_NAMES))
-        for name, tol in DEFAULT_TOLS.items():
-            p.add_argument("--tol.%s" % name, dest="tol_%s" % name,
-                           type=float, default=tol, metavar="T")
+        for name, check in CHECKS.items():
+            if check.tol is not None:
+                p.add_argument("--tol.%s" % name, dest="tol_%s" % name,
+                               type=float, default=check.tol, metavar="T")
 
 
 def _build(args):
@@ -132,19 +154,13 @@ def _probe_points(ds, x, count, seed):
                         box[:, 0] + 1e-9, box[:, 1] - 1e-9))
 
 
-def _estimate_report(name, est, tol) -> CheckReport:
-    passed = bool(est.converged and est.error <= tol)
-    return CheckReport(check=name, passed=passed, max_residual=float(est.error),
-                       tolerance=tol, converged=bool(est.converged),
-                       table=est.table_rows(), notes=est.note)
-
-
 def _setup(args):
     """Validate the invocation and build its structure: schedule, checks,
-    structure, point, then the needs of the limits and of the checks, then
-    the seed, the tolerances and the point's place in the chart, then the
-    --out path (opened for append, so an unwritable one stops the run before
-    any sampling, and removed again if the probe made it), in that order.
+    structure, point, then the needs of the limits, the range of --samples
+    and the needs of the checks, then the seed, the tolerances and the
+    point's place in the chart, then the --out path (opened for append, so an
+    unwritable one stops the run before any sampling, and removed again if
+    the probe made it), in that order.
     Returns (structure, label, base point, schedule)."""
     if args.eps_count < 2 or not (0.0 < args.eps_start <= 1.0):
         _die("eps schedule: need 0 < eps-start <= 1 and eps-count >= 2")
@@ -168,14 +184,22 @@ def _setup(args):
     # profile compares snapshots and works with two
     if args.command != "profile" and args.eps_count < 3:
         _die("eps schedule: %s needs eps-count >= 3" % args.command)
+    # tested before any sampling, so a huge count allocates nothing
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        _die("samples: need 0 <= --samples <= %d, got %d" % (MAX_SAMPLES, args.samples))
     for c in getattr(args, "checks", []):
-        if c in MIN_SAMPLES and args.samples < MIN_SAMPLES[c]:
-            _die("samples: check %r needs --samples >= %d" % (c, MIN_SAMPLES[c]))
+        if args.samples < CHECKS[c].fewest_samples:
+            _die("samples: check %r needs --samples >= %d" % (c, CHECKS[c].fewest_samples))
+    # a profile snapshot holds max(--samples, 3) points, and the exact GH
+    # search takes at most gromov.SIZE_LIMIT
+    if args.command == "profile" and args.samples > gromov.SIZE_LIMIT:
+        _die("samples: profile needs --samples <= %d, got %d"
+             % (gromov.SIZE_LIMIT, args.samples))
     if not 0 <= args.seed <= MAX_SEED:
         _die("seed: need 0 <= --seed <= %d, got %d" % (MAX_SEED, args.seed))
     # a NaN tolerance compares false with every residual, so no check could fail
-    for name in DEFAULT_TOLS:
-        tol = getattr(args, "tol_%s" % name, 0.0)  # verify is the only command with tolerances
+    for name in CHECKS:
+        tol = getattr(args, "tol_%s" % name, 0.0)  # verify's tolerance flags only
         if not 0.0 <= tol < np.inf:
             _die("tol.%s: need a finite tolerance >= 0, got %r" % (name, tol))
     if not ds.space.contains(x):
@@ -193,54 +217,17 @@ def _setup(args):
 
 def _run_checks(ds, args, x, eps) -> List[CheckReport]:
     pts = _probe_points(ds, x, max(args.samples, 3), args.seed)
-    reports = []
-    td = None
-
-    def tangent_data():
-        nonlocal td
-        if td is None:
-            td = axioms.derive_sigma_inv(ds, x, eps)
-        return td
-
-    for name in args.checks:
-        tol = getattr(args, "tol_%s" % name, None)  # None for tangent-cone and profile
-        if name == "a0a1":
-            rep = axioms.check_A0_A1(ds, [(x, p) for p in pts], eps, tol=tol)
-        elif name == "a2":
-            pairs = [(0.5, 0.5), (0.5, 0.25), (0.8, 0.4), (0.25, 0.25)]
-            rep = axioms.check_A2(ds, [(x, p) for p in pts], pairs, tol=tol)
-        elif name == "a3":
-            _, worst = axioms.estimate_dx(ds, x, pts, eps)
-            rep = _estimate_report("a3", worst, tol)
-        elif name == "a4":
-            t = tangent_data()
-            rep = CheckReport(check="a4", passed=bool(t.converged and t.limit_error <= tol),
-                              max_residual=float(t.limit_error), tolerance=tol,
-                              converged=bool(t.converged),
-                              notes="sum/difference limits with consistency probes")
-        elif name == "cone":
-            rep = axioms.check_conical_group(tangent_data(), ds, pts, mus=(0.5, 0.25),
-                                             tol_floor=tol)
-        elif name == "tangent-cone":
-            est = axioms.check_tangent_cone(ds, x, eps, count=min(args.samples, 5),
-                                            seed=args.seed)
-            rep = _estimate_report("tangent-cone", est, max(TANGENT_CONE_TOL, float(est.error)))
-            rep.passed = bool(est.converged)
-        else:  # "profile"; _setup rejected every other name
-            rep = axioms.check_profile_theorem(ds, x, eps, count=min(args.samples + 1, 6),
-                                               seed=args.seed)
-        reports.append(rep)
-    return reports
+    # what the runners read; a4 and cone share the tangent data, derived on first use
+    shared = argparse.Namespace(ds=ds, x=x, eps=eps, pts=pts, pairs=[(x, p) for p in pts],
+                                samples=args.samples, seed=args.seed,
+                                td=functools.cache(lambda: axioms.derive_sigma_inv(ds, x, eps)))
+    return [CHECKS[name].run(shared, getattr(args, "tol_%s" % name, None))
+            for name in args.checks]
 
 
 def _exit_code(reports) -> int:
-    definite = any((not r.passed) and r.converged is not False for r in reports)
-    shaky = any(r.converged is False for r in reports)
-    if definite:
-        return 1
-    if shaky:
-        return 2
-    return 0
+    verdicts = {r.verdict for r in reports}
+    return 1 if "FAIL" in verdicts else 2 if "inconclusive" in verdicts else 0
 
 
 def _emit(text: str, out: Optional[str]):
@@ -257,8 +244,8 @@ def _emit(text: str, out: Optional[str]):
 def _reports_csv(reports) -> str:
     parts = []
     for r in reports:
-        parts.append("# check=%s passed=%s max_residual=%.6g tolerance=%.6g"
-                     % (r.check, r.passed, r.max_residual, r.tolerance))
+        parts.append("# check=%s verdict=%s passed=%s max_residual=%.6g tolerance=%.6g"
+                     % (r.check, r.verdict, r.passed, r.max_residual, r.tolerance))
         parts.append(r.to_csv().rstrip("\n"))
     return "\n".join(parts) + "\n"
 
@@ -274,8 +261,7 @@ def _cmd_verify(args) -> int:
     else:
         _emit(_reports_csv(reports), args.out)
     for r in reports:
-        sys.stderr.write("%-16s %s\n" % (r.check, "pass" if r.passed else
-                                         ("FAIL" if r.converged is not False else "inconclusive")))
+        sys.stderr.write("%-16s %s\n" % (r.check, r.verdict))
     return _exit_code(reports)
 
 

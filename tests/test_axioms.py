@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dilatlab.axioms import (DilatationStructure, TangentData, check_A0_A1, check_A2,
-                             check_conical_group, check_profile_theorem,
+from dilatlab.axioms import (CheckReport, DilatationStructure, TangentData, check_A0_A1,
+                             check_A2, check_conical_group, check_profile_theorem,
                              check_tangent_cone, derive_sigma_inv, estimate_delta,
                              estimate_dx)
 from dilatlab.errors import DomainViolation, SamplingExhausted
@@ -210,6 +210,16 @@ def test_estimate_dx_flags_a_collapsing_metric():
     td, worst = estimate_dx(ds, np.zeros(2), pts, SCHED)
     assert td.degenerate is True
     assert abs(td.dx(pts[0], pts[1])) < 1e-6
+
+
+@pytest.mark.parametrize("passed, converged, verdict", [
+    (True, None, "pass"), (True, True, "pass"), (False, None, "FAIL"), (False, True, "FAIL"),
+    # a residual read off unconverged limits certifies nothing either way
+    (False, False, "inconclusive"), (True, False, "inconclusive")])
+def test_check_report_verdict(passed, converged, verdict):
+    rep = CheckReport(check="c", passed=passed, max_residual=0.0, tolerance=0.0,
+                      converged=converged)
+    assert rep.verdict == verdict
 
 
 def test_delta_sigma_inv_euclidean():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dilatlab.carnot import LIGHT_CC, cc_distance
-from dilatlab.cli import main
+from dilatlab.cli import MAX_SAMPLES, main
+from dilatlab.gromov import SIZE_LIMIT
 from dilatlab.heisenberg_group import heisenberg, heisenberg_cc, vertical_cc_oracle
 
 
@@ -66,6 +67,40 @@ def test_verify_csv_format(capsys):
     out = capsys.readouterr().out
     assert "# check=a2" in out
     assert "eps,value,diff,extrapolated,error" in out
+    # each header names the verdict word as well as the passed flag, which
+    # reads False both for a FAIL and for an inconclusive check
+    assert "# check=a2 verdict=pass passed=True " in out
+    for argv, code, header in (
+            (["--structure", "complex-1.0", "--checks", "a4,cone"], 2,
+             ["# check=a4 verdict=inconclusive passed=False",
+              "# check=conical-group verdict=inconclusive passed=False"]),
+            (["--structure", "riemannian-shear", "--checks", "cone", "--point=0.1,0.2"], 1,
+             ["# check=conical-group verdict=FAIL passed=False"])):
+        assert main(["verify", "--format", "csv"] + argv) == code
+        got = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+        assert [line[:len(want)] for line, want in zip(got, header, strict=True)] == header
+
+
+def test_a3_fails_when_d_x_collapses(monkeypatch, capsys):
+    # the structure of test_estimate_dx_flags_a_collapsing_metric: with
+    # d = |p - q|^2 and affine dilatations the rescaled distances converge,
+    # to 0, so d^x is no distance; a3 read only the limits' error bars and
+    # passed with max_residual 5e-13
+    from dilatlab import structures
+    from dilatlab.axioms import DilatationStructure
+    from dilatlab.geometry import box_handle
+
+    space = box_handle(2, lambda p, q: np.sum((p - q) ** 2, axis=-1))
+    ds = DilatationStructure(space=space,
+                             dil=lambda e, x, y: x + np.asarray(e)[..., None] * (y - x))
+    monkeypatch.setitem(structures._REGISTRY, "collapse", lambda: ds)
+    assert main(["verify", "--structure", "collapse", "--checks", "a3"]) == 1
+    out, err = capsys.readouterr()
+    (check,) = json.loads(out)["checks"]
+    assert check["converged"] and not check["passed"]
+    # the four probe points make six pairs, all collapsed
+    assert check["failures"] == [{"kind": "degenerate", "pairs": 6}]
+    assert err.split() == ["a3", "FAIL"]
 
 
 def test_verify_tolerance_flag_can_force_failure(capsys):
@@ -223,6 +258,21 @@ def test_usage_errors_exit_64(capsys):
                  "--checks", "tangent-cone"]) == 64
     assert main(["verify", "--structure", "euclidean2", "--samples", "1",
                  "--checks", "profile"]) == 64
+    # --samples outside 0 to MAX_SAMPLES, found before any point is drawn
+    # (10**15 made util.halton raise a numpy memory error, exit 1), and a
+    # profile snapshot beyond the exact GH search's gromov.SIZE_LIMIT points
+    # (it sampled every snapshot, then exited 2 with SizeLimitExceeded)
+    for cmd in ("verify", "tangent", "profile"):
+        for bad in ("-1", str(MAX_SAMPLES + 1), str(10 ** 15)):
+            assert main([cmd, "--structure", "euclidean2", "--samples", bad]) == 64
+            assert "dilatlab: error: samples:" in capsys.readouterr().err
+    assert main(["verify", "--structure", "euclidean2", "--checks", "a0a1",
+                 "--samples", str(MAX_SAMPLES), "--eps-count", "3"]) == 0
+    assert main(["profile", "--structure", "euclidean2", "--samples",
+                 str(SIZE_LIMIT + 1)]) == 64
+    assert "dilatlab: error: samples: profile" in capsys.readouterr().err
+    assert main(["profile", "--structure", "euclidean2", "--samples", str(SIZE_LIMIT),
+                 "--eps-count", "3"]) == 0
     # a seed outside the CLI's documented range, 0 to MAX_SEED
     for cmd in ("verify", "tangent", "profile"):
         assert main([cmd, "--structure", "euclidean2", "--seed", "-5"]) == 64
