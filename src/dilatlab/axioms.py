@@ -18,6 +18,7 @@ profile snapshots) use the structure's own distance.
 """
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -402,6 +403,21 @@ def estimate_delta(ds: DilatationStructure, x, u, v, eps_schedule) -> LimitEstim
     return TangentData(ds, x, eps_schedule).limit("delta", u, v)
 
 
+@functools.cache
+def _probe_directions(n: int) -> tuple:
+    """derive_sigma_inv's two unit probe directions in dimension n, read-only.
+
+    Generic directions: axis-aligned probes can hide curvature terms and make
+    the folded error unrepresentative. They depend on n alone, so each
+    dimension draws its pair from RandomState(11) once per process."""
+    rng = np.random.RandomState(11)
+    dirs = rng.standard_normal(n), rng.standard_normal(n)
+    for d in dirs:
+        d /= np.linalg.norm(d)
+        d.setflags(write=False)
+    return dirs
+
+
 def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule) -> TangentData:
     """TangentData whose error bar covers one probe pair.
 
@@ -411,14 +427,8 @@ def derive_sigma_inv(ds: DilatationStructure, x, eps_schedule) -> TangentData:
     """
     td = TangentData(ds, x, eps_schedule)
     x = td.center
-    # generic directions (axis-aligned probes can hide curvature terms
-    # and make the folded error unrepresentative)
     r = ds.probe_radius
-    rng = np.random.RandomState(11)
-    d1 = rng.standard_normal(len(x))
-    d2 = rng.standard_normal(len(x))
-    d1 /= np.linalg.norm(d1)
-    d2 /= np.linalg.norm(d2)
+    d1, d2 = _probe_directions(len(x))
     u, v = x + 0.9 * r * d1, x - 0.75 * r * d2
     d_uv, d_uu = td.limits("delta", [u, u], [v, u])
     s_uv, s_xv = td.limits("sigma", [u, x], [v, v])

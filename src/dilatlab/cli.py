@@ -60,6 +60,12 @@ MAX_SEED = 1000000
 # extrapolates P (P - 1) / 2 limits: at the default schedule and P = 256 the
 # stack takes 4 MB, and an a3 run about 1 s and 70 MB on a 2-vCPU VM
 MAX_SAMPLES = 256
+# the largest a3 stack, P**2 * eps-count entries with P = max(--samples, 3):
+# 256 samples at up to 16 scales. Each scale adds 0.5 MB to the stack at
+# P = 256, and n times that to the coordinate differences behind it (an a3
+# run on euclidean3 at P = 256 peaked at 74 MB with 8 scales and 80 MB with
+# 16), so an unbounded --eps-count would reach gigabytes
+MAX_A3_STACK = MAX_SAMPLES ** 2 * 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,6 +193,10 @@ def _setup(args):
     # tested before any sampling, so a huge count allocates nothing
     if not 0 <= args.samples <= MAX_SAMPLES:
         _die("samples: need 0 <= --samples <= %d, got %d" % (MAX_SAMPLES, args.samples))
+    if "a3" in getattr(args, "checks", []) \
+            and max(args.samples, 3) ** 2 * args.eps_count > MAX_A3_STACK:
+        _die("samples: a3 needs max(--samples, 3)**2 * --eps-count <= %d, got %d**2 * %d"
+             % (MAX_A3_STACK, max(args.samples, 3), args.eps_count))
     for c in getattr(args, "checks", []):
         if args.samples < CHECKS[c].fewest_samples:
             _die("samples: check %r needs --samples >= %d" % (c, CHECKS[c].fewest_samples))

@@ -36,21 +36,21 @@ class Correspondence:
 
 def distortion(corr: Correspondence, A: FinitePointedSpace, B: FinitePointedSpace) -> float:
     """max |dA(i,k) - dB(j,l)| over pairs (i,j), (k,l) of the relation."""
-    ia = np.array([p[0] for p in corr.pairs], dtype=int)
-    jb = np.array([p[1] for p in corr.pairs], dtype=int)
-    return float(np.max(np.abs(A.dmat[np.ix_(ia, ia)] - B.dmat[np.ix_(jb, jb)])))
+    return _distortion(corr.pairs, A.dmat.tolist(), B.dmat.tolist())
 
 
-def _greedy_upper_bound(A, B) -> float:
+def _distortion(pairs, dA: list, dB: list) -> float:
+    """distortion on the distance matrices as lists of rows."""
+    return max(abs(dA[i][k] - dB[j][l]) for i, j in pairs for k, l in pairs)
+
+
+def _greedy_upper_bound(dA: list, bA: int, dB: list, bB: int) -> float:
     """Distortion of a rank-matched correspondence (sorted by base distance)."""
-    nA, nB = A.size, B.size
-    ordA = np.argsort(A.dmat[A.base], kind="stable")
-    ordB = np.argsort(B.dmat[B.base], kind="stable")
-    pairs = set()
-    for t in range(max(nA, nB)):
-        pairs.add((int(ordA[min(t, nA - 1)]), int(ordB[min(t, nB - 1)])))
-    corr = Correspondence(pairs=tuple(sorted(pairs)))
-    return distortion(corr, A, B)
+    nA, nB = len(dA), len(dB)
+    ordA = sorted(range(nA), key=dA[bA].__getitem__)  # stable: ties keep index order
+    ordB = sorted(range(nB), key=dB[bB].__getitem__)
+    pairs = sorted({(ordA[min(t, nA - 1)], ordB[min(t, nB - 1)]) for t in range(max(nA, nB))})
+    return _distortion(pairs, dA, dB)
 
 
 def gh_pointed_exact(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
@@ -62,15 +62,18 @@ def gh_pointed_exact(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
     if max(A.size, B.size) > SIZE_LIMIT:
         raise SizeLimitExceeded("sizes (%d, %d) above exact-search limit %d"
                                 % (A.size, B.size, SIZE_LIMIT))
-    dm = (A.dmat, B.dmat)
+    # at most 7 x 7 distances: the search runs on Python floats, not numpy
+    dm = (A.dmat.tolist(), B.dmat.tolist())
     cols = ([A.base], [B.base])  # the pairs so far, as A and B index columns
-    best = [_greedy_upper_bound(A, B) + 1e-30]
+    best = [_greedy_upper_bound(dm[0], A.base, dm[1], B.base) + 1e-30]
 
     # One slot per branching point, large eccentricity first (stronger
     # pruning): each non-base A point takes a B partner, then each B point
     # those pairs miss takes an A partner. Which B points are missed depends
     # on the branch, so the B slots are set each time the A slots run out.
-    order = [np.argsort(-d.max(axis=1), kind="stable").tolist() for d in dm]
+    # Ties keep index order: sorted is stable, also with reverse=True.
+    order = [sorted(range(len(d)), key=[max(row) for row in d].__getitem__, reverse=True)
+             for d in dm]
     slots = [(0, i) for i in order[0] if i != A.base]
     nA_slots = len(slots)
 
@@ -82,13 +85,14 @@ def gh_pointed_exact(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
             return
         s, p = slots[t]
         # the new pair's distortion against every pair so far, per partner q
-        incs = np.max(np.abs(dm[s][p, cols[s]] - dm[1 - s][:, cols[1 - s]]), axis=1)
-        for q in np.argsort(incs, kind="stable"):
-            nxt = max(cur, float(incs[q]))
+        row = [dm[s][p][c] for c in cols[s]]
+        incs = [max([abs(a - b[c]) for a, c in zip(row, cols[1 - s])]) for b in dm[1 - s]]
+        for q in sorted(range(len(incs)), key=incs.__getitem__):
+            nxt = max(cur, incs[q])
             if nxt >= best[0]:
                 break
             cols[s].append(p)
-            cols[1 - s].append(int(q))
+            cols[1 - s].append(q)
             descend(t + 1, nxt)
             cols[s].pop()
             cols[1 - s].pop()

@@ -5,8 +5,18 @@ a scale parameter eps -> 0 evaluated along a finite schedule. This module
 owns the bookkeeping: successive-difference convergence verdicts, first-order
 Richardson extrapolation when the data supports it, and an honest fallback
 (last value, last difference as the error) when it does not.
+
+Where numpy stops: the sequences are measured in numpy, one batched dil and
+metric call per schedule (axioms._sequences), and richardson_limit takes one
+of them as an ndarray. A sequence holds a dozen scalars or small vectors, on
+which each numpy call costs more in dispatch than in arithmetic, so the
+verdict reads them once with tolist() and works on Python floats: the same
+IEEE operations in the same order, hence the same bits, with numpy's NaN
+rules kept by hand (a NaN wins a max and an argmin). Only the limit goes back
+into an ndarray.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,67 +97,90 @@ def richardson_limit(eps_schedule, values) -> LimitEstimate:
     if eps.size < 3:
         raise ValueError("need at least 3 scales for a verdict")
 
-    flat = vals.reshape(eps.size, -1)
-    scale = max(1.0, float(np.max(np.abs(flat))))
+    # a dozen scales of at most a few coordinates: Python floats from here on
+    es = eps.tolist()
+    rows = vals.reshape(eps.size, -1).tolist()
+    last = rows[-1]
+    # max(1.0, nan) is 1.0: a sequence holding a NaN is judged at scale 1
+    scale = max(1.0, _top([abs(t) for row in rows for t in row]))
     tol = 1e-6 * scale
     floor = NOISE_FLOOR * scale
 
-    diffs = np.max(np.abs(np.diff(flat, axis=0)), axis=1)
-    last = flat[-1]
+    # successive max-norm differences, one coordinate at a time
+    steps = [[abs(b - a) for a, b in zip(c, c[1:])] for c in zip(*rows)]
+    diffs = steps[0] if len(steps) == 1 else list(map(max, *steps))
+    if len(steps) > 1 and math.isnan(sum(map(sum, steps))):
+        # numpy's max is NaN at a step where any coordinate is; Python's may skip it
+        diffs = [_top(ts) for ts in zip(*steps)]
 
     # Exactly-constant sequences (modulo float noise) are converged limits.
-    if np.all(diffs <= floor):
-        return LimitEstimate(eps=eps, values=vals, extrapolated=last.reshape(vals.shape[1:]),
-                             error=float(max(diffs[-1], floor)), converged=True,
-                             note="constant")
+    if _top(diffs) <= floor:
+        return LimitEstimate(eps=eps, values=vals, extrapolated=_shaped(last, vals),
+                             error=max(diffs[-1], floor), converged=True, note="constant")
 
     # Trend verdict on the trailing differences above the noise floor.
-    live = diffs[diffs > floor]
-    tail = live[-TREND_STEPS:] if live.size >= 2 else live
-    decaying = all(tail[i] >= DECAY_FACTOR * tail[i + 1] for i in range(len(tail) - 1))
+    live = [d for d in diffs if d > floor]
+    tail = live[-TREND_STEPS:] if len(live) >= 2 else live
+    decaying = all(a >= DECAY_FACTOR * b for a, b in zip(tail, tail[1:]))
     # A sequence that moved less than tol over the last three halvings has
     # settled even if the sub-tol jitter is not monotone (e.g. measurement
     # noise above the float floor).
-    settled = bool(diffs.size >= 3 and np.all(diffs[-3:] <= tol))
-    converged = bool((decaying and diffs[-1] < tol) or settled) \
-        if live.size >= 2 else settled
+    settled = len(diffs) >= 3 and all(d <= tol for d in diffs[-3:])
+    converged = ((decaying and diffs[-1] < tol) or settled) if len(live) >= 2 else settled
 
-    # First-order check against the schedule's own step ratios.
-    step = np.abs(np.diff(eps))
-    predicted = step[1:] / step[:-1]
-    observed = np.divide(diffs[1:], diffs[:-1],
-                         out=np.full(diffs.size - 1, np.nan), where=diffs[:-1] > floor)
-    tail_n = min(3, observed.size)
+    # First-order check against the schedule's own step ratios, on the last
+    # three ratios; a ratio after a step at the noise floor is unknown (NaN).
+    n = len(diffs) - 1
     ok = []
-    for k in range(observed.size - tail_n, observed.size):
-        r, p = observed[k], predicted[k]
-        ok.append(np.isfinite(r) and RATIO_BAND[0] * p <= r <= RATIO_BAND[1] * p)
+    for k in range(n - min(3, n), n):
+        r = diffs[k + 1] / diffs[k] if diffs[k] > floor else math.nan
+        p = (es[k + 1] - es[k + 2]) / (es[k] - es[k + 1])
+        ok.append(math.isfinite(r) and RATIO_BAND[0] * p <= r <= RATIO_BAND[1] * p)
     first_order = bool(ok) and all(ok)
 
     if first_order:
-        e0, e1 = eps[-2], eps[-1]
-        extrap = (flat[-1] * e0 - flat[-2] * e1) / (e0 - e1)
+        e0, e1 = es[-2], es[-1]
+        extrap = [(b * e0 - a * e1) / (e0 - e1) for a, b in zip(rows[-2], last)]
         # extrapolation removes the first-order term, so its accuracy is
         # judged by agreement with the extrapolant of the previous pair
         # (a conservative multiple of the next-order residual)
-        p0, p1 = eps[-3], eps[-2]
-        extrap_prev = (flat[-2] * p0 - flat[-3] * p1) / (p0 - p1)
-        err = float(np.max(np.abs(extrap - extrap_prev)) + floor)
-        converged = bool(converged or err <= tol)
+        p0, p1 = es[-3], es[-2]
+        extrap_prev = [(b * p0 - a * p1) / (p0 - p1) for a, b in zip(rows[-3], rows[-2])]
+        err = _top([abs(a - b) for a, b in zip(extrap, extrap_prev)]) + floor
+        converged = converged or err <= tol
         note = "richardson"
     else:
-        extrap = last.copy()
+        extrap = last
         # the last difference, or, when the sequence got noisier after its
         # quietest step (a floor that grows as eps shrinks), the spread from
         # that step to the last value: the last difference alone can miss
         # noise the last two values share
-        quiet = int(np.argmin(diffs))
-        err = float(np.max(np.abs(flat[quiet:] - last)))
+        quiet = _argmin(diffs)
+        err = _top([abs(t - s) for row in rows[quiet:] for t, s in zip(row, last)])
         note = "fallback-last"
 
-    return LimitEstimate(eps=eps, values=vals,
-                         extrapolated=extrap.reshape(vals.shape[1:]),
+    return LimitEstimate(eps=eps, values=vals, extrapolated=_shaped(extrap, vals),
                          error=err, converged=converged, note=note)
+
+
+def _top(xs: list) -> float:
+    """max of nonnegative floats, NaN when any is NaN (numpy's max rule;
+    Python's max skips a NaN that is not first)."""
+    s = sum(xs)  # NaN exactly when some entry is: nonnegative terms never give inf - inf
+    return max(xs) if s == s else s
+
+
+def _argmin(xs: list) -> int:
+    """Index of the first minimum, or of the first NaN (numpy's argmin rule)."""
+    for i, t in enumerate(xs):
+        if t != t:
+            return i
+    return xs.index(min(xs))
+
+
+def _shaped(coords: list, vals: np.ndarray) -> np.ndarray:
+    """A fresh float array of one value's shape, vals.shape[1:]."""
+    return np.array(coords).reshape(vals.shape[1:])
 
 
 def decays_to_zero(values, tol: float) -> bool:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dilatlab.carnot import LIGHT_CC, cc_distance
-from dilatlab.cli import MAX_SAMPLES, main
+from dilatlab.cli import MAX_A3_STACK, MAX_SAMPLES, main
 from dilatlab.gromov import SIZE_LIMIT
 from dilatlab.heisenberg_group import heisenberg, heisenberg_cc, vertical_cc_oracle
 
@@ -288,6 +288,38 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify", "--structure", "euclidean2", "--checks", "a0a1",
                  "--out", "/nonexistent/dir/x.json"]) == 64
     assert main(["list", "--out", "/nonexistent/x"]) == 64
+
+
+def test_a3_stack_beyond_its_budget_exits_64_before_sampling(capsys):
+    # a3 holds a (eps-count, P, P) stack, P = max(--samples, 3): at 256
+    # samples and 1000 scales that is 65.5 million entries, refused with
+    # nothing allocated (run, it would take about 1.8 GB)
+    import tracemalloc
+
+    argv = ["verify", "--structure", "euclidean3", "--checks", "a3", "--samples", "256",
+            "--eps-count", "1000"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 64
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    err = capsys.readouterr().err
+    assert "dilatlab: error: samples: a3" in err
+    assert "--samples" in err and "--eps-count" in err
+    # the default checks hold a3
+    assert main(argv[:3] + argv[5:]) == 64
+    assert "error: samples: a3" in capsys.readouterr().err
+    # a --seed out of range is found after the budget, so its error shows
+    # which runs the budget let through: any without a3, and a3 at its edge,
+    # 256 samples at 16 scales
+    assert MAX_A3_STACK == MAX_SAMPLES ** 2 * 16
+    for checks, count, first_error in (("a0a1", "1000", "seed"), ("a3", "16", "seed"),
+                                       ("a3", "17", "samples: a3")):
+        assert main(["verify", "--structure", "euclidean3", "--checks", checks,
+                     "--samples", "256", "--eps-count", count, "--seed", "-1"]) == 64
+        assert "dilatlab: error: %s" % first_error in capsys.readouterr().err
 
 
 def test_non_finite_or_negative_tolerance_exits_64(capsys):

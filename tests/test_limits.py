@@ -26,6 +26,9 @@ def test_halving_schedule():
     ([1.5, 0.5], "schedule entries must lie in (0, 1]"),
     ([0.5, 0.6], "schedule must be strictly decreasing"),
     ([0.5, 0.5], "schedule must be strictly decreasing"),
+    # NaN compares false with everything, so no ordering test can catch it
+    ([float("nan"), float("nan")], "schedule entries must lie in (0, 1]"),
+    ([0.5, float("nan"), 0.1], "schedule entries must lie in (0, 1]"),
 ])
 def test_check_schedule_messages(bad, message):
     # the same rule and message for a list and for a float ndarray
@@ -125,6 +128,12 @@ def test_table_rows_shape():
 def test_needs_three_scales():
     with pytest.raises(ValueError):
         richardson_limit([0.5, 0.25], [1.0, 2.0])
+
+
+def test_a_nan_scale_is_refused_not_extrapolated():
+    # it used to pass the schedule check and come back as a fallback-last estimate
+    with pytest.raises(ValueError, match=r"schedule entries must lie in \(0, 1\]"):
+        richardson_limit([0.5, float("nan"), 0.125, 0.0625], [1.0, 1.1, 1.2, 1.3])
 
 
 def test_decays_to_zero_on_both_sides_of_tol():
