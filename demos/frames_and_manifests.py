@@ -10,9 +10,10 @@ import json
 
 import numpy as np
 
-from dilatlab import (build_adapted_frame, chart_inverse, compose_P, flow_exp,
+from dilatlab import (build_adapted_frame, chart_inverse, flow_exp,
                       frame_from_manifest, heisenberg, lie_bracket,
                       polynomial_field)
+from dilatlab.vectorfields import compose_rows
 
 
 def make_generators():
@@ -53,18 +54,19 @@ def example_flow_and_chart():
 
 
 def example_composition():
-    # compose_P solves exp(P)(exp_x(b)) = exp_x(a); on the Heisenberg frame
-    # the answer is the group element b^-1 . a
+    # compose_rows solves exp(P)(exp_x(b)) = exp_x(a) for each row of its
+    # coefficient stacks; on the Heisenberg frame the answer is the group
+    # element b^-1 . a
     frame, law = heisenberg()
     x = np.array([0.05, 0.1, -0.02])
     a = np.array([0.2, -0.1, 0.1])
     b = np.array([-0.1, 0.15, 0.05])
-    res = compose_P(frame, a, b, x)
+    P, res, iters = compose_rows(frame, a[None], b[None], x)
     inv_b = np.array([-b[0], -b[1], -b[2]])
     want = law(inv_b, a)
-    print("compose_P  %s" % np.round(res.coeffs, 9))
+    print("P          %s" % np.round(P[0], 9))
     print("b^-1 . a   %s" % np.round(want, 9))
-    print("flow residual %.1e after %d Newton steps" % (res.residual, res.iterations))
+    print("flow residual %.1e after %d Newton steps" % (res[0], iters[0]))
 
 
 def example_manifest_roundtrip():

@@ -9,8 +9,7 @@ tangent at that point.
 
 import numpy as np
 
-from dilatlab import (FinitePointedSpace, approx_isometry_check,
-                      build_structure, check_tangent_cone, euclidean,
+from dilatlab import (FinitePointedSpace, build_structure, check_tangent_cone, euclidean,
                       gh_lower_bound, gh_pointed_exact, halving_schedule,
                       metric_profile, profile_continuity_at_zero, rescale,
                       restrict, snowflake_structure)
@@ -28,12 +27,12 @@ def example_exact_gaps():
           % gh_pointed_exact(two_point(0.8), two_point(0.3)))
     print("lower bound for the last pair %.3f"
           % gh_lower_bound(two_point(0.8), two_point(0.3)))
-    # a True verdict certifies gh <= b; distortion is twice the gap, so
-    # b must clear 2*gh = 0.5 here
-    print("approx isometry at b=0.55     %s"
-          % approx_isometry_check(two_point(0.8), two_point(0.3), 0.55))
-    print("approx isometry at b=0.30     %s"
-          % approx_isometry_check(two_point(0.8), two_point(0.3), 0.30))
+    # a b-isometry (a base-preserving correspondence of distortion <= b)
+    # exists iff gh <= b/2; distortion is twice the gap, so b must clear
+    # 2*gh = 0.5 here
+    for b in (0.55, 0.30):
+        print("approx isometry at b=%.2f     %s"
+              % (b, gh_pointed_exact(two_point(0.8), two_point(0.3)) <= 0.5 * b))
 
 
 def example_rescale_equivariance():
@@ -73,13 +72,13 @@ def example_tangent_cone_decay():
     # gap decays linearly, for Euclidean space it is identically zero
     flat = check_tangent_cone(euclidean(2), np.zeros(2),
                               halving_schedule(0.5, 8), count=10, seed=3)
-    print("euclidean rescaling gaps: max %.1e" % np.max(np.abs(flat.values)))
+    print("euclidean rescaling gaps: max %.1e" % max(row["value"] for row in flat.table))
 
     ds = build_structure("riemannian-shear")
-    est = check_tangent_cone(ds, np.array([0.2, -0.1]),
+    rep = check_tangent_cone(ds, np.array([0.2, -0.1]),
                              halving_schedule(0.5, 8), count=10, seed=3)
     print("deformed rescaling gaps: first %.2e  last %.2e  converged %s"
-          % (est.values[0], est.values[-1], est.converged))
+          % (rep.table[0]["value"], rep.table[-1]["value"], rep.converged))
 
 
 if __name__ == "__main__":

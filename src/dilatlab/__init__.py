@@ -15,20 +15,18 @@ from .geometry import (FinitePointedSpace, MetricSpaceHandle, box_handle,
                        euclidean_handle, rescale, restrict, sample_ball,
                        snowflake_distance)
 from .gromov import (Correspondence, LimitVerdict, ProfileCurve, ProfilePoint,
-                     approx_isometry_check, distortion, gh_lower_bound,
-                     gh_pointed_exact, metric_profile,
+                     distortion, gh_lower_bound, gh_pointed_exact, metric_profile,
                      profile_continuity_at_zero)
 from .limits import LimitEstimate, richardson_limit
 from .axioms import (CheckReport, DilatationStructure, TangentData, check_A0_A1,
                      check_A2, check_conical_group, check_profile_theorem,
-                     check_tangent_cone, derive_sigma_inv, estimate_delta,
-                     estimate_dx, report_to_json)
+                     check_tangent_cone, derive_sigma_inv, estimate_dx,
+                     report_to_json)
 from .structures import (DiffeoPair, build_structure, complex_dilatation,
                          euclidean, identity_diffeo, register_structure,
                          riemannian_diffeo, shear_quadratic, snowflake_structure,
                          structure_names, tanh_shear)
-from .vectorfields import (CompositionResult, Frame, VectorField,
-                           build_adapted_frame, chart_inverse, compose_P,
+from .vectorfields import (Frame, VectorField, build_adapted_frame, chart_inverse,
                            flow_exp, frame_from_manifest, lie_bracket,
                            polynomial_field)
 from .heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_dilate,

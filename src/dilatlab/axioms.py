@@ -80,7 +80,7 @@ class CheckReport:
         """"pass", "FAIL" (a definite failure) or "inconclusive" (a limit
         behind the check did not converge, so its residual certifies
         nothing either way)."""
-        if self.converged is False:
+        if self.converged is not None and not self.converged:
             return "inconclusive"
         return "pass" if self.passed else "FAIL"
 
@@ -398,11 +398,6 @@ def check_A3(ds: DilatationStructure, x, sample: Sequence, eps_schedule,
                        table=worst.table_rows(), notes=worst.note)
 
 
-def estimate_delta(ds: DilatationStructure, x, u, v, eps_schedule) -> LimitEstimate:
-    """Vector limit of the difference operation at x applied to (u, v)."""
-    return TangentData(ds, x, eps_schedule).limit("delta", u, v)
-
-
 @functools.cache
 def _probe_directions(n: int) -> tuple:
     """derive_sigma_inv's two unit probe directions in dimension n, read-only.
@@ -524,17 +519,19 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
 
 
 def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
-                       seed: int = 0) -> LimitEstimate:
+                       seed: int = 0) -> CheckReport:
     """A3's uniform gap: sup over pairs in B(x, eps) of |d(u,v) - d^x(u,v)| / eps.
 
     One sample p_i of B(x, eps[0]) is dilated by mu = eps / eps[0]: by A2 the
     images sample B(x, eps), and by the cone property d^x scales by mu on them.
     So the value at eps is max |M - D| / eps[0], with M = (1/mu) d(dil(mu,x,p_i),
-    dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along DX_SCHEDULE.
-    converged: the values decay (limits.decays_to_zero) to a quarter of the
-    first one, or to the worst d^x error over eps[0], which is all an exact
-    cone can reach. That floor counts only when every d^x limit converged:
-    the error bar of an unconverged limit bounds nothing.
+    dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along DX_SCHEDULE;
+    the table holds the values and their extrapolation to eps -> 0.
+    The report passes when the values decay (limits.decays_to_zero) to a
+    quarter of the first one, or to the worst d^x error over eps[0], which is
+    all an exact cone can reach, and is inconclusive when they do not. That
+    floor counts only when every d^x limit converged: the error bar of an
+    unconverged limit bounds nothing.
     """
     eps = check_schedule(eps_schedule)
     td = TangentData(ds, x, DX_SCHEDULE)
@@ -545,19 +542,10 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     vals = np.max(np.abs(snaps - dxm), axis=(1, 2)) / eps[0]
     est = richardson_limit(eps, vals)
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
-    est.converged = decays_to_zero(vals, max(0.25 * vals[0], dx_error / eps[0], 1e-10))
-    return est
-
-
-def tangent_cone_report(ds: DilatationStructure, x, eps_schedule, count: int,
-                        seed: int = 0) -> CheckReport:
-    """check_tangent_cone as a report: it passes when the gaps converge and
-    is inconclusive when they do not. No tolerance decides it; the report
-    prints 1e-3, or the gap's error bar when that is larger."""
-    est = check_tangent_cone(ds, x, eps_schedule, count, seed=seed)
-    return CheckReport(check="tangent-cone", passed=bool(est.converged),
+    converged = decays_to_zero(vals, max(0.25 * vals[0], dx_error / eps[0], 1e-10))
+    return CheckReport(check="tangent-cone", passed=converged,
                        max_residual=float(est.error), tolerance=max(1e-3, float(est.error)),
-                       converged=bool(est.converged), table=est.table_rows(), notes=est.note)
+                       converged=converged, table=est.table_rows(), notes=est.note)
 
 
 def check_profile_theorem(ds: DilatationStructure, x, mu_schedule, count: int,

@@ -236,16 +236,8 @@ def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
     return J, 2.0 * h * U + np.einsum("jnm,n->jm", Jb, lam + rho * c), c
 
 
-def _hamiltonian(frame: Frame) -> Callable:
-    """Right-hand side of the normal-geodesic system on z = (q, p), (..., 2n):
-    q' = sum_i u_i X_i(q), p' = -sum_i u_i DX_i(q)^T p with u_i = <p, X_i(q)>
-    over the degree-1 fields, in rk4_flow's form (its coefficient argument
-    is unused), built at the frame's first call and kept (Frame.hamiltonian)."""
-    return frame.hamiltonian
-
-
 def _normal_flow(rhs: Callable, box, x, P, N: int):
-    """N RK4 steps of the normal-geodesic system rhs (see _hamiltonian) from
+    """N RK4 steps of the normal-geodesic system rhs (Frame.hamiltonian) from
     q = x with initial covectors P (..., n). Returns the final (q, p) rows
     (..., 2n), which rows left the chart box (or overflowed) at a step, and
     the stage points of every step. Lost rows integrate on to the end, so
@@ -568,7 +560,7 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
         path = HorizontalPath(controls=np.zeros((N, m)), family="model", flows=0)
         return (0.0, path) if return_info else 0.0
 
-    rhs = _hamiltonian(frame)
+    rhs = frame.hamiltonian
     Minv = np.linalg.inv(frame.eval_matrix(x))
     c = _structure_constant(frame, x, Minv)
     U, flows = None, 0
@@ -722,7 +714,7 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     used as it is: heisenberg_cc, or _light_cc(frame) row by row. The chart
     is the frame's box, or [-3, 3]^n when it declares none; the domain
     radius is 1.2. The structure takes the frame's name, and its chart
-    inverse runs to chart_inverse's default tolerance.
+    inverse runs to chart_inverse's tolerance, CHART_TOL.
     """
     n = frame.n
     if frame.chart_box is not None:
@@ -745,8 +737,7 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
         return flow_exp(frame, frame.scale_coeffs(eps, a[back.ravel()].reshape(shape)), x,
                         steps=steps)
 
-    space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box,
-                              ball_box=ball_box, name=frame.name)
+    space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box, ball_box=ball_box)
     return DilatationStructure(space=space, dil=dil, name=frame.name,
                                domain_radius=1.2, working_radius=working_radius)
 

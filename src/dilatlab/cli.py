@@ -46,7 +46,7 @@ CHECKS = {
     "a4": _Check(lambda r, tol: axioms.check_A4(r.td(), tol), 1e-5),
     "cone": _Check(lambda r, tol: axioms.check_conical_group(
         r.td(), r.ds, r.pts, mus=(0.5, 0.25), tol_floor=tol), 1e-9),
-    "tangent-cone": _Check(lambda r, tol: axioms.tangent_cone_report(
+    "tangent-cone": _Check(lambda r, tol: axioms.check_tangent_cone(
         r.ds, r.x, r.eps, count=min(r.samples, 5), seed=r.seed), fewest_samples=1),
     "profile": _Check(lambda r, tol: axioms.check_profile_theorem(
         r.ds, r.x, r.eps, count=min(r.samples + 1, 6), seed=r.seed), fewest_samples=2),

@@ -36,7 +36,6 @@ class MetricSpaceHandle:
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     chart_box: np.ndarray
     ball_box: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    name: str = ""
 
     def __post_init__(self):
         box = np.asarray(self.chart_box, dtype=float)
@@ -52,12 +51,11 @@ class MetricSpaceHandle:
         return bool(inside) if inside.ndim == 0 else inside
 
 
-def box_handle(dim: int, distance, halfwidth: float = 3.0, name: str = "",
+def box_handle(dim: int, distance, halfwidth: float = 3.0,
                ball_box=None) -> MetricSpaceHandle:
     """Handle on the symmetric box [-halfwidth, halfwidth]^dim."""
     return MetricSpaceHandle(dim=dim, distance=distance,
-                             chart_box=symmetric_box(dim, halfwidth),
-                             ball_box=ball_box, name=name)
+                             chart_box=symmetric_box(dim, halfwidth), ball_box=ball_box)
 
 
 def euclidean_distance(P, Q) -> np.ndarray:
@@ -69,8 +67,7 @@ def euclidean_distance(P, Q) -> np.ndarray:
 
 
 def euclidean_handle(dim: int) -> MetricSpaceHandle:
-    return box_handle(dim, euclidean_distance, name="euclidean%d" % dim,
-                      ball_box=lambda c, r: np.full(dim, r))
+    return box_handle(dim, euclidean_distance, ball_box=lambda c, r: np.full(dim, r))
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def sample_ball(space: MetricSpaceHandle, center, radius: float, count: int,
     center = as_point(center)
     if center.size != space.dim:
         raise ValueError("center dimension mismatch")
-    if radius <= 0.0:
+    if not radius > 0.0:  # NaN included
         raise ValueError("radius must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -257,5 +254,4 @@ def snowflake_distance(space: MetricSpaceHandle, a: float) -> MetricSpaceHandle:
     else:
         dim = space.dim
         hint = lambda c, r: np.full(dim, r ** (1.0 / a))
-    return replace(space, distance=d, ball_box=hint,
-                   name=(space.name + "^%g" % a) if space.name else "snowflake-%g" % a)
+    return replace(space, distance=d, ball_box=hint)

@@ -123,17 +123,6 @@ def gh_lower_bound(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
     return 0.5 * max(abs(A.radius - B.radius), h)
 
 
-def approx_isometry_check(A: FinitePointedSpace, B: FinitePointedSpace, b: float) -> bool:
-    """True iff some base-preserving correspondence has distortion <= b.
-
-    Equivalent to gh_pointed_exact(A, B) <= b/2, so a True verdict certifies
-    the GH distance is at most b.
-    """
-    if b < 0.0:
-        raise ValueError("bound must be nonnegative")
-    return gh_pointed_exact(A, B) <= 0.5 * b + 1e-15
-
-
 # ---------------------------------------------------------------------------
 # Metric profiles
 

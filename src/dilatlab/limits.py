@@ -188,5 +188,5 @@ def decays_to_zero(values, tol: float) -> bool:
     each value is at most max(1.1 x previous, tol) and the last is at most
     tol. The 10% slack absorbs sampling jitter between scales; values below
     tol may move freely."""
-    v = [float(t) for t in values]
+    v, tol = [float(t) for t in values], float(tol)
     return all(b <= max(1.1 * a, tol) for a, b in zip(v, v[1:])) and v[-1] <= tol

@@ -89,8 +89,9 @@ def identity_diffeo(n: int) -> DiffeoPair:
                       name="identity%d" % n)
 
 
-def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2) -> DilatationStructure:
-    """Deformed structures built from a diffeomorphism phi of the chart.
+def riemannian_diffeo(dp: DiffeoPair, variant: int = 1) -> DilatationStructure:
+    """Deformed structures built from a diffeomorphism phi of the plane chart
+    [-3, 3]^2.
 
     variant 1: distance d(x,y) = |phi(x) - phi(y)| with the affine
                dilatations of the chart. The tangent-space distance comes out
@@ -107,8 +108,7 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2) -> Dilatat
             smin = float(np.linalg.svd(J, compute_uv=False)[-1])
             return np.full(len(c), 1.5 * r / smin)
 
-        space = box_handle(dim, d, name="riemannian-v1:" + dp.name,
-                           ball_box=hint)
+        space = box_handle(2, d, ball_box=hint)
     elif variant == 2:
         d = lambda p, q: euclidean_distance(as_points(p), as_points(q))
 
@@ -118,8 +118,7 @@ def riemannian_diffeo(dp: DiffeoPair, variant: int = 1, dim: int = 2) -> Dilatat
             eps = np.asarray(eps, dtype=float)[..., None]
             return as_points(dp.phi_inv(fx + eps * (fy - fx)))
 
-        space = box_handle(dim, d, name="riemannian-v2:" + dp.name,
-                           ball_box=lambda c, r: np.full(len(c), r))
+        space = box_handle(2, d, ball_box=lambda c, r: np.full(len(c), r))
     else:
         raise ValueError("variant must be 1 or 2")
 

@@ -23,9 +23,11 @@ from .util import as_point, as_points, symmetric_box
 RANK_TOL = 1e-7
 # Longest bracket word build_adapted_frame tries before giving up.
 MAX_WORD_LEN = 6
-# Newton iteration cap and central-difference step of the chart inverse.
+# Newton iteration cap, central-difference step and relative residual
+# tolerance of the chart inverse.
 NEWTON_MAX_ITER = 50
 FD_STEP = 1e-6
+CHART_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,10 @@ class Frame:
 
     @cached_property
     def hamiltonian(self) -> Callable:
-        """carnot._hamiltonian's system, built at the first call and kept:
+        """Right-hand side of the normal-geodesic system on z = (q, p),
+        (..., 2n): q' = sum_i u_i X_i(q), p' = -sum_i u_i DX_i(q)^T p with
+        u_i = <p, X_i(q)> over the degree-1 fields, in rk4_flow's form (its
+        coefficient argument is unused). Built at the first call and kept:
         _polynomial_hamiltonian, or field by field with DX_i from jac."""
         n, fields = self.n, self.fields[:self.m]
         if all(f.table is not None for f in fields):
@@ -357,7 +362,7 @@ def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
     return z
 
 
-def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
+def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray,
                   injectivity_radius: float, steps: int):
     """Newton core for flow_exp(frame, y_r, w_r) = z_r over the rows of z.
 
@@ -367,7 +372,7 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
     sits at w when the field is 0, so the iteration starts from
     y = B(w)^-1 (z - w), one batched solve and no flow. On a chart that is
     affine in a (the Heisenberg group's) that start is the solution. Each row
-    keeps its own threshold tol * (1 + max|z_r|) and stops iterating once it
+    keeps its own threshold CHART_TOL * (1 + max|z_r|) and stops iterating once it
     meets it, so a row's result does not depend on the other rows. One
     flow_exp call per iteration integrates the base point and the +/-
     finite-difference probes of every unconverged row. Returns (y, residual,
@@ -387,7 +392,7 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
         raise NonRegular("the frame's fields are linearly dependent at w = (%s): "
                          "singular chart Jacobian at iteration 0"
                          % ", ".join(repr(float(v)) for v in w[r]))
-    thresh = tol * (1.0 + np.max(np.abs(z), axis=1))
+    thresh = CHART_TOL * (1.0 + np.max(np.abs(z), axis=1))
     res = np.full(k, np.inf)
     iters = np.zeros(k, dtype=int)
     eye = np.eye(n)
@@ -423,8 +428,8 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, tol: float,
                         % (res[worst], thresh[worst], NEWTON_MAX_ITER))
 
 
-def chart_inverse(frame: Frame, w, z, tol: float = 1e-12,
-                  injectivity_radius: float = 0.5, steps: int = 256) -> np.ndarray:
+def chart_inverse(frame: Frame, w, z, injectivity_radius: float = 0.5,
+                  steps: int = 256) -> np.ndarray:
     """Coefficients a with flow_exp(frame, a, w) = z (Newton iteration).
 
     Batched: w and z are points (n,) or stacks (k, n), and the result has
@@ -434,7 +439,7 @@ def chart_inverse(frame: Frame, w, z, tol: float = 1e-12,
     Heisenberg chart it is the answer, and the call runs one flow to check
     it. Later Jacobians use central differences of the flow, all probes
     integrated as one batch. Converged when the chart residual drops below
-    tol * (1 + |z|). A frame whose fields are linearly dependent at some w
+    CHART_TOL * (1 + |z|). A frame whose fields are linearly dependent at some w
     raises NonRegular naming that w; iterates that leave the injectivity
     ball (coefficient norm cap) or fail to settle raise NoConvergence for
     the whole call.
@@ -444,42 +449,24 @@ def chart_inverse(frame: Frame, w, z, tol: float = 1e-12,
     shape = np.broadcast_shapes(w.shape, z.shape)
     n = shape[-1]
     y, _, _ = _newton_chart(frame, np.broadcast_to(w, shape).reshape(-1, n),
-                            np.broadcast_to(z, shape).reshape(-1, n), tol,
+                            np.broadcast_to(z, shape).reshape(-1, n),
                             injectivity_radius, steps)
     return y.reshape(shape)
 
 
-@dataclass(frozen=True)
-class CompositionResult:
-    coeffs: np.ndarray
-    residual: float
-    iterations: int
-
-
 def compose_rows(frame: Frame, A, B, x, steps: int = 256):
-    """compose_P over the rows of (k, n) coefficient stacks A and B at one x.
+    """Solve exp(sum P_i X_i)(exp(sum b_i X_i)(x)) = exp(sum a_i X_i)(x) for
+    the rows a, b of (k, n) coefficient stacks A and B at one x.
 
-    Two batched flows and one Newton solve for all rows; returns the
-    (coefficients, residual, iterations) arrays, each row to the same bits
-    as compose_P on that row alone.
+    Two batched flows and one Newton solve for all rows (chart_inverse's
+    tolerance and injectivity ball); returns the (coefficients, residual,
+    iterations) arrays, each row to the same bits as a solve on its own. A
+    count is of Newton updates, the exact first step through the frame
+    matrix at exp(sum b_i X_i)(x) included, so it is at least 1.
     """
     target = flow_exp(frame, A, x, steps=steps)
     start = flow_exp(frame, B, x, steps=steps)
-    return _newton_chart(frame, start, target, 1e-12, 0.5, steps)
-
-
-def compose_P(frame: Frame, a, b, x, steps: int = 256) -> CompositionResult:
-    """Solve exp(sum P_i X_i)(exp(sum b_i X_i)(x)) = exp(sum a_i X_i)(x).
-
-    Returns the coefficients P with the final chart residual and Newton
-    iteration count (chart_inverse's default tolerance and injectivity ball).
-    The count is of Newton updates, the exact first step through the frame
-    matrix at exp(sum b_i X_i)(x) included, so it is at least 1.
-    """
-    y, res, it = compose_rows(frame, as_point(a)[None], as_point(b)[None], as_point(x),
-                              steps=steps)
-    return CompositionResult(coeffs=y[0], residual=float(res[0]),
-                             iterations=int(it[0]))
+    return _newton_chart(frame, start, target, 0.5, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 
 from dilatlab.axioms import (CheckReport, DilatationStructure, TangentData, check_A0_A1,
                              check_A2, check_conical_group, check_profile_theorem,
-                             check_tangent_cone, derive_sigma_inv, estimate_delta,
-                             estimate_dx)
+                             check_tangent_cone, derive_sigma_inv, estimate_dx)
 from dilatlab.errors import DomainViolation, SamplingExhausted
 from dilatlab.geometry import box_handle, sample_ball
 from dilatlab.limits import decays_to_zero, richardson_limit
@@ -227,7 +226,7 @@ def test_delta_sigma_inv_euclidean():
     x = np.array([0.1, -0.2, 0.3])
     u = np.array([0.5, 0.1, -0.2])
     v = np.array([-0.3, 0.4, 0.1])
-    est = estimate_delta(ds, x, u, v, SCHED)
+    est = TangentData(ds, x, SCHED).limit("delta", u, v)
     assert est.converged
     assert np.allclose(est.extrapolated, x + v - u, atol=1e-10)
 
@@ -276,11 +275,16 @@ def test_riemannian_dx_matches_jacobian_norm():
     assert td.dx(u, v) == pytest.approx(want, rel=1e-6)
 
 
+def _gaps(report):
+    """The sup-gap sequence of a tangent-cone report, one value per scale."""
+    return np.array([row["value"] for row in report.table])
+
+
 def test_tangent_cone_euclidean_zero():
     ds = euclidean(2)
-    est = check_tangent_cone(ds, np.zeros(2), halving_schedule(0.5, 6), count=4, seed=0)
-    assert est.converged
-    assert np.max(np.abs(est.values)) < 1e-9
+    rep = check_tangent_cone(ds, np.zeros(2), halving_schedule(0.5, 6), count=4, seed=0)
+    assert rep.converged
+    assert np.max(np.abs(_gaps(rep))) < 1e-9
 
 
 def _tangent_cone_by_hand(ds, x, eps, count, seed, direct=False):
@@ -332,9 +336,9 @@ def test_tangent_cone_matches_per_pair_limits(case):
     got = check_tangent_cone(ds, x, eps, count=count, seed=1)
     want, dx_error = _tangent_cone_by_hand(ds, x, eps, count, seed=1)
     want_est = richardson_limit(eps, want)
-    assert np.array_equal(got.values, want)
-    assert np.array_equal(got.extrapolated, want_est.extrapolated)
-    assert got.error == want_est.error
+    assert np.array_equal(_gaps(got), want)
+    assert all(np.array_equal(row["extrapolated"], want_est.extrapolated) for row in got.table)
+    assert all(row["error"] == want_est.error for row in got.table)
     assert got.converged == decays_to_zero(want, max(0.25 * want[0], dx_error / eps[0], 1e-10))
 
 
@@ -348,18 +352,19 @@ def test_tangent_cone_matches_limits_on_dilated_images(case):
     eps = halving_schedule(0.25, 4)
     got = check_tangent_cone(ds, x, eps, count=count, seed=1)
     want, _ = _tangent_cone_by_hand(ds, x, eps, count, seed=1, direct=True)
-    np.testing.assert_allclose(got.values, want, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(_gaps(got), want, rtol=1e-9, atol=1e-9)
 
 
 def test_tangent_cone_snowflake_does_not_converge():
     # off the origin d^x carries a fixed error (dil at eps^(1/0.3) rounds
     # away digits of the images), so the gap stays near 8.8e-5 at every
     # scale: a sequence that does not decay must not read as converged
-    est = check_tangent_cone(build_structure("snowflake-0.3"), (0.3, -0.2),
+    rep = check_tangent_cone(build_structure("snowflake-0.3"), (0.3, -0.2),
                              halving_schedule(0.5, 8), count=4, seed=0)
-    assert not est.converged
-    assert np.all(est.values > 0.25 * est.values[0])
-    assert 5e-5 < est.values[0] < 2e-4
+    gaps = _gaps(rep)
+    assert not rep.converged
+    assert np.all(gaps > 0.25 * gaps[0])
+    assert 5e-5 < gaps[0] < 2e-4
 
 
 def test_tangent_cone_passes_at_the_dx_error_floor():
@@ -370,14 +375,15 @@ def test_tangent_cone_passes_at_the_dx_error_floor():
     from dilatlab.carnot import heisenberg_structure
 
     x, sched = np.array([0.05, -0.1, 0.02]), halving_schedule(0.125, 8)
-    est = check_tangent_cone(heisenberg_structure(steps=32), x, sched, count=3, seed=0)
-    assert np.all(est.values > 0.25 * est.values[0])
-    assert 1e-7 < est.values[0] < 1e-6
-    assert est.converged
+    rep = check_tangent_cone(heisenberg_structure(steps=32), x, sched, count=3, seed=0)
+    gaps = _gaps(rep)
+    assert np.all(gaps > 0.25 * gaps[0])
+    assert 1e-7 < gaps[0] < 1e-6
+    assert rep.converged
     # the default one-step flows are exact, and the floor falls with their
     # rounding; the d^x error bars still cover it
     exact = check_tangent_cone(heisenberg_structure(), x, sched, count=3, seed=0)
-    assert np.max(exact.values) < 1e-8
+    assert np.max(_gaps(exact)) < 1e-8
     assert exact.converged
 
 
@@ -420,7 +426,7 @@ def test_tangent_operations_name_the_first_scale_off_the_chart():
     x, u, v = np.zeros(2), np.array([-0.6, 0.0]), np.array([0.6, 0.0])
     with pytest.raises(DomainViolation,
                        match=r"^difference-operation point left the chart at eps=0\.25$"):
-        estimate_delta(ds, x, u, v, SCHED)
+        TangentData(ds, x, SCHED).limit("delta", u, v)
     td = TangentData(ds, x, SCHED)
     with pytest.raises(DomainViolation,
                        match=r"^sum-operation point left the chart at eps=0\.25$"):

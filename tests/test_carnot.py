@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dilatlab import carnot, vectorfields
-from dilatlab.carnot import (LIGHT_CC, CCConfig, _covector_starts, _hamiltonian, _landed,
+from dilatlab.carnot import (LIGHT_CC, CCConfig, _covector_starts, _landed,
                              _model_start, _newton, _objective_and_grad, _rollout, _shoot,
                              _structure_constant, check_normal_frame, cc_distance,
                              heisenberg_structure, sr_dilatation)
@@ -19,7 +19,7 @@ from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenbe
                                        heisenberg_dilate, heisenberg_gauge,
                                        heisenberg_group_law, heisenberg_inverse,
                                        vertical_cc_oracle, warped_heisenberg)
-from dilatlab.vectorfields import (Frame, VectorField, compose_P, compose_rows, flow_exp,
+from dilatlab.vectorfields import (Frame, VectorField, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket, polynomial_field, rk4_step)
 
 np.random.seed(5)
@@ -172,9 +172,9 @@ def test_compose_p_matches_group_law():
     for _ in range(5):
         a = rng.uniform(-0.25, 0.25, 3)
         b = rng.uniform(-0.25, 0.25, 3)
-        res = compose_P(frame, a, b, x, steps=32)
+        P, _, _ = compose_rows(frame, a[None], b[None], x, steps=32)
         want = law(heisenberg_inverse(b), a)
-        assert np.allclose(res.coeffs, want, atol=1e-9)
+        assert np.allclose(P[0], want, atol=1e-9)
 
 
 def test_flow_exp_is_right_translation():
@@ -314,7 +314,7 @@ def test_shots_that_leave_the_chart_box_are_dropped():
     frame, _ = heisenberg()
     x = np.array([1.9, 0.0, 0.0])
     y = heisenberg_group_law(x, [0.0, 0.0, 0.04])
-    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+    rhs, Minv = frame.hamiltonian, np.linalg.inv(frame.eval_matrix(x))
     C = _covector_starts(2, (y - x) @ Minv.T, 1.0)
     gap = _newton(frame, rhs, x, y, Minv, C, LIGHT_CC.segments)[0].gap
     assert np.any(np.isinf(gap)) and np.any(np.isfinite(gap))
@@ -531,7 +531,7 @@ def test_far_targets_are_shot_through_halved_targets():
     frame, _ = heisenberg()
     x = np.array([1.43, 1.13, -0.49])
     y = np.array([1.38, -0.8, 1.35])
-    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+    rhs, Minv = frame.hamiltonian, np.linalg.inv(frame.eval_matrix(x))
     gap = _newton(frame, rhs, x, y, Minv, _covector_starts(2, (y - x) @ Minv.T, 1.0),
                   LIGHT_CC.segments)[0].gap
     assert np.all(gap > 1e-3 * np.max(np.abs(y - x))) and np.any(np.isinf(gap))
@@ -560,7 +560,7 @@ def test_grid_arcs_bend_towards_either_vertical_sign(c):
     # angles are a quarter turn apart), where a mispaired grid bends every
     # arc away from it (misses of 0.2 to 0.4)
     frame = _heis_c(c)
-    rhs, x = _hamiltonian(frame), np.zeros(3)
+    rhs, x = frame.hamiltonian, np.zeros(3)
     Minv = np.linalg.inv(frame.eval_matrix(x))
     for t in (0.03, -0.03):
         y = np.array([0.2, 0.1, t])
@@ -573,7 +573,7 @@ def test_grid_arcs_bend_towards_either_vertical_sign(c):
     x = np.array([-0.15361223, -1.13777704, 0.11918995])
     y = np.array([-0.15522626, -0.19111727, -0.40719643])
     Minv = np.linalg.inv(frame.eval_matrix(x))
-    assert _shoot(frame, _hamiltonian(frame), x, y, Minv, 1.0, LIGHT_CC.segments)[1] == "grid"
+    assert _shoot(frame, frame.hamiltonian, x, y, Minv, 1.0, LIGHT_CC.segments)[1] == "grid"
 
 
 def _heisenberg_pair(rng, kind):
@@ -689,7 +689,7 @@ def test_model_start_is_never_worse_than_the_grid():
         for k in range(9):
             x, y = _heisenberg_pair(rng, ("horizontal", "vertical", "mixed")[k % 3])
             x, y = shrink * x, shrink * y
-            rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+            rhs, Minv = frame.hamiltonian, np.linalg.inv(frame.eval_matrix(x))
             c = _structure_constant(frame, x, Minv)
             model, _ = _newton(frame, rhs, x, y, Minv, _model_start((y - x) @ Minv.T, c)[None], N)
             grid, _, _ = _shoot(frame, rhs, x, y, Minv, c, N)
@@ -703,7 +703,7 @@ def test_model_start_is_never_worse_than_the_grid():
     frame, _ = heisenberg()
     x = np.array([-1.9, 0.3, 0.1])
     y = heisenberg_group_law(x, [0.0, 0.0, -0.04])
-    rhs, Minv = _hamiltonian(frame), np.linalg.inv(frame.eval_matrix(x))
+    rhs, Minv = frame.hamiltonian, np.linalg.inv(frame.eval_matrix(x))
     model, _ = _newton(frame, rhs, x, y, Minv, _model_start((y - x) @ Minv.T, 1.0)[None], N)
     assert np.isinf(model.gap[0])
     d, path = cc_distance(frame, x, y, config=LIGHT_CC, return_info=True)
@@ -734,7 +734,7 @@ def test_vertical_model_shots_keep_their_best_flow(monkeypatch):
     # and the first truncated Newton step raises the gap: the row stops at
     # that second flow and returns the first one, covector, gap and stages
     frame = frame_from_manifest(HEIS_MANIFEST)
-    rhs, N = _hamiltonian(frame), LIGHT_CC.segments
+    rhs, N = frame.hamiltonian, LIGHT_CC.segments
     gaps = []  # the start's gap at each flow
     real = carnot._normal_flow
 
@@ -862,10 +862,10 @@ def test_polynomial_hamiltonian_matches_the_field_by_field_system():
         bare = Frame(fields=tuple(VectorField(func=f.func, jacobian=f.jacobian)
                                   for f in frame.fields),
                      degrees=frame.degrees, chart_box=frame.chart_box)
-        rhs = _hamiltonian(frame)
+        rhs = frame.hamiltonian
         for shape in ((2 * frame.n,), (5, 7, 2 * frame.n)):
             z = rng.uniform(-1.0, 1.0, shape)
-            got, want = rhs(None, z), _hamiltonian(bare)(None, z)
+            got, want = rhs(None, z), bare.hamiltonian(None, z)
             assert got.shape == want.shape == shape
             assert np.allclose(got, want, rtol=0.0, atol=1e-14), frame.name
         assert all(_same_bits(rhs(None, z[i, j]), got[i, j])
@@ -890,7 +890,7 @@ def test_the_normal_system_is_built_once_per_frame(monkeypatch):
     assert not built
     # the field-by-field system of a frame without tables is kept the same way
     for f in (frame, warped_heisenberg()[0]):
-        assert _hamiltonian(f) is _hamiltonian(f)
+        assert f.hamiltonian is f.hamiltonian
 
 
 def test_cc_distance_on_an_engel_line():
@@ -915,7 +915,7 @@ def test_normal_frame_passes_with_exact_metric():
 
 def test_normal_frame_scale_batches_equal_per_scale_calls():
     # check_normal_frame runs each schedule as one batch: every row must
-    # carry the bits of the per-scale flow_exp and compose_P calls
+    # carry the bits of the per-scale flow_exp and one-row compose_rows calls
     eps = np.array([0.5, 0.3, 0.125, 0.0625])
     a = np.array([0.31, -0.22, 0.17])
     b = np.array([-0.12, 0.27, -0.2])
@@ -927,7 +927,8 @@ def test_normal_frame_scale_batches_equal_per_scale_calls():
         for r, e in enumerate(eps):
             Ae, Be = frame.scale_coeffs(float(e), a), frame.scale_coeffs(float(e), b)
             assert np.array_equal(pts[r], flow_exp(frame, Ae, x, steps=steps)), frame.name
-            assert np.array_equal(P[r], compose_P(frame, Ae, Be, x, steps=steps).coeffs)
+            Pe, _, _ = compose_rows(frame, Ae[None], Be[None], x, steps=steps)
+            assert np.array_equal(P[r], Pe[0])
 
 
 def test_normal_frame_rejects_wrong_degrees():

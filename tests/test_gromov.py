@@ -7,9 +7,8 @@ import pytest
 
 from dilatlab.errors import SizeLimitExceeded
 from dilatlab.geometry import FinitePointedSpace, euclidean_handle, restrict, rescale
-from dilatlab.gromov import (Correspondence, approx_isometry_check, distortion,
-                             gh_lower_bound, gh_pointed_exact, metric_profile,
-                             profile_continuity_at_zero)
+from dilatlab.gromov import (Correspondence, distortion, gh_lower_bound, gh_pointed_exact,
+                             metric_profile, profile_continuity_at_zero)
 
 np.random.seed(1)
 
@@ -145,13 +144,6 @@ def test_distortion_and_correspondence():
     assert corr.covers(2, 2)
     assert distortion(corr, A, B) == pytest.approx(2.0)
     assert not Correspondence(pairs=((0, 0),)).covers(2, 2)
-
-
-def test_approx_isometry_check():
-    A, B = two_pt(1.0), two_pt(1.5)
-    # gap is 0.25, so a 0.5-isometry exists but a 0.4-isometry does not
-    assert approx_isometry_check(A, B, 0.5)
-    assert not approx_isometry_check(A, B, 0.4)
 
 
 def test_metric_profile_euclidean_flat():

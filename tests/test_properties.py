@@ -32,10 +32,10 @@ coords = st.floats(-1.0, 1.0, allow_nan=False)
 @given(ds=flat_planes, x=st.tuples(coords, coords), count=st.integers(1, 5),
        seed=st.integers(0, 50))
 def test_tangent_cone_is_flat_on_exact_cones(ds, x, count, seed):
-    est = check_tangent_cone(ds, np.array(x), halving_schedule(0.5, 8), count=count,
+    rep = check_tangent_cone(ds, np.array(x), halving_schedule(0.5, 8), count=count,
                              seed=seed)
-    assert est.converged
-    assert np.all(est.values <= 1e-11)
+    assert rep.converged
+    assert all(row["value"] <= 1e-11 for row in rep.table)
 
 
 @functools.lru_cache(maxsize=None)

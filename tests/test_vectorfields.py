@@ -10,7 +10,7 @@ from dilatlab import vectorfields
 from dilatlab.heisenberg_group import heisenberg, heisenberg_inverse, warped_heisenberg
 from dilatlab.errors import ChartEscape, NoConvergence, NonRegular, NotBracketGenerating
 from dilatlab.vectorfields import (Frame, VectorField, build_adapted_frame,
-                                   chart_inverse, compose_P, flow_exp,
+                                   chart_inverse, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket,
                                    polynomial_field)
 
@@ -208,8 +208,9 @@ def test_heisenberg_chart_inverse_takes_one_flow(monkeypatch):
     rng = np.random.RandomState(0)
     W = rng.uniform(-0.3, 0.3, (400, 3))
     Z = law(W, rng.uniform(-0.3, 0.3, (400, 3)))
-    y, _, iters = vectorfields._newton_chart(frame, W, Z, 1e-13, 2.0, 1)
+    y, res, iters = vectorfields._newton_chart(frame, W, Z, 2.0, 1)
     assert np.all(iters == 1)
+    assert np.all(res < 1e-13 * (1.0 + np.max(np.abs(Z), axis=1)))
     want = law(heisenberg_inverse(W), Z)
     scale = 1.0 + np.maximum(np.abs(W), np.abs(Z)).max(axis=-1, keepdims=True)
     assert np.all(np.abs(y - want) <= 4.0 * np.finfo(float).eps * scale)
@@ -218,7 +219,7 @@ def test_heisenberg_chart_inverse_takes_one_flow(monkeypatch):
     monkeypatch.setattr(vectorfields, "flow_exp",
                         lambda *a, **kw: flows.append(1) or real(*a, **kw))
     for w, z in zip(W[:5], Z[:5]):
-        chart_inverse(frame, w, z, tol=1e-13, injectivity_radius=2.0, steps=1)
+        chart_inverse(frame, w, z, injectivity_radius=2.0, steps=1)
     assert len(flows) == 5
 
 
@@ -242,9 +243,9 @@ def test_compose_commuting_constant_fields():
     fr = Frame(fields=(E1, E2), degrees=(1, 1))
     a = np.array([0.2, -0.1])
     b = np.array([-0.05, 0.3])
-    res = compose_P(fr, a, b, np.zeros(2), steps=32)
-    assert np.allclose(res.coeffs, a - b, atol=1e-11)
-    assert res.residual < 1e-12
+    P, res, _ = compose_rows(fr, a[None], b[None], np.zeros(2), steps=32)
+    assert np.allclose(P[0], a - b, atol=1e-11)
+    assert res[0] < 1e-12
 
 
 def test_manifest_roundtrip(tmp_path):
