@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainViolation, SamplingExhausted
 from .geometry import FinitePointedSpace, MetricSpaceHandle, distances, pairwise, sample_ball
 from .gromov import SIZE_LIMIT, gh_pointed_exact, _sample_density
-from .limits import LimitEstimate, _table_row, decays_to_zero, richardson_limit
+from .limits import LimitEstimate, _table_row, decay_failure, decays_to_zero, richardson_limit
 from .util import as_point, as_points, check_schedule, halving_schedule
 
 
@@ -525,13 +525,12 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     One sample p_i of B(x, eps[0]) is dilated by mu = eps / eps[0]: by A2 the
     images sample B(x, eps), and by the cone property d^x scales by mu on them.
     So the value at eps is max |M - D| / eps[0], with M = (1/mu) d(dil(mu,x,p_i),
-    dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along DX_SCHEDULE;
-    the table holds the values and their extrapolation to eps -> 0.
-    The report passes when the values decay (limits.decays_to_zero) to a
-    quarter of the first one, or to the worst d^x error over eps[0], which is
-    all an exact cone can reach, and is inconclusive when they do not. That
-    floor counts only when every d^x limit converged: the error bar of an
-    unconverged limit bounds nothing.
+    dil(mu,x,p_j)) and D = d^x(p_i, p_j) extrapolated once along DX_SCHEDULE.
+    The report passes when the values decay (limits.decays_to_zero) to its
+    tolerance: the largest of a quarter of the first value, 1e-10 and, when
+    every d^x limit converged, the worst d^x error over eps[0], which is all
+    an exact cone can reach. Otherwise it is inconclusive, and its notes say
+    where (limits.decay_failure). max_residual is the last value.
     """
     eps = check_schedule(eps_schedule)
     td = TangentData(ds, x, DX_SCHEDULE)
@@ -542,10 +541,17 @@ def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
     vals = np.max(np.abs(snaps - dxm), axis=(1, 2)) / eps[0]
     est = richardson_limit(eps, vals)
     # the quantity is a sup of nonnegative gaps: converged means trending to 0
-    converged = decays_to_zero(vals, max(0.25 * vals[0], dx_error / eps[0], 1e-10))
-    return CheckReport(check="tangent-cone", passed=converged,
-                       max_residual=float(est.error), tolerance=max(1e-3, float(est.error)),
-                       converged=converged, table=est.table_rows(), notes=est.note)
+    gaps = vals.tolist()
+    floors = {"a quarter of the first gap": 0.25 * gaps[0], "the floor 1e-10": 1e-10,
+              "the worst d^x error over eps[0]": dx_error / float(eps[0])}
+    tol = max(floors.values())
+    notes = "%s; tolerance: %s" % (est.note, max(floors, key=floors.get))
+    failure = decay_failure(gaps, tol)
+    if failure:
+        notes += ("; the gap rose above 1.1 x the previous one at eps=%g" % eps[failure[1]]
+                  if failure[0] == "rise" else "; the last gap is above the tolerance")
+    return CheckReport(check="tangent-cone", passed=not failure, max_residual=gaps[-1],
+                       tolerance=tol, converged=not failure, table=est.table_rows(), notes=notes)
 
 
 def check_profile_theorem(ds: DilatationStructure, x, mu_schedule, count: int,

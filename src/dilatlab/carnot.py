@@ -713,8 +713,7 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     is the handle's metric on point stacks (see geometry.MetricSpaceHandle),
     used as it is: heisenberg_cc, or _light_cc(frame) row by row. The chart
     is the frame's box, or [-3, 3]^n when it declares none; the domain
-    radius is 1.2. The structure takes the frame's name, and its chart
-    inverse runs to chart_inverse's tolerance, CHART_TOL.
+    radius is 1.2, and the structure takes the frame's name.
     """
     n = frame.n
     if frame.chart_box is not None:

@@ -51,8 +51,7 @@ class MetricSpaceHandle:
         return bool(inside) if inside.ndim == 0 else inside
 
 
-def box_handle(dim: int, distance, halfwidth: float = 3.0,
-               ball_box=None) -> MetricSpaceHandle:
+def box_handle(dim: int, distance, halfwidth: float = 3.0, ball_box=None) -> MetricSpaceHandle:
     """Handle on the symmetric box [-halfwidth, halfwidth]^dim."""
     return MetricSpaceHandle(dim=dim, distance=distance,
                              chart_box=symmetric_box(dim, halfwidth), ball_box=ball_box)

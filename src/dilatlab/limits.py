@@ -188,5 +188,13 @@ def decays_to_zero(values, tol: float) -> bool:
     each value is at most max(1.1 x previous, tol) and the last is at most
     tol. The 10% slack absorbs sampling jitter between scales; values below
     tol may move freely."""
+    return decay_failure(values, tol) is None
+
+
+def decay_failure(values, tol: float):
+    """Where values fail decays_to_zero(values, tol): ("rise", k) at the first
+    value k above max(1.1 x values[k - 1], tol), else ("last", k) at a last
+    value k above tol, else None."""
     v, tol = [float(t) for t in values], float(tol)
-    return all(b <= max(1.1 * a, tol) for a, b in zip(v, v[1:])) and v[-1] <= tol
+    rise = [k for k in range(1, len(v)) if not v[k] <= max(1.1 * v[k - 1], tol)]
+    return ("rise", rise[0]) if rise else None if v[-1] <= tol else ("last", len(v) - 1)

@@ -90,8 +90,7 @@ def identity_diffeo(n: int) -> DiffeoPair:
 
 
 def riemannian_diffeo(dp: DiffeoPair, variant: int = 1) -> DilatationStructure:
-    """Deformed structures built from a diffeomorphism phi of the plane chart
-    [-3, 3]^2.
+    """Deformed plane structures built from a diffeomorphism phi of the chart.
 
     variant 1: distance d(x,y) = |phi(x) - phi(y)| with the affine
                dilatations of the chart. The tangent-space distance comes out

@@ -23,8 +23,7 @@ from .util import as_point, as_points, symmetric_box
 RANK_TOL = 1e-7
 # Longest bracket word build_adapted_frame tries before giving up.
 MAX_WORD_LEN = 6
-# Newton iteration cap, central-difference step and relative residual
-# tolerance of the chart inverse.
+# Newton iteration cap, central-difference step and tolerance of the chart inverse.
 NEWTON_MAX_ITER = 50
 FD_STEP = 1e-6
 CHART_TOL = 1e-12
@@ -185,10 +184,9 @@ class Frame:
 
     @cached_property
     def hamiltonian(self) -> Callable:
-        """Right-hand side of the normal-geodesic system on z = (q, p),
-        (..., 2n): q' = sum_i u_i X_i(q), p' = -sum_i u_i DX_i(q)^T p with
-        u_i = <p, X_i(q)> over the degree-1 fields, in rk4_flow's form (its
-        coefficient argument is unused). Built at the first call and kept:
+        """The normal-geodesic system on z = (q, p) in rk4_flow's form:
+        q' = sum_i u_i X_i(q), p' = -sum_i u_i DX_i(q)^T p, u_i = <p, X_i(q)>
+        over the degree-1 fields. Built at the first call and kept:
         _polynomial_hamiltonian, or field by field with DX_i from jac."""
         n, fields = self.n, self.fields[:self.m]
         if all(f.table is not None for f in fields):
@@ -439,18 +437,16 @@ def chart_inverse(frame: Frame, w, z, injectivity_radius: float = 0.5,
     Heisenberg chart it is the answer, and the call runs one flow to check
     it. Later Jacobians use central differences of the flow, all probes
     integrated as one batch. Converged when the chart residual drops below
-    CHART_TOL * (1 + |z|). A frame whose fields are linearly dependent at some w
-    raises NonRegular naming that w; iterates that leave the injectivity
-    ball (coefficient norm cap) or fail to settle raise NoConvergence for
-    the whole call.
+    CHART_TOL * (1 + |z|). A frame whose fields are linearly dependent at
+    some w raises NonRegular naming that w; iterates that leave the
+    injectivity ball (coefficient norm cap) or fail to settle raise
+    NoConvergence for the whole call.
     """
-    w = as_points(w)
-    z = as_points(z)
+    w, z = as_points(w), as_points(z)
     shape = np.broadcast_shapes(w.shape, z.shape)
     n = shape[-1]
     y, _, _ = _newton_chart(frame, np.broadcast_to(w, shape).reshape(-1, n),
-                            np.broadcast_to(z, shape).reshape(-1, n),
-                            injectivity_radius, steps)
+                            np.broadcast_to(z, shape).reshape(-1, n), injectivity_radius, steps)
     return y.reshape(shape)
 
 
@@ -458,11 +454,10 @@ def compose_rows(frame: Frame, A, B, x, steps: int = 256):
     """Solve exp(sum P_i X_i)(exp(sum b_i X_i)(x)) = exp(sum a_i X_i)(x) for
     the rows a, b of (k, n) coefficient stacks A and B at one x.
 
-    Two batched flows and one Newton solve for all rows (chart_inverse's
-    tolerance and injectivity ball); returns the (coefficients, residual,
-    iterations) arrays, each row to the same bits as a solve on its own. A
-    count is of Newton updates, the exact first step through the frame
-    matrix at exp(sum b_i X_i)(x) included, so it is at least 1.
+    Two batched flows and one Newton solve (chart_inverse's tolerance and
+    injectivity ball); returns the (P, residual, iterations) arrays, each row
+    with the bits of a solve on its own. Iterations count Newton updates,
+    the exact first step included, so they are at least 1.
     """
     target = flow_exp(frame, A, x, steps=steps)
     start = flow_exp(frame, B, x, steps=steps)

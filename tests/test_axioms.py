@@ -219,6 +219,11 @@ def test_check_report_verdict(passed, converged, verdict):
     rep = CheckReport(check="c", passed=passed, max_residual=0.0, tolerance=0.0,
                       converged=converged)
     assert rep.verdict == verdict
+    # numpy booleans give the same words: np.False_ is not False
+    if converged is not None:
+        rep = CheckReport(check="c", passed=np.bool_(passed), max_residual=0.0,
+                          tolerance=0.0, converged=np.bool_(converged))
+        assert rep.verdict == verdict
 
 
 def test_delta_sigma_inv_euclidean():
@@ -365,6 +370,50 @@ def test_tangent_cone_snowflake_does_not_converge():
     assert not rep.converged
     assert np.all(gaps > 0.25 * gaps[0])
     assert 5e-5 < gaps[0] < 2e-4
+
+
+def test_tangent_cone_report_holds_its_decay_tolerance():
+    # the verdict compares the gaps against max(a quarter of the first gap,
+    # the worst d^x error over eps[0], 1e-10): the report carries that
+    # tolerance and the last gap, and its notes name the deciding term and
+    # why a report that does not pass is inconclusive
+    from dilatlab.carnot import heisenberg_structure
+
+    rep = check_tangent_cone(build_structure("snowflake-0.3"), (0.3, -0.2),
+                             halving_schedule(0.5, 8), count=4, seed=0)
+    gaps = _gaps(rep)
+    assert rep.verdict == "inconclusive"
+    assert rep.max_residual == gaps[-1]
+    assert rep.tolerance == 0.25 * gaps[0]
+    assert rep.notes.endswith("; tolerance: a quarter of the first gap; "
+                              "the last gap is above the tolerance")
+
+    x, sched = np.array([0.05, -0.1, 0.02]), halving_schedule(0.125, 8)
+    rep = check_tangent_cone(heisenberg_structure(steps=32), x, sched, count=3, seed=0)
+    assert rep.verdict == "pass"
+    assert rep.max_residual == _gaps(rep)[-1] <= rep.tolerance
+    assert rep.notes.endswith("; tolerance: the worst d^x error over eps[0]")
+
+    rep = check_tangent_cone(euclidean(2), np.zeros(2), halving_schedule(0.5, 6), count=4)
+    assert rep.tolerance == 1e-10 and rep.notes.endswith("; tolerance: the floor 1e-10")
+
+
+def test_tangent_cone_names_the_scale_where_a_gap_rose():
+    # a plane dil that stretches by 1e-3 at scales strictly between 0.15 and
+    # 0.25 only: d^x, extrapolated along powers of 2, never sees it, and of
+    # the check's dilations mu = eps / eps[0] only the last, 0.2, does
+    flat = euclidean(2)
+
+    def dil(e, x, y):
+        e = np.asarray(e, dtype=float)
+        return flat.dil(np.where((0.15 < e) & (e < 0.25), 1.001 * e, e), x, y)
+
+    rep = check_tangent_cone(replace(flat, dil=dil), np.zeros(2), [0.5, 0.3, 0.2, 0.1],
+                             count=4)
+    gaps = _gaps(rep)
+    assert np.all(gaps[:-1] < 1e-12) and gaps[-1] > 1e-4
+    assert rep.verdict == "inconclusive"
+    assert rep.notes.endswith("; the gap rose above 1.1 x the previous one at eps=0.1")
 
 
 def test_tangent_cone_passes_at_the_dx_error_floor():

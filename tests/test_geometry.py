@@ -62,6 +62,22 @@ def test_sample_ball_euclidean():
     assert not np.array_equal(pts, other)
 
 
+def test_sample_ball_refuses_a_nan_radius_before_measuring():
+    measured = []
+
+    def dist(p, q):
+        measured.append(1)
+        return np.sqrt(np.sum((p - q) ** 2, axis=-1))
+
+    h = box_handle(2, dist, halfwidth=1.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        sample_ball(h, np.zeros(2), float("nan"), 3)
+    assert not measured
+    # an infinite radius samples the whole chart
+    pts = sample_ball(h, np.zeros(2), float("inf"), 3)
+    assert pts.shape == (3, 2) and np.all(np.abs(pts) <= 1.0)
+
+
 def test_sample_ball_exhaustion():
     # metric that no candidate can satisfy
     h = box_handle(2, lambda a, b: 10.0 + np.sqrt(np.sum((a - b) ** 2, axis=-1)),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dilatlab.limits import decays_to_zero, richardson_limit
+from dilatlab.limits import decay_failure, decays_to_zero, richardson_limit
 from dilatlab.util import check_schedule, halving_schedule
 
 
@@ -144,6 +144,26 @@ def test_decays_to_zero_on_both_sides_of_tol():
     assert not decays_to_zero([0.4, 0.45, 0.05], tol=0.1)
     assert decays_to_zero([0.0, 0.09, 0.05], tol=0.1)
     assert not decays_to_zero([8.8e-5, 1.3e-3, 1.1], tol=0.25 * 8.8e-5)
+
+
+def test_decays_to_zero_is_a_python_bool_for_a_numpy_tolerance():
+    # a numpy tol made the comparison a numpy.bool_, which is neither True
+    # nor False to an identity test
+    vals = np.array([0.4, 0.2, 0.1])
+    for tol in (np.float64(0.1), np.float64(0.05), np.float32(0.1)):
+        assert type(decays_to_zero(vals, tol)) is bool
+    assert decays_to_zero(vals, np.float64(0.1)) is True
+    assert decays_to_zero(vals, np.float64(0.05)) is False
+
+
+def test_decay_failure_names_the_rule_that_broke():
+    assert decay_failure([0.4, 0.2, 0.1], tol=0.1) is None
+    # the first rise above 1.1 x its predecessor and above tol, by index
+    assert decay_failure([0.4, 0.45, 0.5, 0.05], tol=0.1) == ("rise", 1)
+    assert decay_failure([0.4, 0.2, 0.3, 0.05], tol=0.1) == ("rise", 2)
+    # no rise, but the last value is above tol
+    assert decay_failure([0.4, 0.2, 0.1], tol=0.099) == ("last", 2)
+    assert decay_failure([float("nan"), 0.1], tol=0.2) == ("rise", 1)
 
 
 def test_dx_schedule_is_read_only():

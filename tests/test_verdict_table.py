@@ -1,8 +1,8 @@
 """The registry verdict table: the baseline every verdict change reports against.
 
-One row per (structure, point, check): the ten flat registry structures, 16
-points each drawn from RandomState(1) uniform in [-0.5, 0.5]^n, and every
-verify check at the CLI defaults. A row holds the verdict word the CLI
+One row per (structure, point, check): the ten flat registry structures at
+16 points each and Heisenberg at 4, drawn from RandomState(1) uniform in
+[-0.5, 0.5]^n, and every verify check at the CLI defaults. A row holds the verdict word the CLI
 prints, max_residual and tolerance; a row that does not pass names its cause,
 one of CAUSE_ITEMS. The test recomputes the table: verdicts must match
 exactly, residuals and tolerances to 1e-12 relative.
@@ -24,6 +24,8 @@ from dilatlab.structures import build_structure, structure_names
 
 TABLE = Path(__file__).resolve().parent / "verdicts" / "registry.json"
 POINTS = 16
+# Heisenberg's dil runs the Newton chart inverse: fewer points keep the table fast
+HEISENBERG_POINTS = 4
 
 # cause tag -> the ROADMAP item that owns it
 CAUSE_ITEMS = {
@@ -36,7 +38,7 @@ CAUSE_ITEMS = {
 CAUSES = {
     **{(name, check): "order"
        for name in ("complex-0.5", "complex-1.0", "snowflake-0.5", "snowflake-0.9",
-                    "riemannian-shear-conjugate") for check in ("a4", "cone")},
+                    "riemannian-shear-conjugate", "heisenberg") for check in ("a4", "cone")},
     ("riemannian-shear", "cone"): "operand-bar",
     ("riemannian-tanh", "cone"): "operand-bar",
     ("snowflake-0.3", "a0a1"): "float-floor",
@@ -45,16 +47,19 @@ CAUSES = {
 }
 
 
-def _flat_names():
-    return [name for name in structure_names() if name != "heisenberg"]
+def _cases():
+    """(structure, number of points) in table order: the flat structures,
+    then Heisenberg."""
+    flat = [name for name in structure_names() if name != "heisenberg"]
+    return [(name, POINTS) for name in flat] + [("heisenberg", HEISENBERG_POINTS)]
 
 
 def verdict_rows():
     """The table's rows, recomputed through cli.main."""
     rows = []
-    for name in _flat_names():
+    for name, count in _cases():
         dim = build_structure(name).space.dim
-        for p in np.random.RandomState(1).uniform(-0.5, 0.5, (POINTS, dim)):
+        for p in np.random.RandomState(1).uniform(-0.5, 0.5, (count, dim)):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 main(["verify", "--structure", name, "--checks", ",".join(CHECK_NAMES),
@@ -78,7 +83,7 @@ def _close(a, b):
 def test_registry_verdicts_match_the_table():
     want = json.loads(TABLE.read_text())
     got = verdict_rows()
-    assert len(got) == len(want) == len(_flat_names()) * POINTS * len(CHECK_NAMES)
+    assert len(got) == len(want) == sum(n for _, n in _cases()) * len(CHECK_NAMES)
     for g, w in zip(got, want):
         at = (w["structure"], w["point"], w["check"])
         assert (g["structure"], g["point"], g["check"]) == at
