@@ -147,8 +147,7 @@ def test_decays_to_zero_on_both_sides_of_tol():
 
 
 def test_decays_to_zero_is_a_python_bool_for_a_numpy_tolerance():
-    # a numpy tol made the comparison a numpy.bool_, which is neither True
-    # nor False to an identity test
+    # a numpy tol still gives a Python bool: np.False_ is not False
     vals = np.array([0.4, 0.2, 0.1])
     for tol in (np.float64(0.1), np.float64(0.05), np.float32(0.1)):
         assert type(decays_to_zero(vals, tol)) is bool
