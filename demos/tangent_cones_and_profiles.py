@@ -9,10 +9,10 @@ tangent at that point.
 
 import numpy as np
 
-from dilatlab import (FinitePointedSpace, build_structure, check_tangent_cone, euclidean,
-                      gh_lower_bound, gh_pointed_exact, halving_schedule,
-                      metric_profile, profile_continuity_at_zero, rescale,
-                      restrict, snowflake_structure)
+from dilatlab import (FinitePointedSpace, build_structure, check_profile_continuity,
+                      check_tangent_cone, euclidean, gh_lower_bound, gh_pointed_exact,
+                      halving_schedule, metric_profile, rescale, restrict,
+                      snowflake_structure)
 
 
 def two_point(d):
@@ -54,16 +54,16 @@ def example_metric_profile():
     space = euclidean(2).space
     curve = metric_profile(space, np.zeros(2), halving_schedule(0.5, 6),
                            count=6, seed=2)
-    verdict = profile_continuity_at_zero(curve, tol=3.0 * curve.density)
+    rep = check_profile_continuity(curve)
     print("euclidean profile: residual %.2e, density %.3f, converged %s"
-          % (verdict.residual, curve.density, verdict.converged))
+          % (rep.max_residual, curve.density, rep.converged))
 
     snow = snowflake_structure(euclidean(2), 0.5)
     curve = metric_profile(snow.space, np.zeros(2), halving_schedule(0.5, 6),
                            count=6, seed=2)
-    verdict = profile_continuity_at_zero(curve, tol=3.0 * curve.density)
+    rep = check_profile_continuity(curve)
     print("snowflake profile: residual %.2e, density %.3f, converged %s"
-          % (verdict.residual, curve.density, verdict.converged))
+          % (rep.max_residual, curve.density, rep.converged))
 
 
 def example_tangent_cone_decay():

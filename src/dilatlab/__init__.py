@@ -14,14 +14,13 @@ from .errors import (ChartEscape, DilatlabError, DomainViolation, NoConvergence,
 from .geometry import (FinitePointedSpace, MetricSpaceHandle, box_handle,
                        euclidean_handle, rescale, restrict, sample_ball,
                        snowflake_distance)
-from .gromov import (Correspondence, LimitVerdict, ProfileCurve, ProfilePoint,
-                     distortion, gh_lower_bound, gh_pointed_exact, metric_profile,
-                     profile_continuity_at_zero)
+from .gromov import (ProfileCurve, ProfilePoint, distortion, gh_lower_bound,
+                     gh_pointed_exact, metric_profile)
 from .limits import LimitEstimate, richardson_limit
 from .axioms import (CheckReport, DilatationStructure, TangentData, check_A0_A1,
-                     check_A2, check_conical_group, check_profile_theorem,
-                     check_tangent_cone, derive_sigma_inv, estimate_dx,
-                     report_to_json)
+                     check_A2, check_conical_group, check_profile_continuity,
+                     check_profile_theorem, check_tangent_cone, derive_sigma_inv,
+                     estimate_dx, report_to_json)
 from .structures import (DiffeoPair, build_structure, complex_dilatation,
                          euclidean, identity_diffeo, register_structure,
                          riemannian_diffeo, shear_quadratic, snowflake_structure,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainViolation, SamplingExhausted
 from .geometry import FinitePointedSpace, MetricSpaceHandle, distances, pairwise, sample_ball
-from .gromov import SIZE_LIMIT, gh_pointed_exact, _sample_density
+from .gromov import SIZE_LIMIT, ProfileCurve, gh_pointed_exact, _sample_density
 from .limits import LimitEstimate, _table_row, decay_failure, decays_to_zero, richardson_limit
 from .util import as_point, as_points, check_schedule, halving_schedule
 
@@ -320,11 +320,6 @@ class TangentData:
             self._memo.update((key, ests[r]) for key, r in todo.items())
         return [self._memo[key] for key in keys]
 
-    @property
-    def degenerate(self) -> bool:
-        """Whether some pair that estimate_dx checked collapsed under d^x."""
-        return self.collapsed > 0
-
     def limit(self, tag, u, v) -> LimitEstimate:
         return self.limits(tag, [as_point(u)], [as_point(v)])[0]
 
@@ -369,7 +364,7 @@ def estimate_dx(ds: DilatationStructure, x, sample: Sequence, eps_schedule):
     Returns (TangentData, worst LimitEstimate). The TangentData's operations
     extrapolate fresh pairs on demand (results memoised); its collapsed count
     holds the pairs that collapse (dx below 1e-6 while the original distance
-    exceeds 1e-2), and its degenerate flag is set when there is one.
+    exceeds 1e-2).
     """
     td = TangentData(ds, x, eps_schedule)
     pts = np.array([as_point(p) for p in sample])
@@ -388,10 +383,10 @@ def check_A3(ds: DilatationStructure, x, sample: Sequence, eps_schedule,
     """A3: the rescaled distances on all pairs from sample converge to a
     distance d^x. The worst limit's error bar is held against tol; a limit
     that did not converge makes the report inconclusive, and pairs that
-    collapse under d^x (estimate_dx's degenerate flag) fail it with one
+    collapse under d^x (estimate_dx's collapsed count) fail it with one
     "degenerate" record, since d^x is then no distance."""
     td, worst = estimate_dx(ds, x, sample, eps_schedule)
-    failures = [{"kind": "degenerate", "pairs": td.collapsed}] if td.degenerate else []
+    failures = [{"kind": "degenerate", "pairs": td.collapsed}] if td.collapsed else []
     passed = bool(worst.converged and worst.error <= tol) and not failures
     return CheckReport(check="a3", passed=passed, max_residual=float(worst.error), tolerance=tol,
                        converged=bool(worst.converged), failures=failures,
@@ -515,7 +510,7 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
 
 
 # ---------------------------------------------------------------------------
-# Tangent-cone sup-estimate and profile-convergence theorem
+# Tangent-cone sup-estimate, profile-convergence theorem and profile continuity
 
 
 def check_tangent_cone(ds: DilatationStructure, x, eps_schedule, count: int,
@@ -596,3 +591,21 @@ def check_profile_theorem(ds: DilatationStructure, x, mu_schedule, count: int,
     return CheckReport(check="profile-theorem", passed=passed,
                        max_residual=float(gaps[-1]), tolerance=float(density),
                        converged=passed, table=table, notes=notes)
+
+
+def check_profile_continuity(curve: ProfileCurve) -> CheckReport:
+    """Continuity at zero of a metric profile (gromov.metric_profile): the
+    pointed GH gaps between successive snapshots decay to zero
+    (limits.decays_to_zero) within 3 x the curve's sampling density, or the
+    report is inconclusive. max_residual is the last gap; the table has one
+    row per gap, at the scale of its first snapshot."""
+    pts = curve.points
+    if len(pts) < 2:
+        raise ValueError("need at least two profile points")
+    gaps = [gh_pointed_exact(a.space, b.space) for a, b in zip(pts, pts[1:])]
+    tol = 3.0 * curve.density
+    passed = decays_to_zero(gaps, tol)
+    return CheckReport(check="profile-continuity", passed=passed, max_residual=float(gaps[-1]),
+                       tolerance=tol, converged=passed,
+                       table=[_table_row(p.eps, g) for p, g in zip(pts, gaps)],
+                       notes="%d snapshots, density %.3g" % (len(pts), curve.density))

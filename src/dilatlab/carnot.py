@@ -73,8 +73,8 @@ from .geometry import MetricSpaceHandle
 from .heisenberg_group import (_geodesic_arc, heisenberg, heisenberg_ball_box, heisenberg_cc,
                                warped_heisenberg)
 from .limits import richardson_limit
-from .util import as_point, as_points, check_schedule, halton, symmetric_box
-from .vectorfields import (FD_STEP, Frame, _outside, chart_inverse, compose_rows, flow_exp,
+from .util import as_point, as_points, check_schedule, halton, in_chart, symmetric_box
+from .vectorfields import (FD_STEP, Frame, chart_inverse, compose_rows, flow_exp,
                            frame_from_manifest, rk4_flow, rk4_linearization)
 
 
@@ -239,16 +239,16 @@ def _objective_and_grad(frame: Frame, x, y, U, lam, rho):
 def _normal_flow(rhs: Callable, box, x, P, N: int):
     """N RK4 steps of the normal-geodesic system rhs (Frame.hamiltonian) from
     q = x with initial covectors P (..., n). Returns the final (q, p) rows
-    (..., 2n), which rows left the chart box (or overflowed) at a step, and
-    the stage points of every step. Lost rows integrate on to the end, so
-    their overflows are silenced: lost reports them."""
+    (..., 2n), which rows left the chart (util.in_chart) at a step, and the
+    stage points of every step. Lost rows integrate on to the end, so their
+    overflows are silenced: lost reports them."""
     z = np.concatenate([np.broadcast_to(x, P.shape), P], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         ends, stages = zip(*rk4_flow(rhs, (None,) * N, z))
     ends = np.array(ends)
-    lost = np.any(_outside(box, ends[..., :x.size]) | ~np.all(np.isfinite(ends), axis=-1),
-                  axis=0)
-    return ends[-1], lost, stages
+    # the covectors have no box: they only have to be finite
+    kept = in_chart(box, ends[..., :x.size]) & in_chart(None, ends[..., x.size:])
+    return ends[-1], ~np.all(kept, axis=(0, -1)), stages
 
 
 def _turned(d: np.ndarray, angle: float) -> np.ndarray:
@@ -484,10 +484,10 @@ def _polish(frame: Frame, x, y, stages, end):
 
 
 def _fits(frame: Frame, y, zs, cfg: CCConfig) -> bool:
-    """Whether the path of states zs stays inside the chart box and ends
-    within cfg.endpoint_tol of y."""
+    """Whether the path of states zs stays in the chart (util.in_chart) and
+    ends within cfg.endpoint_tol of y."""
     return bool(np.max(np.abs(zs[-1] - y)) <= cfg.endpoint_tol
-                and not np.any(_outside(frame.chart_box, zs)))
+                and np.all(in_chart(frame.chart_box, zs)))
 
 
 def _polished(frame: Frame, x, y, shots: _Shots, cfg: CCConfig):
@@ -552,7 +552,7 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
         raise ValueError("frame has no degree-1 fields")
     if cfg.segments < 1:
         raise ValueError("config needs segments >= 1")
-    if np.any(_outside(frame.chart_box, np.stack([x, y]))):
+    if not np.all(in_chart(frame.chart_box, np.stack([x, y]))):
         raise ChartEscape("endpoint outside the chart box")
     N = cfg.segments
 
@@ -595,13 +595,16 @@ def _light_cc(frame: Frame) -> Callable:
 
 def _coeff_samples(frame: Frame, coeff_box) -> list:
     """The first two Halton draws from the coefficient box, from index 3 on,
-    that lie away from the origin."""
+    that lie away from the origin. A box with a non-finite bound or an axis
+    with lo >= hi has no such draw, and raises ValueError."""
     n = frame.n
     box = np.asarray(coeff_box, dtype=float)
     if box.ndim == 0:
         box = symmetric_box(n, box)
     if box.shape != (n, 2):
         raise ValueError("coeff_box must be a scalar halfwidth or an (n, 2) array")
+    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
+        raise ValueError("coeff_box needs finite bounds and lo < hi on every axis")
     floor = 0.05 * float(np.max(box[:, 1] - box[:, 0]))
     out = []
     start = 3

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SamplingExhausted, TriangleViolation
-from .util import as_point, halton, symmetric_box
+from .util import as_point, halton, in_chart, symmetric_box
 
 # Rejection sampling gives up after this many candidates per requested point.
 CANDIDATE_BUDGET = 200
@@ -44,17 +44,17 @@ class MetricSpaceHandle:
         object.__setattr__(self, "chart_box", box)
 
     def contains(self, p: np.ndarray):
-        """Whether p lies in the closed chart box: a bool for one (n,) point,
-        a boolean array for a (..., n) stack."""
-        p = np.asarray(p, dtype=float)
-        inside = np.all((p >= self.chart_box[:, 0]) & (p <= self.chart_box[:, 1]), axis=-1)
+        """Whether p lies in the closed chart box (util.in_chart on every
+        coordinate): a bool for one (n,) point, a boolean array for a (..., n)
+        stack."""
+        inside = np.all(in_chart(self.chart_box, p), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 
-def box_handle(dim: int, distance, halfwidth: float = 3.0, ball_box=None) -> MetricSpaceHandle:
-    """Handle on the symmetric box [-halfwidth, halfwidth]^dim."""
+def box_handle(dim: int, distance, ball_box=None) -> MetricSpaceHandle:
+    """Handle on the symmetric box [-3, 3]^dim."""
     return MetricSpaceHandle(dim=dim, distance=distance,
-                             chart_box=symmetric_box(dim, halfwidth), ball_box=ball_box)
+                             chart_box=symmetric_box(dim, 3.0), ball_box=ball_box)
 
 
 def euclidean_distance(P, Q) -> np.ndarray:

@@ -10,33 +10,20 @@ exponential and meant for tangent-cone-sized snapshots, not point clouds.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import SizeLimitExceeded
 from .geometry import FinitePointedSpace, MetricSpaceHandle, restrict, rescale, sample_ball
-from .limits import decays_to_zero
 from .util import as_point, check_schedule
 
 SIZE_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """A relation between two finite pointed spaces, as index pairs."""
-
-    pairs: tuple
-
-    def covers(self, nA: int, nB: int) -> bool:
-        sa = {i for i, _ in self.pairs}
-        sb = {j for _, j in self.pairs}
-        return sa == set(range(nA)) and sb == set(range(nB))
-
-
-def distortion(corr: Correspondence, A: FinitePointedSpace, B: FinitePointedSpace) -> float:
-    """max |dA(i,k) - dB(j,l)| over pairs (i,j), (k,l) of the relation."""
-    return _distortion(corr.pairs, A.dmat.tolist(), B.dmat.tolist())
+def distortion(pairs, A: FinitePointedSpace, B: FinitePointedSpace) -> float:
+    """max |dA(i,k) - dB(j,l)| over the index pairs (i,j), (k,l) of a
+    relation between A and B."""
+    return _distortion(pairs, A.dmat.tolist(), B.dmat.tolist())
 
 
 def _distortion(pairs, dA: list, dB: list) -> float:
@@ -154,13 +141,6 @@ class ProfileCurve:
         }
 
 
-@dataclass(frozen=True)
-class LimitVerdict:
-    converged: bool
-    residual: float
-    gaps: tuple
-
-
 def _sample_density(dmat: np.ndarray) -> float:
     if dmat.shape[0] < 2:
         return 0.0
@@ -185,17 +165,3 @@ def metric_profile(space: MetricSpaceHandle, x, eps_schedule, count: int,
         pts_out.append(ProfilePoint(eps=float(e), space=scaled,
                                     density=_sample_density(scaled.dmat)))
     return ProfileCurve(points=tuple(pts_out))
-
-
-def profile_continuity_at_zero(curve: ProfileCurve, tol: float) -> LimitVerdict:
-    """Converged iff the successive GH gaps decay to zero in the sense of
-    limits.decays_to_zero (10% slack, final gap at most tol). A constant
-    curve converges trivially; a curve alternating between non-isometric
-    snapshots does not (final gap stays up).
-    """
-    pts = curve.points
-    if len(pts) < 2:
-        raise ValueError("need at least two profile points")
-    gaps = [gh_pointed_exact(pts[k].space, pts[k + 1].space) for k in range(len(pts) - 1)]
-    return LimitVerdict(converged=decays_to_zero(gaps, tol), residual=float(gaps[-1]),
-                        gaps=tuple(gaps))

@@ -36,6 +36,16 @@ def symmetric_box(n: int, half: float) -> np.ndarray:
     return np.stack([np.full(n, -half), np.full(n, half)], axis=1)
 
 
+def in_chart(box, P) -> np.ndarray:
+    """The chart-box rule, elementwise on (..., n) coordinates P: a
+    coordinate is in the chart when it is finite and, given an (n, 2) box,
+    lo <= p <= hi on its axis. Row tests reduce over the last axis."""
+    P = np.asarray(P, dtype=float)
+    if box is None:
+        return np.isfinite(P)
+    return np.isfinite(P) & (P >= box[:, 0]) & (P <= box[:, 1])
+
+
 def _first_primes(count: int) -> Tuple[int, ...]:
     """The first count primes, 2, 3, 5, ...: the Halton bases of count axes."""
     primes = []

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ChartEscape, NoConvergence, NonRegular, NotBracketGenerating
-from .util import as_point, as_points, symmetric_box
+from .util import as_point, as_points, in_chart, symmetric_box
 
 RANK_TOL = 1e-7
 # Longest bracket word build_adapted_frame tries before giving up.
@@ -337,26 +337,24 @@ def rk4_flow(f: Callable, A, z):
         yield z, stages
 
 
-def _outside(box, q) -> np.ndarray:
-    """Rows of q (..., n) outside the chart box (all False without a box)."""
-    if box is None:
-        return np.zeros(q.shape[:-1], dtype=bool)
-    return np.any((q < box[:, 0]) | (q > box[:, 1]), axis=-1)
-
-
 def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
-    """Time-1 flow of the combined field sum a_i X_i from x (RK4, fixed grid).
+    """Time-1 flow of the combined field sum a_i X_i from x (RK4, steps
+    steps of length 1 / steps, steps >= 1).
 
-    Batched over leading dimensions of a and x. Raises ChartEscape when the
-    frame declares a chart box and the trajectory leaves it at a step.
+    Batched over leading dimensions of a and x. Raises ChartEscape at the
+    first step where a coordinate leaves the chart (util.in_chart on the
+    frame's box): outside the box or, after an overflow, not finite.
     """
+    if int(steps) < 1:
+        raise ValueError("flow_exp needs steps >= 1, got %r" % (steps,))
     a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     box = frame.chart_box
-    if box is not None:
-        lo, hi = box[:, 0], box[:, 1]
-    for z, _ in rk4_flow(frame.combined, [a] * int(steps), z):
-        if box is not None and (np.any(z < lo) or np.any(z > hi)):
-            raise ChartEscape("flow left the chart box")
+    # an overflow makes a coordinate non-finite, and ChartEscape reports it;
+    # one reduction over the whole stack per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z, _ in rk4_flow(frame.combined, [a] * int(steps), z):
+            if not in_chart(box, z).all():
+                raise ChartEscape("flow left the chart box")
     return z
 
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from dilatlab.axioms import (TangentData, check_A0_A1, check_A2, check_conical_group,
-                             check_tangent_cone, derive_sigma_inv, estimate_dx)
+                             check_profile_continuity, check_tangent_cone, derive_sigma_inv,
+                             estimate_dx)
 from dilatlab.carnot import (CCConfig, cc_distance, check_normal_frame,
                              heisenberg_structure, warped_heisenberg_structure)
 from dilatlab.geometry import FinitePointedSpace, rescale
-from dilatlab.gromov import (gh_pointed_exact, metric_profile,
-                             profile_continuity_at_zero)
+from dilatlab.gromov import gh_pointed_exact, metric_profile
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_dilate,
                                        heisenberg_group_law, heisenberg_inverse,
                                        heisenberg_warp, vertical_cc_oracle)
@@ -435,10 +435,10 @@ def test_criterion_11_gh_engine():
     for space in (euclidean(2).space,
                   snowflake_structure(euclidean(2), 0.5).space):
         curve = metric_profile(space, np.zeros(2), eps, count=6, seed=2)
-        verdict = profile_continuity_at_zero(curve, tol=3.0 * curve.density)
-        assert verdict.converged
-        assert verdict.residual <= 3.0 * curve.density
-        residuals.append(verdict.residual)
+        report = check_profile_continuity(curve)
+        assert report.converged
+        assert report.max_residual <= 3.0 * curve.density
+        residuals.append(report.max_residual)
     print("[PASS] criterion 11: exact gaps match the exhaustive oracle; "
           "profile residuals %.1e / %.1e within 3x sampling density"
           % tuple(residuals))

@@ -19,6 +19,7 @@ from dilatlab.heisenberg_group import (heisenberg, heisenberg_ball_box, heisenbe
                                        heisenberg_dilate, heisenberg_gauge,
                                        heisenberg_group_law, heisenberg_inverse,
                                        vertical_cc_oracle, warped_heisenberg)
+from dilatlab.util import in_chart
 from dilatlab.vectorfields import (Frame, VectorField, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket, polynomial_field, rk4_step)
 
@@ -445,7 +446,7 @@ def test_rollout_runs_without_a_step_loop_to_the_loops_bits(monkeypatch):
                 assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), \
                     (frame.name, N)
         # the large controls leave the box, and the value test sees it
-        assert np.any(carnot._outside(frame.chart_box, got[0])), frame.name
+        assert np.any(~in_chart(frame.chart_box, got[0])), frame.name
         # a rollout that overflows is redone by the loop
         U = np.full((4, frame.m), 1e300)
         cols = np.array(cols)
@@ -832,7 +833,7 @@ def test_a_polish_that_leaves_the_chart_box_falls_back_to_its_start():
     assert d >= heisenberg_cc(x, y)
     zs = _rollout(frame, x, path.controls)[0]
     assert np.max(np.abs(zs[-1] - y)) <= LIGHT_CC.endpoint_tol
-    assert not np.any(carnot._outside(frame.chart_box, zs))
+    assert not np.any(~in_chart(frame.chart_box, zs))
     assert d == float(np.sum(np.linalg.norm(path.controls, axis=1))) / LIGHT_CC.segments
 
 
@@ -939,6 +940,15 @@ def test_normal_frame_rejects_wrong_degrees():
                              [0.5, 0.25, 0.125], coeff_box=0.4,
                              cc=heisenberg_cc)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("box", [0.0, np.nan, np.inf])
+def test_normal_frame_refuses_a_coefficient_box_with_no_draw(box):
+    # the coefficient draws continue until two clear 5% of the box width,
+    # which no draw from a zero-width or non-finite box does
+    with pytest.raises(ValueError, match="coeff_box"):
+        check_normal_frame(heisenberg()[0], [np.zeros(3)], [0.5, 0.25, 0.125],
+                           coeff_box=box, cc=heisenberg_cc)
 
 
 def _zero_metric(p, q):

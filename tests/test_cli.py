@@ -151,6 +151,19 @@ def test_tangent_error_bar_covers_the_oracle(capsys):
     assert max(doc["oracle"].values()) <= doc["limit_error"]
 
 
+def test_tangent_on_a_manifest_named_heisenberg_has_no_oracle(tmp_path, capsys):
+    # a manifest's label is its name: the group-law oracle belongs to the
+    # registry's Heisenberg structure, not to a contact frame of that name
+    doc = json.loads((Path(__file__).parent / "manifests" / "contact-curved.json").read_text())
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(doc, name="heisenberg")))
+    main(["tangent", "--manifest", str(path), "--eps-start", "0.125", "--eps-count", "6",
+          "--point=0.05,0.02,0"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["structure"] == "heisenberg"
+    assert "oracle" not in out
+
+
 def test_heisenberg_a0a1_passes_off_the_origin(capsys):
     # with 32-step flows the invertibility round trip amplified the flow
     # rounding by eps^-2 past its tolerance here (exit 1); one exact step

@@ -6,11 +6,11 @@ import pytest
 from dilatlab.carnot import warped_heisenberg_structure
 from dilatlab.cli import MAX_SEED
 from dilatlab.errors import DilatlabError, SamplingExhausted, TriangleViolation
-from dilatlab.geometry import (CANDIDATE_BUDGET, FinitePointedSpace, box_handle, distances,
-                               euclidean_handle, pairwise, rescale, restrict,
-                               sample_ball, snowflake_distance)
+from dilatlab.geometry import (CANDIDATE_BUDGET, FinitePointedSpace, MetricSpaceHandle,
+                               box_handle, distances, euclidean_handle, pairwise, rescale,
+                               restrict, sample_ball, snowflake_distance)
 from dilatlab.structures import build_structure, structure_names
-from dilatlab.util import halton
+from dilatlab.util import halton, symmetric_box
 
 np.random.seed(0)
 
@@ -69,7 +69,7 @@ def test_sample_ball_refuses_a_nan_radius_before_measuring():
         measured.append(1)
         return np.sqrt(np.sum((p - q) ** 2, axis=-1))
 
-    h = box_handle(2, dist, halfwidth=1.0)
+    h = MetricSpaceHandle(2, dist, symmetric_box(2, 1.0))
     with pytest.raises(ValueError, match="radius must be positive"):
         sample_ball(h, np.zeros(2), float("nan"), 3)
     assert not measured
@@ -80,8 +80,8 @@ def test_sample_ball_refuses_a_nan_radius_before_measuring():
 
 def test_sample_ball_exhaustion():
     # metric that no candidate can satisfy
-    h = box_handle(2, lambda a, b: 10.0 + np.sqrt(np.sum((a - b) ** 2, axis=-1)),
-                   halfwidth=1.0)
+    h = MetricSpaceHandle(2, lambda a, b: 10.0 + np.sqrt(np.sum((a - b) ** 2, axis=-1)),
+                          symmetric_box(2, 1.0))
     with pytest.raises(SamplingExhausted):
         sample_ball(h, np.zeros(2), 0.5, 4, seed=0)
 
@@ -107,7 +107,7 @@ def test_pairwise_calls_each_unordered_pair_once():
         return 1.0 + p[..., 0] - 0.5 * q[..., 0]
 
     pts = np.arange(5.0)[:, None]
-    m = pairwise(box_handle(1, dist, halfwidth=10.0), pts)
+    m = pairwise(MetricSpaceHandle(1, dist, symmetric_box(1, 10.0)), pts)
     # one metric call over the 5 * 4 / 2 unordered pairs, each once, i < j
     assert len(calls) == 1
     p, q = calls[0]
@@ -147,7 +147,7 @@ def test_snowflake_distance_values():
 
 
 def test_handle_contains():
-    h = box_handle(2, euclidean_handle(2).distance, halfwidth=1.0)
+    h = MetricSpaceHandle(2, euclidean_handle(2).distance, symmetric_box(2, 1.0))
     assert h.contains(np.array([0.5, -0.5]))
     assert not h.contains(np.array([1.5, 0.0]))
 
@@ -235,7 +235,7 @@ def test_sample_ball_measures_no_candidate_after_the_completing_one():
         measured.append(d.size)
         return d
 
-    h = box_handle(2, dist, halfwidth=1.0)
+    h = MetricSpaceHandle(2, dist, symmetric_box(2, 1.0))
     center, radius, count, seed = np.array([0.6, -0.2]), 0.5, 9, 4
     pts = sample_ball(h, center, radius, count, seed=seed)
     rows = sum(measured)

@@ -7,8 +7,8 @@ import pytest
 
 from dilatlab.errors import SizeLimitExceeded
 from dilatlab.geometry import FinitePointedSpace, euclidean_handle, restrict, rescale
-from dilatlab.gromov import (Correspondence, distortion, gh_lower_bound, gh_pointed_exact,
-                             metric_profile, profile_continuity_at_zero)
+from dilatlab.axioms import check_profile_continuity
+from dilatlab.gromov import distortion, gh_lower_bound, gh_pointed_exact, metric_profile
 
 np.random.seed(1)
 
@@ -81,7 +81,7 @@ def oracle_maps(A: FinitePointedSpace, B: FinitePointedSpace) -> float:
     for f in itertools.product(range(B.size), repeat=len(restA)):
         for g in itertools.product(range(A.size), repeat=len(restB)):
             pairs = {(A.base, B.base)} | set(zip(restA, f)) | set(zip(g, restB))
-            best = min(best, distortion(Correspondence(pairs=tuple(sorted(pairs))), A, B))
+            best = min(best, distortion(sorted(pairs), A, B))
     return best / 2.0
 
 
@@ -140,10 +140,7 @@ def test_size_limit():
 
 def test_distortion_and_correspondence():
     A, B = two_pt(1.0), two_pt(3.0)
-    corr = Correspondence(pairs=((0, 0), (1, 1)))
-    assert corr.covers(2, 2)
-    assert distortion(corr, A, B) == pytest.approx(2.0)
-    assert not Correspondence(pairs=((0, 0),)).covers(2, 2)
+    assert distortion(((0, 0), (1, 1)), A, B) == pytest.approx(2.0)
 
 
 def test_metric_profile_euclidean_flat():
@@ -153,9 +150,9 @@ def test_metric_profile_euclidean_flat():
     curve = metric_profile(h, x, eps, count=5, seed=2)
     assert len(curve.points) == 4
     # homogeneous space: rescaled snapshots are isometric copies
-    verdict = profile_continuity_at_zero(curve, tol=3.0 * curve.density)
-    assert verdict.converged
-    assert max(verdict.gaps) <= 1e-10
+    report = check_profile_continuity(curve)
+    assert report.converged
+    assert max(row["value"] for row in report.table) <= 1e-10
 
 
 def test_restricted_profile_has_base_first():

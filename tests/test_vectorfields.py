@@ -41,6 +41,36 @@ def test_flow_exp_tests_the_chart_box_at_every_step():
     assert np.allclose(end, [0.5, 0.0], atol=1e-5)
 
 
+def test_a_flow_that_overflows_leaves_the_chart():
+    # two coefficients of 1e160 overflow the one RK4 step to NaN on each
+    # manifest frame, where 1e100 stays finite and leaves the box: both raise
+    # ChartEscape, and no overflow warning escapes. Without a box a coordinate
+    # still has to be finite.
+    for name in ("contact-curved", "engel", "martinet"):
+        with open(os.path.join(os.path.dirname(__file__), "manifests", name + ".json")) as f:
+            frame = frame_from_manifest(json.load(f))
+        boxless = Frame(fields=frame.fields, degrees=frame.degrees)
+        for big, frames in ((1e160, (frame, boxless)), (1e100, (frame,))):
+            a = np.zeros(frame.n)
+            a[:2] = big
+            for fr in frames:
+                with pytest.raises(ChartEscape):
+                    flow_exp(fr, a, np.zeros(frame.n), steps=1)
+
+
+def test_fewer_than_one_flow_step_is_refused():
+    # rk4_flow's step length 1 / steps divided by zero at steps=0
+    frame, _ = heisenberg()
+    a, x = np.array([0.1, 0.2, 0.0]), np.zeros(3)
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="steps"):
+            flow_exp(frame, a, x, steps=steps)
+        with pytest.raises(ValueError, match="steps"):
+            chart_inverse(frame, x, a, steps=steps)
+        with pytest.raises(ValueError, match="steps"):
+            compose_rows(frame, a[None], a[None], x, steps=steps)
+
+
 def test_polynomial_field_values_and_jacobian():
     # f(x) = (x0*x1, 3 + x2^2, -x0)
     f = polynomial_field([
