@@ -38,10 +38,11 @@ class DilatationStructure:
     """Metric space plus dilatations.
 
     dil(eps, x, y) must accept any eps > 0 (eps > 1 gives the inverse maps),
-    fix x, and be the identity at eps = 1. A float eps with (n,) points gives
-    one (n,) point; a (k,) eps with points x, y of shape (n,) or (k, n) gives
-    the (k, n) stack whose row r equals dil(eps[r], x_r, y_r) to the last
-    bit, so the harness evaluates a whole schedule in one call. domain_radius
+    fix x, and be the identity at eps = 1. It broadcasts: eps is a float or
+    a (k,) schedule, x and y are (..., n) stacks that broadcast against
+    eps[:, None] ((P, 1, n) points give the (P, k, n) stack of every point
+    at every scale), and each row of the result equals the scalar call
+    dil(float(eps[s]), x_row, y_row) to the last bit. domain_radius
     is the declared bound A of the axioms' domains; working_radius is the
     "sufficiently close" radius within which witnesses are drawn.
     """
@@ -120,12 +121,19 @@ def _dil_schedule(ds, eps, x, pts) -> np.ndarray:
     """(P, k, n) images dil(eps[s], x_is, y_is) of P points at k scales in one
     dil call. x is one base point (n,), one per point (P, n) or one per point
     and scale (P, k, n); pts is (P, n), every point at every scale, or
-    (P, k, n), one point per scale."""
-    pts = np.asarray(pts, dtype=float)
-    P, k = len(pts), eps.size
-    rows = lambda a: a.reshape(P * k, -1) if a.ndim == 3 else np.repeat(a, k, axis=0)
-    xs = rows(np.asarray(x, dtype=float)) if np.ndim(x) > 1 else x
-    return as_points(ds.dil(np.tile(eps, P), xs, rows(pts))).reshape(P, k, -1)
+    (P, k, n), one point per scale. (P, n) stacks go in as (P, 1, n)."""
+    x, pts = (a[:, None] if a.ndim == 2 else a
+              for a in (np.asarray(x, dtype=float), np.asarray(pts, dtype=float)))
+    return as_points(ds.dil(eps, x, pts))
+
+
+def _scales(values, name) -> np.ndarray:
+    """values as a float array, or a ValueError naming the argument unless
+    they are nonempty, finite and > 0."""
+    s = np.asarray(values, dtype=float)
+    if s.size == 0 or not (np.all(s > 0.0) and np.all(np.isfinite(s))):
+        raise ValueError("%s must be nonempty, finite and > 0" % name)
+    return s
 
 
 def _gap(a, b):
@@ -164,13 +172,12 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
     eps = check_schedule(eps_schedule)
     X, Y, sc = _sample_stacks(samples)
     bump = 1e-6
-    # one stack for the identity at 1, the images along the schedule and the
-    # continuity probe at eps[0]: y moved by bump along the first axis, whose
-    # reference is the first image
-    ys = np.repeat(Y[:, None], eps.size + 2, axis=1)
-    ys[:, -1] += bump * np.eye(Y.shape[1])[0]
-    imgs = _dil_schedule(ds, np.concatenate([[1.0], eps, eps[:1]]), X, ys)
-    y_eps = imgs[:, 1:-1]
+    # one (P, 2, k + 1, n) stack for the identity at 1, the images along the
+    # schedule and the continuity probe at eps[0]: y moved by bump along the
+    # first axis, whose reference is the first image
+    ys = np.stack([Y, Y + bump * np.eye(Y.shape[1])[0]], axis=1)[:, :, None]
+    imgs = as_points(ds.dil(np.concatenate([[1.0], eps]), X[:, None, None], ys))
+    y_eps = imgs[:, 0, 1:]
     fixed = _dil_schedule(ds, eps, X, X)
     back = _dil_schedule(ds, 1.0 / eps, X, y_eps)
     # d(x, y), then the decay d(x, dil(eps,x,y)) along the schedule
@@ -178,7 +185,7 @@ def check_A0_A1(ds: DilatationStructure, samples: Sequence, eps_schedule,
     # domain witness: the expanded ball points stay inside B(x, A)
     d_back = distances(ds.space, X[:, None], back).tolist()
 
-    r_id, r_cont = _gap(imgs[:, 0], Y), _gap(imgs[:, -1], y_eps[:, 0])
+    r_id, r_cont = _gap(imgs[:, 0, 0], Y), _gap(imgs[:, 1, 1], y_eps[:, 0])
     r_fix, r_inv = _gap(fixed, X[:, None]), _gap(back, Y[:, None])
     # contraction trend: comparable to first order in eps, heading to 0
     floor = 1e-12 * sc
@@ -217,12 +224,12 @@ def check_A2(ds: DilatationStructure, samples: Sequence, pairs: Sequence,
              tol: float = 1e-9) -> CheckReport:
     """Composition law dil(eps, x, dil(mu, x, u)) = dil(eps*mu, x, u).
 
-    samples: list of (x, u); pairs: list of (eps, mu) scale pairs. Residuals
-    are chart-coordinate gaps relative to the coordinate scale.
+    samples: list of (x, u); pairs: nonempty list of (eps, mu) scale pairs,
+    each finite and > 0. Residuals are chart-coordinate gaps relative to the
+    coordinate scale.
     """
+    es, ms = np.array(_scales(pairs, "pairs").T)
     X, U, sc = _sample_stacks(samples)
-    es = np.array([float(e) for e, _ in pairs])
-    ms = np.array([float(m) for _, m in pairs])
     res = _gap(_dil_schedule(ds, es, X, _dil_schedule(ds, ms, X, U)),
                _dil_schedule(ds, es * ms, X, U))
     scales = list(zip(es.tolist(), ms.tolist()))
@@ -455,7 +462,8 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
       automorphism    dil(mu, x, add(u,v)) = add(dil(mu,x,u), dil(mu,x,v))
       cone property   d^x(u, v) = (1/mu) d^x(dil(mu,x,u), dil(mu,x,v))
 
-    samples: list of points near x (consecutive triples are used).
+    samples: list of points near x (consecutive triples are used); mus: the
+    nonempty scales, each finite and > 0, of the last two laws.
     Tolerance adapts to the tangent data's own limit error: ten times it,
     but at least tol_floor. Tangent data with unconverged limits certifies
     nothing: the report is then inconclusive (converged=False).
@@ -463,11 +471,11 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
     pts = [as_point(p) for p in samples]
     if len(pts) < 3:
         raise ValueError("need at least three sample points")
+    mus = _scales(mus, "mus")
     if not td.converged:
         return CheckReport(check="conical-group", passed=False,
                            max_residual=float(td.limit_error), tolerance=tol_floor,
                            converged=False, notes="tangent limits unconverged")
-    mus = np.asarray(mus, dtype=float)
     tol = max(tol_floor, 10.0 * td.limit_error)
     triples = [pts[i:i + 3] for i in range(len(pts) - 2)]
     T, n = len(triples), len(td.center)
@@ -478,8 +486,7 @@ def check_conical_group(td: TangentData, ds: DilatationStructure, samples: Seque
     # first sum batch: u + v, v + w, and the left translates w + u, w + v
     S, VW, WU, WV = np.split(add(cat([U, V, W, W]), cat([V, W, U, V])), 4)
     # every triple's u, v and their sum dilated at every mu in one call
-    imgs = _dil_schedule(ds, mus, td.center,
-                         np.stack([U, V, S], axis=1).reshape(-1, n)).reshape(T, 3, -1, n)
+    imgs = as_points(ds.dil(mus, td.center, np.stack([U, V, S], axis=1)[:, :, None]))
     A, B = (imgs[:, r].reshape(-1, n) for r in (0, 1))
     # second sum batch: u + (v + w), (u + v) + w and the sums of the images
     U_VW, S_W, AB = np.split(add(cat([U, S, A]), cat([VW, W, B])), [T, 2 * T])

@@ -73,7 +73,7 @@ from .geometry import MetricSpaceHandle
 from .heisenberg_group import (_geodesic_arc, heisenberg, heisenberg_ball_box, heisenberg_cc,
                                warped_heisenberg)
 from .limits import richardson_limit
-from .util import as_point, as_points, check_schedule, halton, in_chart, symmetric_box
+from .util import as_point, check_schedule, halton, in_chart, symmetric_box
 from .vectorfields import (FD_STEP, Frame, chart_inverse, compose_rows, flow_exp,
                            frame_from_manifest, rk4_flow, rk4_linearization)
 
@@ -712,9 +712,12 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
 
         dil(eps, x, y) = exp(sum eps^deg_i a_i X_i)(x),  a = chart coords of y
 
-    dil takes a whole schedule of scales (see axioms.DilatationStructure). cc
-    is the handle's metric on point stacks (see geometry.MetricSpaceHandle),
-    used as it is: heisenberg_cc, or _light_cc(frame) row by row. The chart
+    dil broadcasts a whole schedule of scales (see axioms.DilatationStructure):
+    one batched chart inverse of the (x, y) stacks as given, then one flow
+    of their coefficients at every scale, so a (P, n) sample along k scales
+    costs P chart-inverse rows. cc is the handle's metric on point stacks
+    (see geometry.MetricSpaceHandle), used as it is: heisenberg_cc, or
+    _light_cc(frame) row by row. The chart
     is the frame's box, or [-3, 3]^n when it declares none; the domain
     radius is 1.2, and the structure takes the frame's name.
     """
@@ -725,19 +728,10 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
         box = symmetric_box(n, 3.0)
 
     def dil(eps, x, y):
-        # the chart coordinates of y do not depend on eps: one batched inverse
-        # for the distinct (x, y) rows (a schedule repeats each pair once per
-        # scale), then every scale in one flow
-        x, y = as_points(x), as_points(y)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        rows = np.concatenate(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2 * n)
-        # distinct by exact bytes, so -0.0 and 0.0 stay apart
-        keys = rows.view(np.dtype((np.void, rows.itemsize * 2 * n))).ravel()
-        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-        a = chart_inverse(frame, rows[first, :n], rows[first, n:], steps=steps,
-                          injectivity_radius=injectivity_radius)
-        return flow_exp(frame, frame.scale_coeffs(eps, a[back.ravel()].reshape(shape)), x,
-                        steps=steps)
+        # the chart coordinates of y do not depend on eps: the inverse runs on
+        # the stacks as given, and the scale axis first appears at the flow
+        a = chart_inverse(frame, x, y, steps=steps, injectivity_radius=injectivity_radius)
+        return flow_exp(frame, frame.scale_coeffs(eps, a), x, steps=steps)
 
     space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box, ball_box=ball_box)
     return DilatationStructure(space=space, dil=dil, name=frame.name,

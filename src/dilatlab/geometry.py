@@ -7,7 +7,7 @@ distances, so handles can carry Euclidean, diffeomorphism-pulled, snowflaked
 or Carnot-Caratheodory metrics without the samplers caring.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ class MetricSpaceHandle:
 
     def __post_init__(self):
         box = np.asarray(self.chart_box, dtype=float)
-        if box.shape != (self.dim, 2) or np.any(box[:, 0] >= box[:, 1]):
+        if box.shape != (self.dim, 2) or not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("chart_box must be (dim, 2) with lo < hi rows")
         object.__setattr__(self, "chart_box", box)
 
@@ -75,7 +75,6 @@ class FinitePointedSpace:
 
     dmat    (n, n) symmetric distance matrix, zero diagonal
     base    index of the marked point
-    labels  opaque per-point labels (defaults to 0..n-1)
     slack   relative triangle-inequality slack; the tight default suits
             matrices sampled from true metrics, matrices assembled from
             extrapolated limit values carry their extrapolation error here
@@ -83,7 +82,6 @@ class FinitePointedSpace:
 
     dmat: np.ndarray
     base: int
-    labels: tuple = field(default=None)
     slack: float = 1e-12
 
     def __post_init__(self):
@@ -108,12 +106,6 @@ class FinitePointedSpace:
             if np.any(lhs > rhs + slack):
                 raise TriangleViolation("triangle inequality violated beyond slack")
         object.__setattr__(self, "dmat", m)
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(n)))
-        elif len(self.labels) != n:
-            raise ValueError("labels length must match dmat")
-        else:
-            object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def size(self) -> int:
@@ -128,7 +120,7 @@ class FinitePointedSpace:
         return {
             "dmat": [[float(v) for v in row] for row in self.dmat],
             "base": int(self.base),
-            "labels": list(self.labels),
+            "labels": list(range(self.size)),
         }
 
 

@@ -109,7 +109,10 @@ class Frame:
             raise ValueError("degrees must be nondecreasing")
         object.__setattr__(self, "degrees", degs)
         if self.chart_box is not None:
-            object.__setattr__(self, "chart_box", np.asarray(self.chart_box, dtype=float))
+            box = np.asarray(self.chart_box, dtype=float)
+            if box.shape != (self.n, 2) or not np.all(box[:, 0] < box[:, 1]):
+                raise ValueError("chart_box must be (n, 2) with lo < hi rows")
+            object.__setattr__(self, "chart_box", box)
 
     @property
     def n(self) -> int:
@@ -133,8 +136,9 @@ class Frame:
     def scale_coeffs(self, eps, a) -> np.ndarray:
         """Coefficient dilation: a_i -> eps^(deg X_i) a_i.
 
-        Batched: eps of shape (k,) scales the rows of a (k, n) or one (n,)
-        coefficient vector, giving (k, n); a scalar eps keeps the shape of a.
+        Batched: a (k,) eps broadcasts as eps[:, None] against the (..., n)
+        stack a, so one (n,) vector or a (k, n) stack gives (k, n) and a
+        (P, 1, n) stack gives (P, k, n); a scalar eps keeps the shape of a.
         """
         a = np.asarray(a, dtype=float)
         eps = np.asarray(eps, dtype=float)[..., None]
@@ -428,7 +432,7 @@ def chart_inverse(frame: Frame, w, z, injectivity_radius: float = 0.5,
                   steps: int = 256) -> np.ndarray:
     """Coefficients a with flow_exp(frame, a, w) = z (Newton iteration).
 
-    Batched: w and z are points (n,) or stacks (k, n), and the result has
+    Batched: w and z are broadcastable (..., n) stacks, and the result has
     their broadcast shape; all rows are solved together, each to the same
     bits as a solve on its own. The first Newton step is exact and costs no
     flow: B(w)^-1 (z - w), B(w) the frame matrix at w. On the one-step

@@ -143,21 +143,23 @@ def test_pointwise_checks_equal_their_merged_per_sample_reports(case):
 
 def test_pointwise_checks_dilate_each_role_in_one_call():
     # dil sees every sample at every scale in one call per role: A0/A1's
-    # images (with the identity at 1 and the continuity probe), fixed points
-    # and inverse images; A2's inner, outer and composed scales; the
+    # images (y and its continuity bump at 1 and along the schedule), fixed
+    # points and inverse images; A2's inner, outer and composed scales; the
     # difference's two roles and the sum's three in derive_sigma_inv and
-    # check_conical_group, whose call counts do not grow with the samples
+    # check_conical_group, whose call counts do not grow with the samples.
+    # The wrapper records the rows each call returns
     base = euclidean(2)
     calls = []
 
     def counted(e, x, y):
-        calls.append(np.size(e))
-        return base.dil(e, x, y)
+        out = base.dil(e, x, y)
+        calls.append(out.size // 2)
+        return out
 
     ds = replace(base, dil=counted)
     samples = euclid_samples(2, 5, np.random.RandomState(6))
     check_A0_A1(ds, samples, SCHED)
-    assert calls == [5 * (len(SCHED) + 2), 5 * len(SCHED), 5 * len(SCHED)]
+    assert calls == [5 * 2 * (len(SCHED) + 1), 5 * len(SCHED), 5 * len(SCHED)]
     del calls[:]
     check_A2(ds, samples, [(0.5, 0.5), (0.7, 0.2)])
     assert calls == [10, 10, 10]
@@ -178,6 +180,21 @@ def test_pointwise_checks_dilate_each_role_in_one_call():
         R = 2 * T + T * len(mus)
         assert calls == ([(3 * T + 1) * k] * 3 + [3 * T * len(mus)] + [R * k] * 3
                          + [2 * R * k])
+
+
+@pytest.mark.parametrize("arg,bad", [("pairs", []), ("pairs", [(0.5, 0.0)]),
+                                     ("pairs", [(np.nan, 0.5)]), ("pairs", [(0.5, np.inf)]),
+                                     ("pairs", [(-0.5, 0.5)]), ("mus", []), ("mus", [0.0]),
+                                     ("mus", [0.5, np.nan]), ("mus", [np.inf]), ("mus", [-0.5])])
+def test_scale_arguments_must_be_nonempty_finite_and_positive(arg, bad):
+    ds = euclidean(2)
+    samples = euclid_samples(2, 3, np.random.RandomState(6))
+    with pytest.raises(ValueError, match="^%s must be nonempty, finite and > 0$" % arg):
+        if arg == "pairs":
+            check_A2(ds, samples, bad)
+        else:
+            td = derive_sigma_inv(ds, np.zeros(2), SCHED)
+            check_conical_group(td, ds, [0.5 * p for p, _ in samples], mus=bad)
 
 
 def test_a2_euclidean_exact():
@@ -429,15 +446,16 @@ def test_tangent_data_validates_point_and_schedule():
 
 
 def test_seeded_dx_pair_makes_no_dil_call():
-    # the wrapper counts the scale rows dil evaluates: estimate_dx dilates
-    # each sample point once per scale, memo hits (in either order) dilate
+    # the wrapper counts the rows dil returns: estimate_dx dilates each
+    # sample point once per scale, memo hits (in either order) dilate
     # nothing, and a fresh pair dilates its two points once per scale
     base = euclidean(2)
     rows = [0]
 
     def counted(e, x, y):
-        rows[0] += np.size(e)
-        return base.dil(e, x, y)
+        out = base.dil(e, x, y)
+        rows[0] += out.size // 2
+        return out
 
     ds = replace(base, dil=counted)
     pts = [np.array([0.4, 0.1]), np.array([-0.3, 0.2]), np.array([0.1, -0.5])]
@@ -523,9 +541,11 @@ def test_batched_and_per_scale_paths_agree_on_heisenberg():
     def per_row(e, x, y):
         if np.ndim(e) == 0:
             return ds.dil(e, x, y)
-        shape = (np.size(e), np.shape(x)[-1])
-        return np.array([ds.dil(float(s), p, q) for s, p, q
-                         in zip(e, np.broadcast_to(x, shape), np.broadcast_to(y, shape))])
+        es, xs, ys = np.broadcast_arrays(np.asarray(e)[:, None], x, y)
+        n = xs.shape[-1]
+        return np.array([ds.dil(float(s[0]), p, q) for s, p, q
+                         in zip(es.reshape(-1, n), xs.reshape(-1, n), ys.reshape(-1, n))]
+                        ).reshape(xs.shape)
 
     looped = replace(ds, dil=per_row)
     sched = halving_schedule(0.125, 4)

@@ -42,10 +42,20 @@ def test_radius_is_from_base():
 
 def test_jsonable_roundtrip():
     d = np.array([[0.0, 1.5], [1.5, 0.0]])
-    doc = FinitePointedSpace(dmat=d, base=1, labels=["p", "q"]).to_jsonable()
+    doc = FinitePointedSpace(dmat=d, base=1).to_jsonable()
     assert doc["base"] == 1
     assert doc["dmat"][0][1] == 1.5
-    assert doc["labels"] == ["p", "q"]
+    assert doc["labels"] == [0, 1]
+
+
+@pytest.mark.parametrize("box", [[[-1.0, 1.0], [np.nan, 1.0]], [[-1.0, 1.0], [-1.0, np.nan]],
+                                 [[-1.0, 1.0], [1.0, -1.0]], [[-1.0, 1.0], [0.5, 0.5]],
+                                 [[-1.0, 1.0]]])
+def test_handle_refuses_a_box_without_lo_below_hi_on_every_axis(box):
+    # a NaN bound makes both lo >= hi and lo < hi false, so only the
+    # second test refuses it; such a box would contain no point
+    with pytest.raises(ValueError, match="chart_box must be"):
+        MetricSpaceHandle(2, euclidean_handle(2).distance, np.array(box))
 
 
 def test_sample_ball_euclidean():

@@ -195,3 +195,15 @@ def test_broadcast_dil_equals_scalar_calls(name):
         yr = np.broadcast_to(ys, (k, n))
         want = np.array([ds.dil(float(eps[r]), xr[r], yr[r]) for r in range(k)])
         assert np.array_equal(got, want)
+    # the harness's layouts: P points, each at every scale (P, 1, n) or one
+    # per scale (P, k, n), against one base point or one per point (P, 1, n)
+    P = 3
+    XP = rng.uniform(-0.15, 0.15, (P, 1, n))
+    YP = XP + rng.uniform(-0.08, 0.08, (P, k, n))
+    for xs, ys in ((XP[0, 0], YP[:, :1]), (XP, YP[:, :1]), (XP[0, 0], YP), (XP, YP)):
+        got = ds.dil(eps, xs, ys)
+        assert got.shape == (P, k, n)
+        xr, yr = (np.broadcast_to(a, (P, k, n)) for a in (xs, ys))
+        want = np.array([[ds.dil(float(eps[s]), xr[p, s], yr[p, s]) for s in range(k)]
+                         for p in range(P)])
+        assert np.array_equal(got, want)

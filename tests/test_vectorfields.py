@@ -176,6 +176,16 @@ def test_frame_degree_validation():
         Frame(fields=(X1, X2), degrees=(0, 1))
 
 
+@pytest.mark.parametrize("box", [[[-1.0, 1.0], [1.0, -1.0]], [[-1.0, 1.0], [np.nan, 1.0]],
+                                 [[-1.0, 1.0]], [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]])
+def test_frame_refuses_a_chart_box_of_the_wrong_shape_or_order(box):
+    # an inverted or NaN row would contain no point, and a (1, 2) box for
+    # n = 2 would broadcast its one row to every axis in util.in_chart
+    X1, X2 = heis_generators()
+    with pytest.raises(ValueError, match="chart_box must be"):
+        Frame(fields=(X1, X2), degrees=(1, 2), chart_box=box)
+
+
 def test_flow_exp_rotation_closed_form():
     # X = (-x2, x1): exp(t X) is rotation by angle t
     rot = polynomial_field([[[-1.0, [0, 1]]], [[1.0, [1, 0]]]], name="rot")
