@@ -74,8 +74,9 @@ from .heisenberg_group import (_geodesic_arc, heisenberg, heisenberg_ball_box, h
                                warped_heisenberg)
 from .limits import richardson_limit
 from .util import as_point, check_schedule, halton, in_chart, symmetric_box
-from .vectorfields import (FD_STEP, Frame, chart_inverse, compose_rows, flow_exp,
-                           frame_from_manifest, rk4_flow, rk4_linearization)
+from .vectorfields import (FD_STEP, Frame, chart_inverse, check_injectivity_radius,
+                           compose_rows, flow_exp, frame_from_manifest, rk4_flow,
+                           rk4_linearization)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +553,8 @@ def cc_distance(frame: Frame, x, y, config: Optional[CCConfig] = None,
         raise ValueError("frame has no degree-1 fields")
     if cfg.segments < 1:
         raise ValueError("config needs segments >= 1")
+    if not 0.0 < cfg.endpoint_tol < math.inf:
+        raise ValueError("config needs a finite endpoint_tol > 0, got %r" % (cfg.endpoint_tol,))
     if not np.all(in_chart(frame.chart_box, np.stack([x, y]))):
         raise ChartEscape("endpoint outside the chart box")
     N = cfg.segments
@@ -621,8 +624,7 @@ def _plateau(vals: np.ndarray, band: float) -> bool:
 
 
 def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
-                       cc: Optional[Callable] = None,
-                       flow_steps: int = 256) -> CheckReport:
+                       cc: Optional[Callable] = None) -> CheckReport:
     """Two-part degree test of an adapted frame.
 
     (a) (1/eps) cc(exp(sum eps^deg a_i X_i)(y), y) settles to a finite
@@ -630,13 +632,17 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     (b) eps^(-deg_i) P_i(eps-scaled a, eps-scaled b, y) settles per
         coordinate, where P solves the two-exponential composition.
 
-    cc is a metric on point stacks (see geometry.MetricSpaceHandle), called
-    once per schedule; it defaults to the CC solver (cc_distance with
-    LIGHT_CC) on the frame. The plateau verdict takes the absolute noise floor of one cc
-    evaluation as 1e-4 for the solver and 1e-9 for a supplied exact metric.
+    probes is a nonempty list of points. cc is a metric on point stacks
+    (see geometry.MetricSpaceHandle), called once per schedule; it defaults
+    to the CC solver (cc_distance with LIGHT_CC) on the frame. The plateau
+    verdict takes the absolute noise floor of one cc evaluation as 1e-4 for
+    the solver and 1e-9 for a supplied exact metric. Flows take the frame's
+    step count (Frame.flow_steps).
     """
     eps = check_schedule(eps_schedule)
     probes = [as_point(p) for p in probes]
+    if not probes:
+        raise ValueError("check_normal_frame needs at least one point in probes")
     degrees = np.asarray(frame.degrees, dtype=float)
     value_noise = 1e-4 if cc is None else 1e-9
     metric = cc or _light_cc(frame)
@@ -650,7 +656,7 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     for ci, a in enumerate(coeffs):
         limits = []
         for pi, y in enumerate(probes):
-            pts = flow_exp(frame, frame.scale_coeffs(eps, a), y, steps=flow_steps)
+            pts = flow_exp(frame, frame.scale_coeffs(eps, a), y, steps=frame.flow_steps)
             vals = metric(pts, y) / eps
             est = richardson_limit(eps, vals)
             band = max(0.02 * float(np.median(np.abs(vals))),
@@ -680,7 +686,7 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
     for pi, x in enumerate(probes):
         for qi, (a, b) in enumerate(pair_list):
             P, _, _ = compose_rows(frame, frame.scale_coeffs(eps, a),
-                                   frame.scale_coeffs(eps, b), x, steps=flow_steps)
+                                   frame.scale_coeffs(eps, b), x)
             vecs = P / eps[:, None] ** degrees
             est = richardson_limit(eps, vecs)
             noise_b = 1e-12 / float(eps[-1]) ** frame.step
@@ -705,9 +711,8 @@ def check_normal_frame(frame: Frame, probes: Sequence, eps_schedule, coeff_box,
 # Induced dilatation structures
 
 
-def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
-                  injectivity_radius: float = 0.5, ball_box=None,
-                  working_radius: float = 0.3) -> DilatationStructure:
+def sr_dilatation(frame: Frame, cc: Callable, injectivity_radius: float = 0.5,
+                  ball_box=None, working_radius: float = 0.3) -> DilatationStructure:
     """Dilatation structure of an adapted frame under a CC-type metric:
 
         dil(eps, x, y) = exp(sum eps^deg_i a_i X_i)(x),  a = chart coords of y
@@ -717,10 +722,13 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     of their coefficients at every scale, so a (P, n) sample along k scales
     costs P chart-inverse rows. cc is the handle's metric on point stacks
     (see geometry.MetricSpaceHandle), used as it is: heisenberg_cc, or
-    _light_cc(frame) row by row. The chart
-    is the frame's box, or [-3, 3]^n when it declares none; the domain
-    radius is 1.2, and the structure takes the frame's name.
+    _light_cc(frame) row by row. Every flow takes the frame's RK4 step
+    count (Frame.flow_steps), derived at the first dil call. The chart
+    inverse's injectivity_radius must be finite and > 0. The chart is the
+    frame's box, or [-3, 3]^n when it declares none; the domain radius is
+    1.2, and the structure takes the frame's name.
     """
+    radius = check_injectivity_radius(injectivity_radius)
     n = frame.n
     if frame.chart_box is not None:
         box = np.asarray(frame.chart_box, dtype=float)
@@ -730,46 +738,45 @@ def sr_dilatation(frame: Frame, cc: Callable, steps: int = 256,
     def dil(eps, x, y):
         # the chart coordinates of y do not depend on eps: the inverse runs on
         # the stacks as given, and the scale axis first appears at the flow
-        a = chart_inverse(frame, x, y, steps=steps, injectivity_radius=injectivity_radius)
-        return flow_exp(frame, frame.scale_coeffs(eps, a), x, steps=steps)
+        a = chart_inverse(frame, x, y, injectivity_radius=radius)
+        return flow_exp(frame, frame.scale_coeffs(eps, a), x, steps=frame.flow_steps)
 
     space = MetricSpaceHandle(dim=n, distance=cc, chart_box=box, ball_box=ball_box)
     return DilatationStructure(space=space, dil=dil, name=frame.name,
                                domain_radius=1.2, working_radius=working_radius)
 
 
-def heisenberg_structure(steps: int = 1) -> DilatationStructure:
+def heisenberg_structure() -> DilatationStructure:
     """Heisenberg dilatation structure.
 
     The metric is the exact gauge distance (the optimizer is validated
-    against it elsewhere). Every flow is one RK4 step by default, and that
+    against it elsewhere). The frame derives one RK4 step per flow, and that
     step is exact: in exponential coordinates the flow of the combined field
     sum a_i X_i has z1' = a1, z2' = a2 and z3' = a3 + (a2 z1 - a1 z2) / 2,
     all constant along the path, so its time-1 flow from x is the straight
     line to the group product x . a, and RK4 integrates a constant field
-    without error. More steps walk the same line and only add rounding. The chart
-    box is convex, so flow_exp's test of the one endpoint is the test of the
-    whole segment. The chart is affine in the coefficients, so the chart
-    inverse's exact first Newton step is the answer, and every row leaves
-    Newton at rounding under the default tolerance.
+    without error. No coordinate is curved (Frame.curved_coords), so
+    flow_exp tests the one endpoint, and the box is convex: that is the
+    test of the whole segment. The chart is affine in the coefficients, so
+    the chart inverse's exact first Newton step is the answer, and every
+    row leaves Newton at rounding under the default tolerance.
     """
     frame, _ = heisenberg()
     # the exponential chart of this group is a global diffeomorphism, so the
     # Newton guard can extend to the chart box
-    return sr_dilatation(frame, heisenberg_cc, steps=steps, injectivity_radius=2.0,
+    return sr_dilatation(frame, heisenberg_cc, injectivity_radius=2.0,
                          ball_box=heisenberg_ball_box)
 
 
-def warped_heisenberg_structure(steps: int = 256) -> DilatationStructure:
+def warped_heisenberg_structure() -> DilatationStructure:
     frame, cc, _ = warped_heisenberg()
     # the warp is a global triangular diffeomorphism, so the chart stays
     # injective across the box
-    return sr_dilatation(frame, cc, steps=steps, injectivity_radius=2.0,
-                         working_radius=0.25)
+    return sr_dilatation(frame, cc, injectivity_radius=2.0, working_radius=0.25)
 
 
-def structure_from_manifest(doc: dict, steps: int = 256) -> DilatationStructure:
+def structure_from_manifest(doc: dict) -> DilatationStructure:
     """Dilatation structure from a JSON frame manifest (metric: cc_distance
     with LIGHT_CC)."""
     frame = frame_from_manifest(doc)
-    return sr_dilatation(frame, _light_cc(frame), steps=steps)
+    return sr_dilatation(frame, _light_cc(frame))

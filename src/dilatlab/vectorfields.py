@@ -3,16 +3,17 @@
 A frame is an ordered tuple of vector fields spanning R^n at every probe
 point, each tagged with a degree (the bracket word length that produced it).
 The exponential chart at w sends coefficients a to the time-1 flow of the
-combined field sum_i a_i X_i started at w; chart_inverse solves the reverse
-problem by Newton iteration: an exact first step through the frame matrix at
-w, then finite-difference Jacobians of the flow.
+combined field sum_i a_i X_i started at w, in the frame's RK4 step count
+(Frame.flow_steps); chart_inverse solves the reverse problem by Newton
+iteration: an exact first step through the frame matrix at w, then
+finite-difference Jacobians of the flow.
 """
 
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +28,25 @@ MAX_WORD_LEN = 6
 NEWTON_MAX_ITER = 50
 FD_STEP = 1e-6
 CHART_TOL = 1e-12
+# RK4 steps of a time-1 flow on a frame where one step is not exact.
+FLOW_STEPS = 256
+
+
+def _check_steps(steps, name: str) -> int:
+    """steps as an int, refused unless it is a positive integer: a float
+    would be truncated and a bool counted as 0 or 1."""
+    if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 1:
+        raise ValueError("%s must be a positive integer, got %r" % (name, steps))
+    return int(steps)
+
+
+def check_injectivity_radius(radius) -> float:
+    """The chart inverse's injectivity radius as a float, refused unless
+    finite and > 0: a NaN would switch the guard off, and a radius <= 0
+    would fail every Newton start."""
+    if not (isinstance(radius, Real) and 0.0 < radius < float("inf")):
+        raise ValueError("injectivity_radius must be finite and > 0, got %r" % (radius,))
+    return float(radius)
 
 
 @dataclass(frozen=True)
@@ -90,7 +110,10 @@ class Frame:
 
     closed_form, when given, is the combined field (a, z) -> sum_i a_i X_i(z)
     over the first a.shape[-1] fields, as its builder knows it; combined
-    uses it in place of evaluating the fields one by one.
+    uses it in place of evaluating the fields one by one. rk4_steps, when
+    given, is the RK4 step count of every time-1 flow (flow_steps), a
+    positive integer; by default the frame derives it from its fields'
+    monomial tables at the first flow.
     """
 
     fields: Tuple[VectorField, ...]
@@ -98,6 +121,7 @@ class Frame:
     chart_box: Optional[np.ndarray] = None
     name: str = ""
     closed_form: Optional[Callable] = field(default=None, repr=False, compare=False)
+    rk4_steps: Optional[int] = None
 
     def __post_init__(self):
         if len(self.fields) != len(self.degrees):
@@ -113,6 +137,8 @@ class Frame:
             if box.shape != (self.n, 2) or not np.all(box[:, 0] < box[:, 1]):
                 raise ValueError("chart_box must be (n, 2) with lo < hi rows")
             object.__setattr__(self, "chart_box", box)
+        if self.rk4_steps is not None:
+            object.__setattr__(self, "rk4_steps", _check_steps(self.rk4_steps, "rk4_steps"))
 
     @property
     def n(self) -> int:
@@ -175,16 +201,57 @@ class Frame:
         and the horizontal fields depend on nothing else (see
         carnot._rollout).
         """
-        tables = [f.table for f in self.fields[:self.m]]
-        if not tables or any(t is None for t in tables):
+        walk = _constant_speed_reads([f.table for f in self.fields[:self.m]])
+        return None if walk is None else tuple(int(i) for i in np.flatnonzero(walk[0]))
+
+    @cached_property
+    def curved_coords(self) -> Optional[Tuple[int, ...]]:
+        """None unless one RK4 step integrates every combined field's flow
+        exactly; then the coordinates that do not move at constant speed
+        along all of those flows.
+
+        Read off the monomial tables of all n fields, with no numeric
+        probe: the step is exact when every coordinate that some field
+        reads moves at constant speed along every field (the walk of
+        affine_coords) and every component has degree <= 2, as in
+        Bellaiche's graded coordinates (The tangent space in sub-Riemannian
+        geometry, 1996). The fields then read only coordinates affine in
+        the time t, each rate is a quadratic in t, and RK4's update is
+        Simpson's rule on it. Coordinate i has constant speed along every
+        flow of sum_f a_f X_f when its acceleration sum_fg a_f a_g
+        DX_f^i X_g vanishes, that is DX_f^i X_g + DX_g^i X_f = 0 for all f,
+        g; flow_exp tests the other, curved ones between a step's ends.
+        """
+        walk = _constant_speed_reads([f.table for f in self.fields])
+        if walk is None or walk[1].sum(axis=1).max(initial=0) > 2:
             return None
-        read = np.zeros(self.n, dtype=bool)
-        for E, _ in tables:
-            read |= np.any(E > 0, axis=0)
-        for E, C in tables:
-            if np.any(C[np.any(E > 0, axis=1)][:, read] != 0.0):
-                return None
-        return tuple(int(i) for i in np.flatnonzero(read))
+        _, E, C, field = walk
+        k, n = len(self.fields), E.shape[1]
+        # each field's constant term: on the coordinates the fields read,
+        # its whole component
+        V = np.zeros((k, n))
+        const = ~E.any(axis=1)
+        V[field[const]] = C[const]
+        # T[u, f, g, i] = DX_f^i X_g, of degree <= 1: u indexes the monomials
+        # 1, x_1, ..., x_n, and row r differentiated along x_j gives
+        # E_rj x^(E_r - e_j)
+        r, j = np.nonzero(E)
+        rest = E[r] - np.eye(n, dtype=int)[j]
+        u = np.where(rest.any(axis=1), 1 + rest.argmax(axis=1), 0)
+        T = np.zeros((n + 1, k, k, n))
+        np.add.at(T, (u, field[r]), E[r, j][:, None, None] * V[:, j].T[:, :, None]
+                  * C[r][:, None, :])
+        return tuple(int(i) for i in np.flatnonzero(np.any(T + T.swapaxes(1, 2) != 0.0,
+                                                           axis=(0, 1, 2))))
+
+    @cached_property
+    def flow_steps(self) -> int:
+        """RK4 steps of a time-1 flow: rk4_steps when set, else 1 when that
+        step is exact (curved_coords), else FLOW_STEPS. Derived at the first
+        call, never at construction."""
+        if self.rk4_steps is not None:
+            return self.rk4_steps
+        return FLOW_STEPS if self.curved_coords is None else 1
 
     @cached_property
     def hamiltonian(self) -> Callable:
@@ -205,6 +272,24 @@ class Frame:
                                    -np.einsum("...kn,...k->...n", A, p)], axis=-1)
 
         return rhs
+
+
+def _constant_speed_reads(tables):
+    """The shared table walk: (read, E, C, field) for the rows (E, C) of all
+    the monomial tables stacked, field naming each row's table, when every
+    coordinate that some row reads (read, a mask) has a constant component
+    in every table, so that it moves at constant speed along every
+    combination of the fields; None when one has not, when a table is
+    missing, or when there is none."""
+    if not tables or any(t is None for t in tables):
+        return None
+    E = np.concatenate([E for E, _ in tables])
+    C = np.concatenate([C for _, C in tables])
+    varying = E > 0
+    read = varying.any(axis=0)
+    if np.any(C[varying.any(axis=1)][:, read] != 0.0):
+        return None
+    return read, E, C, np.repeat(np.arange(len(tables)), [len(E) for E, _ in tables])
 
 
 def _rank_of(rows: np.ndarray) -> int:
@@ -341,29 +426,56 @@ def rk4_flow(f: Callable, A, z):
         yield z, stages
 
 
-def flow_exp(frame: Frame, a, x, steps: int = 256) -> np.ndarray:
-    """Time-1 flow of the combined field sum a_i X_i from x (RK4, steps
-    steps of length 1 / steps, steps >= 1).
+def _turns(z, s2, s4, end) -> np.ndarray:
+    """Coordinates at the turning points inside one exact RK4 step, stacked
+    (2, ...): end where a root gives none.
+
+    On a frame with curved_coords each coordinate's rate along the step is
+    a quadratic in the step's time t in [0, 1] through RK4's own slopes: k1
+    at 0, k2 = k3 at 1/2 and k4 at 1. In units of the step, k1 = 2 (s2 - z),
+    k2 = s4 - z, and the update gives k4 = 6 (end - z) - k1 - 4 k2, so the
+    rate is c + b t + a t^2 with c = k1, b = 8 k2 - 2 k1 - 6 (end - z) and
+    a = 12 (end - z - k2). Its roots in (0, 1), taken in the form that
+    cancels no digits (Press et al., Numerical Recipes, 5.6), are where the
+    coordinate z + c t + b t^2 / 2 + a t^3 / 3 turns.
+    """
+    c, k2, dz = 2.0 * (s2 - z), s4 - z, end - z
+    b, a = 8.0 * k2 - 2.0 * c - 6.0 * dz, 12.0 * (dz - k2)
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    t = np.stack([q / a, c / q])
+    turn = (t > 0.0) & (t < 1.0)
+    t = np.where(turn, t, 0.0)
+    return np.where(turn, z + t * (c + t * (0.5 * b + t * a / 3.0)), end)
+
+
+def flow_exp(frame: Frame, a, x, steps: Optional[int] = None) -> np.ndarray:
+    """Time-1 flow of the combined field sum a_i X_i from x: steps RK4
+    steps of length 1 / steps, frame.flow_steps by default (a positive
+    integer when given).
 
     Batched over leading dimensions of a and x. Raises ChartEscape at the
-    first step where a coordinate leaves the chart (util.in_chart on the
-    frame's box): outside the box or, after an overflow, not finite.
+    first step where the path leaves the chart (util.in_chart on the
+    frame's box): outside the box or, after an overflow, not finite. The
+    test covers each step's end and, where the step is exact, the whole
+    path: on a frame with curved_coords, each curved coordinate's turning
+    points inside the step are tested too (_turns); the others move at
+    constant speed, so their ends bound them.
     """
-    if int(steps) < 1:
-        raise ValueError("flow_exp needs steps >= 1, got %r" % (steps,))
+    steps = frame.flow_steps if steps is None else _check_steps(steps, "steps")
     a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     box = frame.chart_box
+    curved = None if box is None else frame.curved_coords
     # an overflow makes a coordinate non-finite, and ChartEscape reports it;
     # one reduction over the whole stack per step
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z, _ in rk4_flow(frame.combined, [a] * int(steps), z):
-            if not in_chart(box, z).all():
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for z, (z0, s2, _, s4) in rk4_flow(frame.combined, [a] * steps, z):
+            if not in_chart(box, z).all() or (curved and not in_chart(
+                    box[curved, :], _turns(*(p[..., curved] for p in (z0, s2, s4, z)))).all()):
                 raise ChartEscape("flow left the chart box")
     return z
 
 
-def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray,
-                  injectivity_radius: float, steps: int):
+def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray, injectivity_radius: float):
     """Newton core for flow_exp(frame, y_r, w_r) = z_r over the rows of z.
 
     w and z are (k, n) stacks (w may be one (n,) point). The first step is
@@ -409,7 +521,7 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray,
         # per row: base point first, then +/- perturbations per coefficient
         ya = y[active, None, :]
         probes = np.concatenate([ya, ya + FD_STEP * eye, ya - FD_STEP * eye], axis=1)
-        flows = flow_exp(frame, probes, w[active, None, :], steps=steps)
+        flows = flow_exp(frame, probes, w[active, None, :], steps=frame.flow_steps)
         F = flows[:, 0] - z[active]
         res[active] = np.max(np.abs(F), axis=1)
         todo = res[active] >= thresh[active]
@@ -428,8 +540,7 @@ def _newton_chart(frame: Frame, w: np.ndarray, z: np.ndarray,
                         % (res[worst], thresh[worst], NEWTON_MAX_ITER))
 
 
-def chart_inverse(frame: Frame, w, z, injectivity_radius: float = 0.5,
-                  steps: int = 256) -> np.ndarray:
+def chart_inverse(frame: Frame, w, z, injectivity_radius: float = 0.5) -> np.ndarray:
     """Coefficients a with flow_exp(frame, a, w) = z (Newton iteration).
 
     Batched: w and z are broadcastable (..., n) stacks, and the result has
@@ -441,18 +552,19 @@ def chart_inverse(frame: Frame, w, z, injectivity_radius: float = 0.5,
     integrated as one batch. Converged when the chart residual drops below
     CHART_TOL * (1 + |z|). A frame whose fields are linearly dependent at
     some w raises NonRegular naming that w; iterates that leave the
-    injectivity ball (coefficient norm cap) or fail to settle raise
-    NoConvergence for the whole call.
+    injectivity ball (coefficient norm cap, a finite injectivity_radius >
+    0) or fail to settle raise NoConvergence for the whole call.
     """
+    radius = check_injectivity_radius(injectivity_radius)
     w, z = as_points(w), as_points(z)
     shape = np.broadcast_shapes(w.shape, z.shape)
     n = shape[-1]
     y, _, _ = _newton_chart(frame, np.broadcast_to(w, shape).reshape(-1, n),
-                            np.broadcast_to(z, shape).reshape(-1, n), injectivity_radius, steps)
+                            np.broadcast_to(z, shape).reshape(-1, n), radius)
     return y.reshape(shape)
 
 
-def compose_rows(frame: Frame, A, B, x, steps: int = 256):
+def compose_rows(frame: Frame, A, B, x):
     """Solve exp(sum P_i X_i)(exp(sum b_i X_i)(x)) = exp(sum a_i X_i)(x) for
     the rows a, b of (k, n) coefficient stacks A and B at one x.
 
@@ -461,9 +573,9 @@ def compose_rows(frame: Frame, A, B, x, steps: int = 256):
     with the bits of a solve on its own. Iterations count Newton updates,
     the exact first step included, so they are at least 1.
     """
-    target = flow_exp(frame, A, x, steps=steps)
-    start = flow_exp(frame, B, x, steps=steps)
-    return _newton_chart(frame, start, target, 0.5, steps)
+    target = flow_exp(frame, A, x, steps=frame.flow_steps)
+    start = flow_exp(frame, B, x, steps=frame.flow_steps)
+    return _newton_chart(frame, start, target, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ independent oracles computed here, never from recorded outputs.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from dilatlab.axioms import (TangentData, check_A0_A1, check_A2, check_conical_g
                              check_profile_continuity, check_tangent_cone, derive_sigma_inv,
                              estimate_dx)
 from dilatlab.carnot import (CCConfig, cc_distance, check_normal_frame,
-                             heisenberg_structure, warped_heisenberg_structure)
+                             heisenberg_structure, sr_dilatation)
 from dilatlab.geometry import FinitePointedSpace, rescale
 from dilatlab.gromov import gh_pointed_exact, metric_profile
 from dilatlab.heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_dilate,
                                        heisenberg_group_law, heisenberg_inverse,
-                                       heisenberg_warp, vertical_cc_oracle)
+                                       heisenberg_warp, vertical_cc_oracle,
+                                       warped_heisenberg)
 from dilatlab.structures import (complex_dilatation, euclidean,
                                  riemannian_diffeo, shear_quadratic,
                                  snowflake_structure)
@@ -251,7 +253,7 @@ def test_criterion_07_composition_and_normal_frame():
         a = _ball(rng, 3, 0.3)
         b = _ball(rng, 3, 0.3)
         x = _ball(rng, 3, 0.2)
-        P, _, _ = compose_rows(frame, a[None], b[None], x, steps=32)
+        P, _, _ = compose_rows(frame, a[None], b[None], x)
         want = np.array([a[0] - b[0], a[1] - b[1],
                          a[2] - b[2] - (b[0] * a[1] - b[1] * a[0]) / 2.0])
         gap = float(np.max(np.abs(P[0] - want)))
@@ -259,7 +261,7 @@ def test_criterion_07_composition_and_normal_frame():
         worst = max(worst, gap)
 
     rep = check_normal_frame(frame, [np.zeros(3), np.array([0.1, -0.05, 0.02])],
-                             halving_schedule(0.5, 3), coeff_box=0.4, flow_steps=32)
+                             halving_schedule(0.5, 3), coeff_box=0.4)
     assert rep.passed, rep.failures
     dt = time.perf_counter() - t0
     assert dt < 60.0
@@ -294,7 +296,7 @@ def test_criterion_08_cc_distance():
 
 
 def test_criterion_09_group_tangent_structure():
-    ds = heisenberg_structure(steps=32)
+    ds = heisenberg_structure()
     rng = np.random.RandomState(91)
 
     xu = [tuple(rng.uniform(-0.25, 0.25, 3) for _ in range(2)) for _ in range(6)]
@@ -341,8 +343,10 @@ def test_criterion_09_group_tangent_structure():
         return phi(heisenberg_group_law(
             xw, heisenberg_dilate(e, heisenberg_group_law(heisenberg_inverse(xw), uw))))
 
+    wframe, wcc, _ = warped_heisenberg()
+
     def residual(steps):
-        dsn = warped_heisenberg_structure(steps=steps)
+        dsn = sr_dilatation(replace(wframe, rk4_steps=steps), wcc, injectivity_radius=2.0)
         r = 0.0
         for x, u in tuples:
             for e, m in scale_pairs:
@@ -375,7 +379,7 @@ def test_criterion_10_tangent_cone_decay():
     assert rep_r.converged
     assert vals_r[-1] < 1e-3
 
-    rep_h = check_tangent_cone(heisenberg_structure(steps=32), np.zeros(3),
+    rep_h = check_tangent_cone(heisenberg_structure(), np.zeros(3),
                                sched, count=4, seed=2)
     vals_h = gaps(rep_h)
     assert rep_h.converged

@@ -126,7 +126,7 @@ def test_pointwise_checks_equal_their_merged_per_sample_reports(case):
     if case == "heisenberg":
         # an a0a1 tolerance below the Newton chart inverse's precision makes
         # every sample fail at several scales, so the failure order is exercised
-        ds, x, sched, tol = (heisenberg_structure(steps=32), np.array([0.05, -0.1, 0.02]),
+        ds, x, sched, tol = (heisenberg_structure(), np.array([0.05, -0.1, 0.02]),
                              halving_schedule(0.125, 6), 1e-14)
     else:
         ds, x, sched, tol = replace(euclidean(2), dil=_broken_inverse), np.zeros(2), SCHED, 1e-9
@@ -347,9 +347,9 @@ def _tangent_cone_case(case):
 
     x = np.array([0.3, -0.2])
     if case == "heisenberg":
-        return heisenberg_structure(steps=32), np.array([0.05, -0.1, 0.02]), 3
+        return heisenberg_structure(), np.array([0.05, -0.1, 0.02]), 3
     if case == "heisenberg-origin":
-        return heisenberg_structure(steps=32), np.zeros(3), 4
+        return heisenberg_structure(), np.zeros(3), 4
     if case == "riemannian-shear":
         return build_structure("riemannian-shear"), x, 4
     return euclidean(2), x, 1 if case == "one-point" else 4
@@ -419,11 +419,15 @@ def test_tangent_cone_passes_at_the_dx_error_floor():
     # off the Heisenberg origin the exact cone leaves a flat gap of 2.34e-7
     # with 32-step flows, which is the d^x extrapolation error over eps[0]:
     # it never decays to a quarter of its first value, but it lies within the
-    # d^x error bars
-    from dilatlab.carnot import heisenberg_structure
+    # d^x error bars. The frame's count is set to 32 for that floor, on the
+    # structure heisenberg_structure builds
+    from dilatlab.carnot import heisenberg_structure, sr_dilatation
+    from dilatlab.heisenberg_group import heisenberg, heisenberg_ball_box, heisenberg_cc
 
     x, sched = np.array([0.05, -0.1, 0.02]), halving_schedule(0.125, 8)
-    rep = check_tangent_cone(heisenberg_structure(steps=32), x, sched, count=3, seed=0)
+    ds32 = sr_dilatation(replace(heisenberg()[0], rk4_steps=32), heisenberg_cc,
+                         injectivity_radius=2.0, ball_box=heisenberg_ball_box)
+    rep = check_tangent_cone(ds32, x, sched, count=3, seed=0)
     gaps = _gaps(rep)
     assert np.all(gaps > 0.25 * gaps[0])
     assert 1e-7 < gaps[0] < 1e-6
@@ -536,7 +540,7 @@ def test_batched_and_per_scale_paths_agree_on_heisenberg():
     # scale must give identical reports and values
     from dilatlab.carnot import heisenberg_structure
 
-    ds = heisenberg_structure(steps=32)
+    ds = heisenberg_structure()
 
     def per_row(e, x, y):
         if np.ndim(e) == 0:

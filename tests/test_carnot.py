@@ -4,6 +4,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_compose_p_matches_group_law():
     for _ in range(5):
         a = rng.uniform(-0.25, 0.25, 3)
         b = rng.uniform(-0.25, 0.25, 3)
-        P, _, _ = compose_rows(frame, a[None], b[None], x, steps=32)
+        P, _, _ = compose_rows(frame, a[None], b[None], x)
         want = law(heisenberg_inverse(b), a)
         assert np.allclose(P[0], want, atol=1e-9)
 
@@ -188,7 +189,7 @@ def test_flow_exp_is_right_translation():
 
 
 def test_sr_dilatation_matches_group_dilation():
-    ds = heisenberg_structure(steps=32)
+    ds = heisenberg_structure()
     rng = np.random.RandomState(7)
     for _ in range(4):
         x = rng.uniform(-0.3, 0.3, 3)
@@ -231,8 +232,9 @@ def test_default_heisenberg_dil_schedule_is_the_closed_form():
 
 
 def test_one_step_flow_leaving_the_chart_box_raises():
-    # one step tests only the endpoint; the segment and the box are convex,
-    # so that is the test of the whole path
+    # no Heisenberg coordinate is curved, so one step tests only the
+    # endpoint; the segment and the box are convex, so that is the test of
+    # the whole path
     frame, _ = heisenberg()
     with pytest.raises(ChartEscape):
         flow_exp(frame, [[0.1, 0.0, 0.0], [2.5, 0.0, 0.0]], np.zeros(3), steps=1)
@@ -249,7 +251,7 @@ def test_sr_dilatation_without_chart_box_in_dim_4():
     X3 = polynomial_field([[], [], one, []])
     X4 = polynomial_field([[], [], [], one])
     frame = Frame(fields=(X1, X2, X3, X4), degrees=(1, 1, 1, 2))
-    ds = sr_dilatation(frame, euclidean_distance, steps=32)
+    ds = sr_dilatation(frame, euclidean_distance)
     assert ds.space.chart_box.shape == (4, 2)
     x = np.array([0.1, -0.05, 0.02, 0.03])
     y = np.array([0.2, 0.04, -0.06, 0.08])
@@ -273,6 +275,15 @@ def test_cc_distance_needs_a_segment():
     with pytest.raises(ValueError, match="segments"):
         cc_distance(frame, np.zeros(3), np.array([0.3, 0.0, 0.0]),
                     config=CCConfig(segments=0))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_cc_distance_needs_a_finite_positive_endpoint_tol(tol):
+    # NaN, -1 and 0 ran the whole shooting and polish, then raised
+    # NoFeasiblePath "within endpoint residual nan"
+    with pytest.raises(ValueError, match="endpoint_tol"):
+        cc_distance(heisenberg()[0], np.zeros(3), np.array([0.3, 0.0, 0.0]),
+                    config=CCConfig(endpoint_tol=tol))
 
 
 def test_cc_distance_checks_its_endpoints():
@@ -920,15 +931,15 @@ def test_normal_frame_scale_batches_equal_per_scale_calls():
     eps = np.array([0.5, 0.3, 0.125, 0.0625])
     a = np.array([0.31, -0.22, 0.17])
     b = np.array([-0.12, 0.27, -0.2])
-    for frame, steps in ((heisenberg()[0], 32), (warped_heisenberg()[0], 64)):
+    for frame in (heisenberg()[0], replace(warped_heisenberg()[0], rk4_steps=64)):
         x = np.array([0.1, -0.05, 0.02])
         A, B = frame.scale_coeffs(eps, a), frame.scale_coeffs(eps, b)
-        pts = flow_exp(frame, A, x, steps=steps)
-        P, _, _ = compose_rows(frame, A, B, x, steps=steps)
+        pts = flow_exp(frame, A, x)
+        P, _, _ = compose_rows(frame, A, B, x)
         for r, e in enumerate(eps):
             Ae, Be = frame.scale_coeffs(float(e), a), frame.scale_coeffs(float(e), b)
-            assert np.array_equal(pts[r], flow_exp(frame, Ae, x, steps=steps)), frame.name
-            Pe, _, _ = compose_rows(frame, Ae[None], Be[None], x, steps=steps)
+            assert np.array_equal(pts[r], flow_exp(frame, Ae, x)), frame.name
+            Pe, _, _ = compose_rows(frame, Ae[None], Be[None], x)
             assert np.array_equal(P[r], Pe[0])
 
 
@@ -949,6 +960,13 @@ def test_normal_frame_refuses_a_coefficient_box_with_no_draw(box):
     with pytest.raises(ValueError, match="coeff_box"):
         check_normal_frame(heisenberg()[0], [np.zeros(3)], [0.5, 0.25, 0.125],
                            coeff_box=box, cc=heisenberg_cc)
+
+
+def test_normal_frame_refuses_empty_probes():
+    # the spread across probes was Python's max() of an empty list
+    with pytest.raises(ValueError, match="probes"):
+        check_normal_frame(heisenberg()[0], [], [0.5, 0.25, 0.125], coeff_box=0.4,
+                           cc=heisenberg_cc)
 
 
 def _zero_metric(p, q):

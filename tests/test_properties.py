@@ -76,7 +76,7 @@ def test_tangent_data_memo_matches_fresh_limits(name, data, count):
 def test_tangent_data_memo_matches_fresh_limits_on_heisenberg():
     from dilatlab.carnot import heisenberg_structure
 
-    ds = heisenberg_structure(steps=32)
+    ds = heisenberg_structure()
     x = np.array([0.05, -0.1, 0.02])
     rng = np.random.RandomState(5)
     pts = [x + rng.uniform(-0.08, 0.08, 3) for _ in range(4)]

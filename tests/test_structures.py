@@ -1,5 +1,7 @@
 """Built-in example structures: values against closed forms and oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from dilatlab.structures import (build_structure, complex_dilatation,
                                  riemannian_diffeo, shear_quadratic,
                                  snowflake_structure, structure_names, tanh_shear)
 from dilatlab.axioms import check_A2, estimate_dx
-from dilatlab.carnot import structure_from_manifest, warped_heisenberg_structure
-from dilatlab.heisenberg_group import heisenberg_warp
+from dilatlab.carnot import sr_dilatation, structure_from_manifest
+from dilatlab.heisenberg_group import heisenberg_warp, warped_heisenberg
 from dilatlab.util import halving_schedule
 
 np.random.seed(3)
@@ -170,9 +172,12 @@ HEIS_MANIFEST = {
 
 def _build_for_broadcast(name):
     if name == "heisenberg-warped":
-        return warped_heisenberg_structure(steps=16)
+        # 16 RK4 steps where the warped frame takes 256: the rows are compared
+        # bit for bit at any count
+        frame, cc, _ = warped_heisenberg()
+        return sr_dilatation(replace(frame, rk4_steps=16), cc, injectivity_radius=2.0)
     if name == "manifest":
-        return structure_from_manifest(HEIS_MANIFEST, steps=16)
+        return structure_from_manifest(HEIS_MANIFEST)
     return build_structure(name)
 
 

@@ -2,14 +2,17 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dilatlab import vectorfields
-from dilatlab.heisenberg_group import heisenberg, heisenberg_inverse, warped_heisenberg
+from dilatlab.carnot import sr_dilatation
+from dilatlab.heisenberg_group import (heisenberg, heisenberg_cc, heisenberg_inverse,
+                                       warped_heisenberg)
 from dilatlab.errors import ChartEscape, NoConvergence, NonRegular, NotBracketGenerating
-from dilatlab.vectorfields import (Frame, VectorField, build_adapted_frame,
+from dilatlab.vectorfields import (FLOW_STEPS, Frame, VectorField, build_adapted_frame,
                                    chart_inverse, compose_rows, flow_exp,
                                    frame_from_manifest, lie_bracket,
                                    polynomial_field)
@@ -41,14 +44,72 @@ def test_flow_exp_tests_the_chart_box_at_every_step():
     assert np.allclose(end, [0.5, 0.0], atol=1e-5)
 
 
+def _manifest_frame(name):
+    with open(os.path.join(os.path.dirname(__file__), "manifests", name + ".json")) as f:
+        return frame_from_manifest(json.load(f))
+
+
+def _one_step_frames():
+    heis_doc = {"schema": 1, "name": "heis-manifest", "dim": 3, "chart_halfwidth": 2.0,
+                "generators": [[[[1.0, [0, 0, 0]]], [], [[-0.5, [0, 1, 0]]]],
+                               [[], [[1.0, [0, 0, 0]]], [[0.5, [1, 0, 0]]]]]}
+    return [heisenberg()[0], frame_from_manifest(heis_doc)] + [
+        _manifest_frame(name) for name in ("contact-curved", "engel", "martinet")]
+
+
+def test_frames_derive_their_flow_step_count_at_the_first_flow():
+    # one exact step on the polynomial frames in graded coordinates, the
+    # default on the warped frame and the rotation, whose fields read
+    # coordinates they move; nothing is derived at construction
+    for frame, curved in zip(_one_step_frames(), [(), (), (2,), (2, 3), (2,)]):
+        assert "flow_steps" not in vars(frame) and "curved_coords" not in vars(frame)
+        assert (frame.flow_steps, frame.curved_coords) == (1, curved), frame.name
+    for frame in (warped_heisenberg()[0], rotation_frame()):
+        assert (frame.flow_steps, frame.curved_coords) == (FLOW_STEPS, None)
+    assert FLOW_STEPS == 256
+    # x1 moves at constant speed, but one step does not integrate x1^3
+    cubic = polynomial_field([[[1.0, [0, 0]]], [[1.0, [3, 0]]]])
+    up = polynomial_field([[], [[1.0, [0, 0]]]])
+    assert Frame((cubic, up), (1, 1)).flow_steps == FLOW_STEPS
+    assert replace(heisenberg()[0], rk4_steps=8).flow_steps == 8
+
+
+def test_one_step_flows_match_512_steps():
+    rng = np.random.RandomState(5)
+    for frame in _one_step_frames():
+        half = 0.25 * frame.chart_box[:, 1]
+        X = rng.uniform(-half, half, (40, frame.n))
+        A = rng.uniform(-half, half, (40, frame.n))
+        one = flow_exp(frame, A, X)
+        ref = flow_exp(frame, A, X, steps=512)
+        assert np.all(np.abs(one - ref) <= 1e-13 * (1.0 + np.abs(ref))), frame.name
+
+
+def test_a_one_step_flow_that_leaves_the_box_between_its_ends_escapes():
+    # Engel: the start and the end lie inside [-2, 2]^4, but x3 climbs to
+    # about 2.10 on the way; the one exact step tests its turning point as
+    # the 256-step grid tests its points
+    frame = _manifest_frame("engel")
+    x = np.array([1.97, 0.38, 1.92, -0.75])
+    a = np.array([-1.62, 1.46, -1.95, 1.01])
+    path = flow_exp(replace(frame, chart_box=None), np.linspace(0.0, 1.0, 257)[:, None] * a, x)
+    assert np.all(np.abs(path[[0, -1]]) < 2.0)
+    assert path[:, 2].max() > 2.05
+    with pytest.raises(ChartEscape):
+        flow_exp(frame, a, x)
+    with pytest.raises(ChartEscape):
+        flow_exp(frame, a, x, steps=256)
+    # with only the end tested, the flow would be let through
+    assert np.array_equal(flow_exp(replace(frame, chart_box=None), a, x), path[-1])
+
+
 def test_a_flow_that_overflows_leaves_the_chart():
     # two coefficients of 1e160 overflow the one RK4 step to NaN on each
     # manifest frame, where 1e100 stays finite and leaves the box: both raise
     # ChartEscape, and no overflow warning escapes. Without a box a coordinate
     # still has to be finite.
     for name in ("contact-curved", "engel", "martinet"):
-        with open(os.path.join(os.path.dirname(__file__), "manifests", name + ".json")) as f:
-            frame = frame_from_manifest(json.load(f))
+        frame = _manifest_frame(name)
         boxless = Frame(fields=frame.fields, degrees=frame.degrees)
         for big, frames in ((1e160, (frame, boxless)), (1e100, (frame,))):
             a = np.zeros(frame.n)
@@ -59,16 +120,28 @@ def test_a_flow_that_overflows_leaves_the_chart():
 
 
 def test_fewer_than_one_flow_step_is_refused():
-    # rk4_flow's step length 1 / steps divided by zero at steps=0
+    # rk4_flow's step length 1 / steps divided by zero at steps=0, and int()
+    # ran 2 steps at 2.5 and one at True; the count is set on the frame or
+    # on one flow_exp call
     frame, _ = heisenberg()
     a, x = np.array([0.1, 0.2, 0.0]), np.zeros(3)
-    for steps in (0, -1):
-        with pytest.raises(ValueError, match="steps"):
+    for steps in (0, -1, 2.5, 2.0, True, np.float64(3.0), "2"):
+        with pytest.raises(ValueError, match="^steps must be a positive integer"):
             flow_exp(frame, a, x, steps=steps)
-        with pytest.raises(ValueError, match="steps"):
-            chart_inverse(frame, x, a, steps=steps)
-        with pytest.raises(ValueError, match="steps"):
-            compose_rows(frame, a[None], a[None], x, steps=steps)
+        with pytest.raises(ValueError, match="^rk4_steps must be a positive integer"):
+            replace(frame, rk4_steps=steps)
+    assert replace(frame, rk4_steps=np.int64(3)).flow_steps == 3
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_an_injectivity_radius_that_is_not_finite_and_positive_is_refused(radius):
+    # a NaN radius switched the guard off (norms > 1.5 * nan is always
+    # false), and one <= 0 failed every Newton start as NoConvergence
+    frame, _ = heisenberg()
+    with pytest.raises(ValueError, match="injectivity_radius must be finite and > 0"):
+        chart_inverse(frame, np.zeros(3), (0.3, 0.2, 0.5), injectivity_radius=radius)
+    with pytest.raises(ValueError, match="injectivity_radius must be finite and > 0"):
+        sr_dilatation(frame, heisenberg_cc, injectivity_radius=radius)
 
 
 def test_polynomial_field_values_and_jacobian():
@@ -205,8 +278,8 @@ def test_chart_inverse_roundtrip():
     x = np.array([0.1, -0.2, 0.05])
     for _ in range(4):
         a = rng.uniform(-0.3, 0.3, size=3)
-        y = flow_exp(fr, a, x, steps=64)
-        back = chart_inverse(fr, x, y, steps=64)
+        y = flow_exp(fr, a, x)
+        back = chart_inverse(fr, x, y)
         assert np.allclose(back, a, atol=1e-10)
 
 
@@ -215,18 +288,18 @@ def test_chart_inverse_batched_matches_single_rows():
     # row; one row whose Newton iterate leaves the injectivity ball fails the
     # whole call
     rng = np.random.RandomState(14)
-    for frame, steps in ((heisenberg()[0], 32), (warped_heisenberg()[0], 64)):
+    for frame in (heisenberg()[0], replace(warped_heisenberg()[0], rk4_steps=64)):
         W = rng.uniform(-0.2, 0.2, (5, 3))
         A = rng.uniform(-0.3, 0.3, (5, 3))
-        Z = flow_exp(frame, A, W, steps=steps)
-        got = chart_inverse(frame, W, Z, steps=steps)
-        want = np.array([chart_inverse(frame, w, z, steps=steps) for w, z in zip(W, Z)])
+        Z = flow_exp(frame, A, W)
+        got = chart_inverse(frame, W, Z)
+        want = np.array([chart_inverse(frame, w, z) for w, z in zip(W, Z)])
         assert np.array_equal(got, want), frame.name
         assert np.allclose(got, A, atol=1e-9)
         A[2] = [0.9, -0.6, 0.5]  # well outside the default radius 0.5
-        Z = flow_exp(frame, A, W, steps=steps)
+        Z = flow_exp(frame, A, W)
         with pytest.raises(NoConvergence):
-            chart_inverse(frame, W, Z, steps=steps)
+            chart_inverse(frame, W, Z)
 
 
 def test_chart_inverse_names_the_row_that_leaves_the_injectivity_ball():
@@ -235,7 +308,7 @@ def test_chart_inverse_names_the_row_that_leaves_the_injectivity_ball():
     A = np.array([[0.1, 0.1, 0.1], [0.9, -0.6, 0.5]])  # |A[1]| = 1.19 > 1.5 * 0.5
     with pytest.raises(NoConvergence, match=r"\|a\| = 1\.19\d* above 1\.5 x "
                        r"injectivity_radius = 0\.75 for w = \(0\.0, -0\.2, 0\.05\)"):
-        chart_inverse(frame, W, flow_exp(frame, A, W, steps=1), steps=1)
+        chart_inverse(frame, W, flow_exp(frame, A, W))
 
 
 def test_heisenberg_chart_inverse_takes_one_flow(monkeypatch):
@@ -248,7 +321,7 @@ def test_heisenberg_chart_inverse_takes_one_flow(monkeypatch):
     rng = np.random.RandomState(0)
     W = rng.uniform(-0.3, 0.3, (400, 3))
     Z = law(W, rng.uniform(-0.3, 0.3, (400, 3)))
-    y, res, iters = vectorfields._newton_chart(frame, W, Z, 2.0, 1)
+    y, res, iters = vectorfields._newton_chart(frame, W, Z, 2.0)
     assert np.all(iters == 1)
     assert np.all(res < 1e-13 * (1.0 + np.max(np.abs(Z), axis=1)))
     want = law(heisenberg_inverse(W), Z)
@@ -259,7 +332,7 @@ def test_heisenberg_chart_inverse_takes_one_flow(monkeypatch):
     monkeypatch.setattr(vectorfields, "flow_exp",
                         lambda *a, **kw: flows.append(1) or real(*a, **kw))
     for w, z in zip(W[:5], Z[:5]):
-        chart_inverse(frame, w, z, injectivity_radius=2.0, steps=1)
+        chart_inverse(frame, w, z, injectivity_radius=2.0)
     assert len(flows) == 5
 
 
@@ -270,9 +343,9 @@ def test_chart_inverse_names_the_point_where_the_frame_degenerates():
         frame = frame_from_manifest(json.load(f))
     w = np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])
     with pytest.raises(NonRegular, match=r"linearly dependent at w = \(0\.0, 0\.1, 0\.0\)"):
-        chart_inverse(frame, w, w + 0.01, steps=8)
-    a = chart_inverse(frame, w[0], w[0] + 0.01, steps=8)  # a regular point
-    assert np.allclose(flow_exp(frame, a, w[0], steps=8), w[0] + 0.01, atol=1e-11)
+        chart_inverse(frame, w, w + 0.01)
+    a = chart_inverse(frame, w[0], w[0] + 0.01)  # a regular point
+    assert np.allclose(flow_exp(frame, a, w[0]), w[0] + 0.01, atol=1e-11)
 
 
 def test_compose_commuting_constant_fields():
@@ -283,7 +356,7 @@ def test_compose_commuting_constant_fields():
     fr = Frame(fields=(E1, E2), degrees=(1, 1))
     a = np.array([0.2, -0.1])
     b = np.array([-0.05, 0.3])
-    P, res, _ = compose_rows(fr, a[None], b[None], np.zeros(2), steps=32)
+    P, res, _ = compose_rows(fr, a[None], b[None], np.zeros(2))
     assert np.allclose(P[0], a - b, atol=1e-11)
     assert res[0] < 1e-12
 

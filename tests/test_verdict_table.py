@@ -15,8 +15,9 @@ The manifest table holds one row per (manifest, point, check): the three
 committed manifests at two points each, every check in its own verify with
 the short schedule, since a typed error stops a whole verify. A run that
 exits 2 on a DilatlabError gives the verdict "error:<TypeName>" and no
-residual. It takes about 30 s, over tier-1's budget, so CI recomputes and
-diffs it in its own step, by the same rules, and pytest does not run it:
+residual. It takes about 12 s, kept out of tier-1's budget, so CI
+recomputes and diffs it in its own step, by the same rules, and pytest does
+not run it:
 
     PYTHONPATH=src python tests/test_verdict_table.py --manifests --check
     PYTHONPATH=src python tests/test_verdict_table.py --manifests   # rewrite
